@@ -1,0 +1,7 @@
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+os.environ.setdefault("BEATTYSIEVE_FIXTURE_DIR", str(ROOT / "fixtures"))
