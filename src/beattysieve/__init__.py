@@ -10,8 +10,8 @@ associated fractional-part point sets, and the explicit exponential-sum
 inequalities as measurable formulas.
 """
 
-from .counting import (CountResult, DensityRun, ProblemSpec, dec_str,
-                       density_experiment, density_run_csv,
+from .counting import (CountResult, DensityRun, FloorStats, ProblemSpec,
+                       dec_str, density_experiment, density_run_csv,
                        density_run_json, density_run_payload, direct_count,
                        inner_count, inv_zeta, mobius_count, mobius_segments,
                        mobius_sieve, tail_count, theoretical_gamma,

@@ -5,12 +5,15 @@ it against the target command's preconditions, dispatches to the library,
 and writes a report atomically.  Reports split into "config" (echo),
 "results" (the numerical payload — byte-identical across worker counts),
 "fixtures" (hashes of any fixture files consulted), and "meta" (wall
-time, workers: everything allowed to vary between runs).
+time, workers, the counting engine's counters: everything outside the
+determinism surface).
 
 Config schema (lines of key=value; blank lines and #-comments ignored):
 
   command       count | density | discrepancy | weyl | bounds | dioph
-  alphas        comma-separated real descriptions (see formats below)
+  alphas        comma-separated real descriptions (see formats below);
+                commas inside brackets or before a key=value field stay
+                in the item, e.g. alphas=cf:[1;2,2],liouville:base=2,tau=2
   ms            comma-separated exponents, first = 1, strictly increasing
   lower_<j>     lower-order coefficients for coordinate j >= 2, constant
                 first, e.g. lower_2=1/2,surd:(0+1*sqrt(2))/1
@@ -48,9 +51,11 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional
 
@@ -109,6 +114,39 @@ def parse_config_text(text: str) -> dict:
     return cfg
 
 
+_KEY_VALUE = re.compile(r"^\s*[A-Za-z_]\w*\s*=")
+
+
+def split_reals(text: str) -> list:
+    """Split a comma-separated list of real descriptions.
+
+    A comma separates two items only at bracket depth 0 and only when the
+    text after it is not key=value, so cf:[a0;a1,a2] and
+    liouville:base=2,rule=poly,... each stay one item.
+    """
+    pieces = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(text):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            pieces.append(text[start:i])
+            start = i + 1
+    pieces.append(text[start:])
+    items = []
+    for piece in (p.strip() for p in pieces):
+        if not piece:
+            continue
+        if items and _KEY_VALUE.match(piece):
+            items[-1] += "," + piece
+        else:
+            items.append(piece)
+    return items
+
+
 class _Config:
     """Typed accessors over the flat key=value map; tracks unused keys."""
 
@@ -165,7 +203,7 @@ class _Config:
         val = self._take(key, None, required)
         if val is None:
             return None
-        return [p.strip() for p in str(val).split(",") if p.strip()]
+        return split_reals(str(val))
 
     def lower_keys(self):
         return sorted(k for k in self.raw if k.startswith("lower_"))
@@ -214,7 +252,8 @@ def _exact_or_none(cfg: _Config, key: str):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload dict, csv text or None, fixtures)
+# command handlers: each returns (payload dict, csv text or None, fixtures),
+# and the counting commands append the engine's counters for the meta block
 
 
 def _count_payload(res: CountResult) -> dict:
@@ -240,7 +279,7 @@ def cmd_count(cfg: _Config, workers: int, max_bits: int, seed: int):
     payload = _count_payload(res)
     csv = "x,count,method,d_cutoff\n" \
           f"{res.x},{res.count},{res.method},{res.d_cutoff or ''}\n"
-    return payload, csv, []
+    return payload, csv, [], asdict(res.stats)
 
 
 def cmd_density(cfg: _Config, workers: int, max_bits: int, seed: int):
@@ -252,7 +291,8 @@ def cmd_density(cfg: _Config, workers: int, max_bits: int, seed: int):
     run = _wrap_spec_errors(density_experiment, problem, grid, tau=tau,
                             workers=workers, zeta_bits=zeta_bits,
                             max_bits=max_bits)
-    return density_run_payload(run), density_run_csv(run), []
+    return (density_run_payload(run), density_run_csv(run), [],
+            asdict(run.stats))
 
 
 def cmd_discrepancy(cfg: _Config, workers: int, max_bits: int, seed: int):
@@ -428,18 +468,21 @@ def run_config(raw: dict, *, workers: Optional[int] = None,
     workers = cfg_workers if workers is None else workers
     max_bits = cfg_bits if max_bits is None else max_bits
     start = time.perf_counter()
-    payload, csv, fixtures = _COMMANDS[command](cfg, workers, max_bits, seed)
-    elapsed = time.perf_counter() - start
+    payload, csv, fixtures, *stats = _COMMANDS[command](cfg, workers,
+                                                        max_bits, seed)
+    meta = {
+        "wall_time_s": time.perf_counter() - start,
+        "workers": workers,
+        "max_bits": max_bits,
+        "version": __version__,
+    }
+    if stats:
+        meta["stats"] = stats[0]
     return {
         "config": dict(raw),
         "results": payload,
         "fixtures": fixtures,
-        "meta": {
-            "wall_time_s": elapsed,
-            "workers": workers,
-            "max_bits": max_bits,
-            "version": __version__,
-        },
+        "meta": meta,
         "_csv": csv,
     }
 

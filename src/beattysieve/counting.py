@@ -13,6 +13,7 @@ experiment harness with its log-log error fit.
 
 from __future__ import annotations
 
+import bisect
 import decimal
 import json
 import math
@@ -123,12 +124,28 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
+class FloorStats:
+    """What the counting engine did.
+
+    fast_floors: (n, j) floors decided by the 64-bit fixed-point kernel;
+    exact_fallbacks: (n, j) floors the kernel left undecided and sent to
+    the big-integer engine; exact_coords: coordinates that only the
+    big-integer engine evaluates.
+    """
+
+    fast_floors: int = 0
+    exact_fallbacks: int = 0
+    exact_coords: int = 0
+
+
+@dataclass(frozen=True)
 class CountResult:
     x: int
     count: int
     method: str
     d_cutoff: Optional[int]
     elapsed: float
+    stats: FloorStats = FloorStats()
 
     def __post_init__(self) -> None:
         if self.method not in ("direct", "mobius"):
@@ -147,6 +164,7 @@ class DensityRun:
     fitted_exponent: float        # OLS slope of log error vs log x
     residual: float               # RMS residual of that fit
     theoretical_gamma: Optional[Fraction]
+    stats: FloorStats = FloorStats()
 
     def __post_init__(self) -> None:
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -239,7 +257,10 @@ class _FloorEngine:
     """Brackets every coefficient at one shared precision and evaluates
     floor(a_j t^{m_j} + g_j(t)) with certification; ambiguity escalates
     the shared precision (rare: it means the value sits within 2^-60ish
-    of an integer at the current bracket width)."""
+    of an integer at the current bracket width).  A coordinate whose
+    coefficients are all exact rationals is evaluated in exact integer
+    arithmetic instead, since its value may sit on an integer, where no
+    bracket can separate the floor."""
 
     def __init__(self, problem: ProblemSpec, t_max: int,
                  max_bits: int = DEFAULT_MAX_BITS):
@@ -253,9 +274,21 @@ class _FloorEngine:
                 for e, c in enumerate(coeffs):
                     entry.append((c, e))
             self.terms.append(entry)
+        self.rational = [self._rational(entry) for entry in self.terms]
         self.prec = min(64 + problem.ms[-1] * max(t_max, 1).bit_length() + 8,
                         max_bits)
         self._rebuild()
+
+    @staticmethod
+    def _rational(entry) -> Optional[tuple]:
+        """(integer numerators with exponents, common denominator) when
+        every coefficient of the coordinate is an exact rational."""
+        values = [spec.exact() for spec, _ in entry]
+        if None in values:
+            return None
+        den = math.lcm(*(v.denominator for v in values))
+        return [(v.numerator * (den // v.denominator), e)
+                for v, (_, e) in zip(values, entry)], den
 
     def _rebuild(self) -> None:
         p = self.prec
@@ -270,6 +303,14 @@ class _FloorEngine:
             self.brackets.append(row)
 
     def _escalate(self, j: int, t: int) -> None:
+        caps = [(spec.max_prec(), spec) for spec, _ in self.terms[j]]
+        if all(cap is not None and self.prec >= cap for cap, _ in caps):
+            # every bracket of the coordinate is already as tight as its
+            # representation allows: doubling the precision changes nothing
+            cap, spec = min(caps, key=lambda c: c[0])
+            raise PrecisionExhausted(
+                f"floor not separated: {spec.text()} carries only "
+                f"{cap} bits", spec=spec, term=j, n=t, bits=cap)
         if self.prec >= self.max_bits:
             raise PrecisionExhausted(
                 "floor not separated within the precision ceiling",
@@ -278,6 +319,9 @@ class _FloorEngine:
         self._rebuild()
 
     def floor_term(self, j: int, t: int) -> int:
+        if self.rational[j] is not None:
+            nums, den = self.rational[j]
+            return sum(c * t ** e for c, e in nums) // den
         while True:
             p = self.prec
             lo = 0
@@ -296,29 +340,136 @@ class _FloorEngine:
 # the two counting routes
 
 
-def _direct_chunk(args) -> int:
-    problem, n_lo, n_hi, early_exit, max_bits = args
+# The direct route's 64-bit fixed-point kernel.  With theta the fractional
+# part of a*n^(m-1),  floor(a n^m) mod n = floor(n*theta).  A 64-bit
+# bracket (lo, hi) of a*2^64 gives theta*2^64 in [L, L + W], where
+# L = lo*n^(m-1) mod 2^64 and W = (hi - lo)*n^(m-1), as long as L + W does
+# not pass 2^64; floor(n*R / 2^64) is monotone in R, so the residue is
+# decided when both ends give the same floor.  Everything else goes to
+# the big-integer engine, so every count keeps its certificate.
+
+_FIX_BITS = 64
+_BLOCK = 4096                      # n per kernel block; keeps RSS flat
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _fast_plan(problem: ProblemSpec, x: int) -> list:
+    """Per coordinate, (m, lo mod 2^64, hi - lo) from a 64-bit bracket
+    (lo, hi) of the multiplier, or None when only the exact engine may
+    evaluate it."""
+    plan = []
+    for alpha, m, lower in zip(problem.alphas, problem.ms,
+                               problem.lower_terms):
+        cap = alpha.max_prec()
+        if (lower or (cap is not None and cap < _FIX_BITS)
+                or x >= 1 << 32 or 2 * x ** (m - 1) >= 1 << 62):
+            plan.append(None)
+            continue
+        lo, hi = alpha.bounds(_FIX_BITS)
+        plan.append((m, lo % (1 << _FIX_BITS), hi - lo))
+    return plan
+
+
+def _mul_hi(n: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """floor(n * v / 2^64) exactly, for uint64 n < 2^32 and any uint64 v."""
+    a = n * (v >> _SHIFT32)
+    b = n * (v & _LOW32)
+    return (a >> _SHIFT32) + (((a & _LOW32) + (b >> _SHIFT32)) >> _SHIFT32)
+
+
+def _fast_residues(t: np.ndarray, m: int, lo64: int, width: int):
+    """(floor(a t^m) mod t, decided mask) for uint64 t, given the 64-bit
+    bracket of a as (lo mod 2^64, hi - lo)."""
+    scale = t ** (m - 1)                      # exact: 2 x^(m-1) < 2^62
+    low = scale * np.uint64(lo64)             # wraps: exact mod 2^64
+    high = low + scale * np.uint64(width)
+    res = _mul_hi(t, low)
+    decided = (high >= low) & (_mul_hi(t, high) == res)
+    return res.astype(np.int64), decided
+
+
+def _exact_residues(eng: _FloorEngine, j: int, t: np.ndarray) -> np.ndarray:
+    return np.array([eng.floor_term(j, v) % v for v in t.tolist()],
+                    dtype=np.int64)
+
+
+def _coprime_block(plan: list, eng: _FloorEngine, n_lo: int, n_hi: int,
+                   early_exit: bool, tally: list):
+    """Boolean mask of n in [n_lo, n_hi] with gcd(n, floor terms) = 1.
+
+    Coordinates run in order; with early_exit only the n whose running
+    gcd is still above 1 are evaluated.  tally accumulates
+    [fast floors, exact fallbacks].
+    """
+    n = np.arange(n_lo, n_hi + 1, dtype=np.uint64)
+    g = n.astype(np.int64)
+    every = np.arange(n.size)
+    for j, fast in enumerate(plan):
+        idx = np.flatnonzero(g > 1) if early_exit else every
+        if not idx.size:
+            break
+        t = n[idx]
+        if fast is None:
+            res = _exact_residues(eng, j, t)
+        else:
+            res, decided = _fast_residues(t, *fast)
+            open_ = np.flatnonzero(~decided)
+            tally[0] += idx.size - open_.size
+            if open_.size:
+                tally[1] += open_.size
+                res[open_] = _exact_residues(eng, j, t[open_])
+        g[idx] = np.gcd(g[idx], res)
+    return g == 1
+
+
+def _direct_chunk(args):
+    """Prefix counts at each cut for the n in [n_lo, n_hi], plus the
+    kernel's [fast floors, exact fallbacks]."""
+    problem, plan, n_lo, n_hi, cuts, early_exit, max_bits = args
     eng = _FloorEngine(problem, n_hi, max_bits)
-    k = problem.k
-    gcd = math.gcd
-    cnt = 0
-    if early_exit:
-        for n in range(n_lo, n_hi + 1):
-            g = n
-            for j in range(k):
-                g = gcd(g, eng.floor_term(j, n))
-                if g == 1:
-                    break
-            if g == 1:
-                cnt += 1
+    tally = [0, 0]
+    counts = [0] * len(cuts)
+    i = bisect.bisect_left(cuts, n_lo)
+    total = 0
+    for b_lo in range(n_lo, n_hi + 1, _BLOCK):
+        b_hi = min(b_lo + _BLOCK - 1, n_hi)
+        ok = _coprime_block(plan, eng, b_lo, b_hi, early_exit, tally)
+        while i < len(cuts) and cuts[i] <= b_hi:
+            counts[i] = total + int(np.count_nonzero(ok[:cuts[i] - b_lo + 1]))
+            i += 1
+        total += int(np.count_nonzero(ok))
+    counts[i:] = [total] * (len(cuts) - i)
+    return counts, tally
+
+
+def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int,
+                  early_exit: bool, max_bits: int):
+    """Exact counts at every cut (increasing) from one sweep to cuts[-1].
+
+    The range splits into `workers` contiguous chunks, each counted
+    independently; chunk results are summed in chunk order.  Counts are
+    exact integers, so they are identical for every worker count.
+    """
+    x = cuts[-1]
+    plan = _fast_plan(problem, x)
+    workers = max(1, int(workers))
+    if workers == 1 or x < 4096:
+        parts = [_direct_chunk((problem, plan, 1, x, cuts, early_exit,
+                                max_bits))]
     else:
-        for n in range(n_lo, n_hi + 1):
-            g = n
-            for j in range(k):
-                g = gcd(g, eng.floor_term(j, n))
-            if g == 1:
-                cnt += 1
-    return cnt
+        edges = [i * x // workers for i in range(workers + 1)]
+        jobs = [(problem, plan, lo + 1, hi, cuts, early_exit, max_bits)
+                for lo, hi in zip(edges, edges[1:]) if hi > lo]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_direct_chunk, jobs))
+    counts = [0] * len(cuts)
+    fast = fallbacks = 0
+    for part, (f, fb) in parts:
+        counts = [a + b for a, b in zip(counts, part)]
+        fast += f
+        fallbacks += fb
+    return tuple(counts), FloorStats(fast, fallbacks, plan.count(None))
 
 
 def direct_count(problem: ProblemSpec, x: int, *, workers: int = 1,
@@ -326,24 +477,18 @@ def direct_count(problem: ProblemSpec, x: int, *, workers: int = 1,
                  max_bits: int = DEFAULT_MAX_BITS) -> CountResult:
     """Count n ≤ x with gcd(n, floor terms) = 1, term by term.
 
-    The range splits into `workers` contiguous chunks, each summed
-    independently and reduced in chunk order; counts are exact integers,
-    so the result is identical for every worker count.
+    Floors come from the 64-bit kernel where its bracket decides them and
+    from the certified big-integer engine otherwise.  The count is the
+    one-point case of the density sweep, so it is identical for every
+    worker count.
     """
     if x < 1:
         raise InvalidSpec("x must be >= 1")
     start = time.perf_counter()
-    workers = max(1, int(workers))
-    if workers == 1 or x < 4096:
-        total = _direct_chunk((problem, 1, x, early_exit, max_bits))
-    else:
-        edges = [i * x // workers for i in range(workers + 1)]
-        jobs = [(problem, lo + 1, hi, early_exit, max_bits)
-                for lo, hi in zip(edges, edges[1:]) if hi > lo]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(_direct_chunk, jobs))
-    return CountResult(x, total, "direct", None,
-                       time.perf_counter() - start)
+    (count,), stats = _direct_sweep(problem, (x,), workers, early_exit,
+                                    max_bits)
+    return CountResult(x, count, "direct", None,
+                       time.perf_counter() - start, stats)
 
 
 def scaled_forms(problem: ProblemSpec, d: int, *,
@@ -449,7 +594,8 @@ def mobius_count(problem: ProblemSpec, x: int,
             total += sign * inner_count(problem, d, x, max_bits=max_bits,
                                         _engine=eng)
     return CountResult(x, total, "mobius", d_cutoff,
-                       time.perf_counter() - start)
+                       time.perf_counter() - start,
+                       FloorStats(exact_coords=problem.k))
 
 
 def tail_count(problem: ProblemSpec, d: int, x: int, *,
@@ -616,22 +762,24 @@ def density_experiment(problem: ProblemSpec, grid: Sequence[int], *,
                        tau: Optional[ExactLike] = None, workers: int = 1,
                        zeta_bits: int = 128,
                        max_bits: int = DEFAULT_MAX_BITS) -> DensityRun:
-    """direct_count over a grid, exact errors against x/zeta(k+1), and the
-    ordinary-least-squares slope of log error versus log x."""
+    """Direct counts at every grid point from one sweep to max(grid),
+    exact errors against x/zeta(k+1), and the ordinary-least-squares
+    slope of log error versus log x."""
     grid = tuple(int(x) for x in grid)
     if len(grid) < 3:
         raise InvalidSpec("grid needs at least 3 points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidSpec("grid must increase strictly")
+    if grid[0] < 1:
+        raise InvalidSpec("grid points must be >= 1")
     target = inv_zeta(problem.k + 1, zeta_bits)
-    counts = tuple(direct_count(problem, x, workers=workers,
-                                max_bits=max_bits).count for x in grid)
+    counts, stats = _direct_sweep(problem, grid, workers, True, max_bits)
     errors = tuple(abs(Fraction(c) - x * target)
                    for x, c in zip(grid, counts))
     slope, residual = _fit_loglog(grid, errors)
     gamma = theoretical_gamma(problem.ms, tau) if tau is not None else None
     return DensityRun(problem, grid, counts, target, errors, slope,
-                      residual, gamma)
+                      residual, gamma, stats)
 
 
 # ---------------------------------------------------------------------------

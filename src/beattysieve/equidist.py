@@ -348,7 +348,8 @@ def discrepancy_report(ps: PointSet, H: int, C: Optional[float] = None, *,
     """Assemble the exact value (dim 1), box lower bound, and upper bound."""
     upper = et_koksma_upper(ps, H, C, budget=budget)
     box = discrepancy_box_lower(ps, budget=budget, seed=seed)
-    exact = float(discrepancy_exact_1d(ps)) if ps.dim == 1 else None
+    # in dimension one the box bound is the exact interval scan itself
+    exact = box.value if ps.dim == 1 else None
     return DiscrepancyReport(ps.N, exact, box.value, upper.et_upper, H,
                              upper.weyl_terms, upper.C, box.sampled)
 

@@ -14,8 +14,11 @@ import pytest
 
 from beattysieve import __version__
 from beattysieve.cli import (atomic_write, main, parse_config_text,
-                             payload_bytes, report_json, run_config)
+                             payload_bytes, report_json, run_config,
+                             split_reals)
+from beattysieve.counting import ProblemSpec, direct_count, mobius_count
 from beattysieve.errors import ConfigError
+from beattysieve.realnum import parse_real, sqrt3
 
 from conftest import FIXTURE_DIR
 
@@ -123,6 +126,37 @@ def test_lower_terms_keys_checked():
         run_config(raw)
 
 
+def test_split_reals_keeps_bracketed_and_keyed_items_whole():
+    assert split_reals("cf:[1;2,2], 1/2 ,surd:(0+1*sqrt(2))/1,,") == [
+        "cf:[1;2,2]", "1/2", "surd:(0+1*sqrt(2))/1"]
+    assert split_reals("liouville:base=2,tau=2,depth=8,rat:1/3") == [
+        "liouville:base=2,tau=2,depth=8", "rat:1/3"]
+
+
+def test_liouville_multiplier_reaches_both_routes():
+    liou = "liouville:base=2,rule=poly,tau=2,c1=2,depth=8"
+    problem = ProblemSpec((parse_real(liou), sqrt3()), (1, 2))
+    want = direct_count(problem, 2000).count
+    assert want == mobius_count(problem, 2000).count
+    for method in ("direct", "mobius"):
+        report = run_config(count_config(alphas=f"{liou},{SQRT3}", ms="1,2",
+                                         x="2000", method=method))
+        assert report["results"]["count"] == want
+
+
+def test_cf_multiplier_parses_and_meets_the_irrationality_check():
+    with pytest.raises(ConfigError, match=r"cf:\[1;2,2\]\) is not an irr"):
+        run_config(count_config(alphas=f"{SQRT2},cf:[1;2,2]", ms="1,2"))
+
+
+def test_count_and_density_report_engine_counters():
+    stats = run_config(count_config(x="5000"))["meta"]["stats"]
+    assert stats["fast_floors"] > 0 and stats["exact_coords"] == 0
+    raw = {"command": "density", "alphas": f"{SQRT2},{SQRT3}", "ms": "1,2",
+           "lower_2": "1/2", "grid": "100,200,400"}
+    assert run_config(raw)["meta"]["stats"]["exact_coords"] == 1
+
+
 def test_lower_terms_accepted_for_second_coordinate():
     raw = count_config(alphas=f"{SQRT2},{SQRT3}", ms="1,2",
                        lower_2="1/2", x="50")
@@ -152,7 +186,8 @@ def test_run_config_rejects_small_max_bits():
 def test_report_meta_and_version():
     report = run_config(count_config())
     meta = report["meta"]
-    assert set(meta) == {"wall_time_s", "workers", "max_bits", "version"}
+    assert set(meta) == {"wall_time_s", "workers", "max_bits", "version",
+                         "stats"}
     assert meta["workers"] == 1
     assert meta["version"] == __version__
     assert meta["wall_time_s"] >= 0.0

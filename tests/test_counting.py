@@ -8,11 +8,17 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from beattysieve.counting import (
+    _BLOCK,
     CountResult,
+    FloorStats,
     ProblemSpec,
+    _FloorEngine,
     _fit_loglog,
+    _mul_hi,
     dec_str,
     density_experiment,
     density_run_csv,
@@ -38,6 +44,8 @@ from beattysieve.errors import (
 from beattysieve.realnum import (
     DecimalLiteral,
     LiouvilleSeries,
+    QuadraticSurd,
+    Rational,
     golden_ratio,
     sqrt2,
     sqrt3,
@@ -63,6 +71,20 @@ def brute_count(problem: ProblemSpec, x: int) -> int:
                 for deg, coeff in enumerate(low):
                     acc += Fraction(coeff.exact()) * n**deg
             g = math.gcd(g, int(mpmath.floor(acc)))
+        if g == 1:
+            total += 1
+    return total
+
+
+def exact_reference_count(problem: ProblemSpec, x: int) -> int:
+    """The per-n loop: one certified big-integer floor and one gcd per
+    (n, coordinate), with no fixed-point shortcut."""
+    eng = _FloorEngine(problem, x)
+    total = 0
+    for n in range(1, x + 1):
+        g = n
+        for j in range(problem.k):
+            g = math.gcd(g, eng.floor_term(j, n))
         if g == 1:
             total += 1
     return total
@@ -264,6 +286,17 @@ def test_precision_exhausted_propagates():
         direct_count(p, 10)
 
 
+def test_precision_failure_names_the_literal_cap():
+    lit = DecimalLiteral("1.41421356", 8)
+    p = ProblemSpec.unchecked((lit,), (1,))
+    with pytest.raises(PrecisionExhausted, match="carries only 24 bits") \
+            as info:
+        direct_count(p, 10**5)
+    assert (info.value.n, info.value.bits, info.value.term) == (5741, 24, 0)
+    assert info.value.spec is lit
+    assert lit.max_prec() == 24
+
+
 def test_count_rejects_nonpositive_x():
     p = ProblemSpec((sqrt2(),), (1,))
     with pytest.raises(InvalidSpec):
@@ -340,3 +373,106 @@ def test_dec_str_significant_digits():
     assert dec_str(Fraction(2, 1), 3) == "2"
     assert dec_str(Fraction(2, 3), 4) == "0.6667"  # rounds, half-even
     assert dec_str(inv_zeta(2), 15) == "0.607927101854027"
+
+
+# --- the 64-bit fixed-point kernel of the direct route -------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=64),
+       v=st.lists(st.integers(0, 2**64 - 1), min_size=64, max_size=64))
+def test_mul_hi_is_the_exact_high_word(n, v):
+    v = v[:len(n)]
+    got = _mul_hi(np.array(n, dtype=np.uint64), np.array(v, dtype=np.uint64))
+    assert got.tolist() == [(a * b) >> 64 for a, b in zip(n, v)]
+
+
+def test_rational_multipliers_fall_back_to_the_exact_engine():
+    # a*n^m lands exactly on an integer for n divisible by the denominator,
+    # where no bracket can decide the floor: the exact engine must
+    for alphas, ms in (((Rational(1, 3),), (1,)),
+                       ((Rational(1, 3), Rational(2, 7)), (1, 2)),
+                       ((Rational(2, 7), Rational(-5, 3)), (1, 3))):
+        p = ProblemSpec.unchecked(alphas, ms)
+        res = direct_count(p, 2000, early_exit=False)
+        assert res.stats.exact_fallbacks > 0
+        assert res.stats.fast_floors > 0
+        assert res.count == exact_reference_count(p, 2000)
+        assert direct_count(p, 2000).count == res.count
+
+
+@pytest.mark.parametrize("x", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_counts_at_the_block_edges(x):
+    p = ProblemSpec((sqrt2(), sqrt3()), (1, 2))
+    assert direct_count(p, x).count == exact_reference_count(p, x)
+
+
+def test_density_sweep_prefix_counts_at_the_block_edges():
+    p = ProblemSpec((golden_ratio(), sqrt2()), (1, 3))
+    grid = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5)
+    want = tuple(direct_count(p, x).count for x in grid)
+    for workers in (1, 2):
+        assert density_experiment(p, grid, workers=workers).counts == want
+
+
+def test_workers_and_early_exit_give_identical_counts():
+    p = ProblemSpec((sqrt2(), sqrt3(), golden_ratio()), (1, 2, 4))
+    counts = {direct_count(p, 9000, workers=w, early_exit=e).count
+              for w in (1, 2, 4) for e in (True, False)}
+    assert counts == {exact_reference_count(p, 9000)}
+
+
+def test_engine_counters():
+    pair = direct_count(ProblemSpec((sqrt2(), sqrt3()), (1, 2)), 5000)
+    assert pair.stats.exact_coords == 0
+    assert pair.stats.fast_floors > 5000
+    lower = ProblemSpec((sqrt2(), sqrt3()), (1, 2),
+                        lower_terms=(None, ("1/2", sqrt2())))
+    assert direct_count(lower, 5000).stats.exact_coords == 1
+    # stated digits below 64 bits keep the coordinate on the exact engine
+    dec = ProblemSpec.unchecked((DecimalLiteral("1.41421356", 8),), (1,))
+    assert direct_count(dec, 100).stats == FloorStats(0, 0, 1)
+    assert mobius_count(lower, 100).stats.exact_coords == 2
+
+
+_NONSQUARES = [d for d in range(2, 31) if math.isqrt(d) ** 2 != d]
+_surds = st.builds(QuadraticSurd, st.integers(-5, 5),
+                   st.integers(1, 4) | st.integers(-4, -1),
+                   st.sampled_from(_NONSQUARES), st.integers(1, 5))
+_rationals = st.builds(Rational, st.integers(-7, 7), st.integers(1, 6))
+_liouville = st.builds(LiouvilleSeries, st.just(2), st.just("poly"),
+                       st.sampled_from([Fraction(3, 2), Fraction(2),
+                                        Fraction(3)]),
+                       c1=st.integers(1, 3))
+
+
+@st.composite
+def _problems(draw):
+    tail = draw(st.lists(st.integers(2, 6), max_size=2, unique=True))
+    ms = (1,) + tuple(sorted(tail))
+    alphas = draw(st.lists(_surds, min_size=len(ms), max_size=len(ms)))
+    if draw(st.booleans()):
+        alphas[draw(st.integers(0, len(ms) - 1))] = draw(_liouville)
+    lower = [None]
+    for m in ms[1:]:
+        coeffs = draw(st.lists(_rationals | _surds, max_size=m))
+        # the constant term is divided by d on the Moebius side: keep it exact
+        if coeffs and not isinstance(coeffs[0], Rational):
+            coeffs[0] = Rational(1, 2)
+        lower.append(tuple(coeffs) or None)
+    if not draw(st.booleans()):
+        lower = ()
+    return ProblemSpec(tuple(alphas), ms, tuple(lower))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problem=_problems(), x=st.integers(1, 64) | st.integers(1000, 3000))
+def test_direct_kernel_agrees_with_the_exact_routes(problem, x):
+    direct = direct_count(problem, x).count
+    assert direct == mobius_count(problem, x).count
+    surds_only = all(isinstance(a, QuadraticSurd) for a in problem.alphas)
+    rational_lower = all(isinstance(c, Rational)
+                         for low in problem.lower_terms if low for c in low)
+    if surds_only and rational_lower:
+        assert direct == brute_count(problem, x)

@@ -203,6 +203,22 @@ def test_discrepancy_report_sandwich_on_real_data():
         float(discrepancy_exact_1d(ps)), abs=1e-15)
 
 
+def test_discrepancy_report_scans_dimension_one_once(monkeypatch):
+    from beattysieve import equidist
+    ps = nu_sequence(ProblemSpec((sqrt2(),), (1,)), 3, 500)
+    want = discrepancy_report(ps, 20)
+    calls = []
+    original = equidist.discrepancy_exact_1d
+
+    def counted(values):
+        calls.append(1)
+        return original(values)
+
+    monkeypatch.setattr(equidist, "discrepancy_exact_1d", counted)
+    assert discrepancy_report(ps, 20) == want
+    assert len(calls) == 1
+
+
 def test_weyl_terms_csv_columns():
     ps = PointSet.synthetic([[0.1, 0.2], [0.6, 0.7]], "pair")
     text = weyl_terms_csv(et_koksma_upper(ps, 2))
