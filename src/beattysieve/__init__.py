@@ -11,10 +11,10 @@ inequalities as measurable formulas.
 """
 
 from .counting import (CountResult, DensityRun, FloorStats, ProblemSpec,
-                       dec_str, density_experiment, density_run_csv,
-                       density_run_json, density_run_payload, direct_count,
-                       inner_count, inv_zeta, mobius_count, mobius_segments,
-                       mobius_sieve, tail_count, theoretical_gamma,
+                       coordinate_form, dec_str, density_experiment,
+                       density_run_csv, density_run_json, density_run_payload,
+                       direct_count, inner_count, inv_zeta, mobius_count,
+                       mobius_segments, mobius_sieve, theoretical_gamma,
                        theoretical_gamma_star, zeta_int)
 from .dioph import (ApproxWindow, Convergent, TypeEstimate, convergents,
                     convergents_csv, estimate_type, find_window)
@@ -34,8 +34,7 @@ from .realnum import (DEFAULT_MAX_BITS, CertifiedFloor, DecimalLiteral,
                       FiniteCF, Interval, LinearForm, LiouvilleSeries,
                       QuadraticSurd, Rational, RealSpec, as_spec,
                       dist_nearest_int, eval_enclosure, floor_scaled,
-                      format_real, frac_below, golden_ratio, parse_real,
-                      sqrt2, sqrt3)
+                      frac_below, golden_ratio, parse_real, sqrt2, sqrt3)
 
 __version__ = "0.1.0"
 

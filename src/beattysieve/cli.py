@@ -71,7 +71,7 @@ from .equidist import (discrepancy_report, discrepancy_report_payload,
                        weyl_terms_csv)
 from .errors import (BeattySieveError, ConfigError, InsufficientData,
                      InvalidSpec, PrecisionExhausted, ResourceLimit)
-from .realnum import DEFAULT_MAX_BITS, as_spec, format_real
+from .realnum import DEFAULT_MAX_BITS, as_spec
 
 FIXTURE_ENV = "BEATTYSIEVE_FIXTURE_DIR"
 
@@ -346,7 +346,7 @@ def cmd_dioph(cfg: _Config, workers: int, max_bits: int, seed: int):
     except InsufficientData as exc:
         estimate = {"unavailable": str(exc)}
     payload = {
-        "alpha": format_real(spec),
+        "alpha": spec.text(),
         "max_q": max_q,
         "mode": mode,
         "convergents": [

@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import DegenerateFit, InsufficientData, InvalidSpec, \
     PrecisionExhausted, ResourceLimit
-from .realnum import (DEFAULT_MAX_BITS, Interval, LinearForm, Rational,
-                      as_spec)
+from .realnum import DEFAULT_MAX_BITS, Interval, LinearForm, as_spec
 
 ExactLike = Union[int, Fraction, str]
 
@@ -250,90 +249,72 @@ def mobius_segments(limit: int, block: int = 1 << 20):
 
 
 # ---------------------------------------------------------------------------
-# certified floor engine shared by the counting loops
+# coordinate forms and the floor engine shared by the counting loops
+
+
+def coordinate_form(problem: ProblemSpec, j: int, d: int = 1, h: int = 1, *,
+                    max_bits: int = DEFAULT_MAX_BITS) -> LinearForm:
+    """h * (a_j d^(m_j-1) n^(m_j) + g_j(dn)/d) as a LinearForm in n.
+
+    With d = h = 1 this is a_j t^(m_j) + g_j(t), whose floor the counting
+    routes take at t = dn; for d > 1 it is the scaled coordinate of the
+    point sets and exponential sums.  The constant lower-order
+    coefficient is divided by d, so for d > 1 it must be exact.
+    """
+    m = problem.ms[j]
+    terms = [(problem.alphas[j], h * d ** (m - 1), m)]
+    lower = problem.lower_terms[j] or ()
+    terms += [(c, h * d ** (e - 1), e) for e, c in enumerate(lower) if e]
+    if lower:
+        c0 = lower[0].exact()
+        if c0 is None and d > 1:
+            raise InvalidSpec(
+                "the constant lower-order coefficient must be exact "
+                "(it is divided by the modulus)")
+        if c0 is None:
+            terms.append((lower[0], h, 0))
+        elif c0:
+            terms.append((as_spec(c0 / d), h, 0))
+    return LinearForm(terms, max_bits=max_bits)
 
 
 class _FloorEngine:
-    """Brackets every coefficient at one shared precision and evaluates
-    floor(a_j t^{m_j} + g_j(t)) with certification; ambiguity escalates
-    the shared precision (rare: it means the value sits within 2^-60ish
-    of an integer at the current bracket width).  A coordinate whose
-    coefficients are all exact rationals is evaluated in exact integer
-    arithmetic instead, since its value may sit on an integer, where no
-    bracket can separate the floor."""
+    """The floor form of every coordinate, bracketed once at a precision
+    shared by all t <= t_max.  That bracket decides almost every floor
+    inline; the rest (the value sits within ~2^-60 of an integer, or the
+    form is exact) go to the form's own certified floor."""
 
     def __init__(self, problem: ProblemSpec, t_max: int,
                  max_bits: int = DEFAULT_MAX_BITS):
-        self.problem = problem
-        self.max_bits = max_bits
-        self.terms = []
-        for j, alpha in enumerate(problem.alphas):
-            entry = [(alpha, problem.ms[j])]
-            coeffs = problem.lower_terms[j]
-            if coeffs:
-                for e, c in enumerate(coeffs):
-                    entry.append((c, e))
-            self.terms.append(entry)
-        self.rational = [self._rational(entry) for entry in self.terms]
-        self.prec = min(64 + problem.ms[-1] * max(t_max, 1).bit_length() + 8,
-                        max_bits)
-        self._rebuild()
+        self.forms = [coordinate_form(problem, j, max_bits=max_bits)
+                      for j in range(problem.k)]
+        prec = min(64 + problem.ms[-1] * max(t_max, 1).bit_length() + 8,
+                   max_bits)
+        self.rows = [None if form._exact is not None else form._rows(prec)
+                     for form in self.forms]
 
-    @staticmethod
-    def _rational(entry) -> Optional[tuple]:
-        """(integer numerators with exponents, common denominator) when
-        every coefficient of the coordinate is an exact rational."""
-        values = [spec.exact() for spec, _ in entry]
-        if None in values:
-            return None
-        den = math.lcm(*(v.denominator for v in values))
-        return [(v.numerator * (den // v.denominator), e)
-                for v, (_, e) in zip(values, entry)], den
+    def floor(self, j: int, t: int) -> int:
+        try:
+            return self.forms[j].floor(t)
+        except PrecisionExhausted as exc:
+            exc.term = j
+            raise
 
-    def _rebuild(self) -> None:
-        p = self.prec
-        self.brackets = []
-        for entry in self.terms:
-            row = []
-            for spec, e in entry:
-                cap = spec.max_prec()
-                pe = p if cap is None else min(p, cap)
-                lo, hi = spec.bounds(pe)
-                row.append((lo << (p - pe), hi << (p - pe), e))
-            self.brackets.append(row)
-
-    def _escalate(self, j: int, t: int) -> None:
-        caps = [(spec.max_prec(), spec) for spec, _ in self.terms[j]]
-        if all(cap is not None and self.prec >= cap for cap, _ in caps):
-            # every bracket of the coordinate is already as tight as its
-            # representation allows: doubling the precision changes nothing
-            cap, spec = min(caps, key=lambda c: c[0])
-            raise PrecisionExhausted(
-                f"floor not separated: {spec.text()} carries only "
-                f"{cap} bits", spec=spec, term=j, n=t, bits=cap)
-        if self.prec >= self.max_bits:
-            raise PrecisionExhausted(
-                "floor not separated within the precision ceiling",
-                spec=self.problem.alphas[j], term=j, n=t, bits=self.prec)
-        self.prec = min(2 * self.prec, self.max_bits)
-        self._rebuild()
-
-    def floor_term(self, j: int, t: int) -> int:
-        if self.rational[j] is not None:
-            nums, den = self.rational[j]
-            return sum(c * t ** e for c, e in nums) // den
-        while True:
-            p = self.prec
-            lo = 0
-            hi = 0
-            for cl, ch, e in self.brackets[j]:
+    def floors(self, j: int, ts) -> list:
+        """floor(a_j t^(m_j) + g_j(t)) for every t in ts."""
+        if self.rows[j] is None:
+            return [self.floor(j, t) for t in ts]
+        pe, rows = self.rows[j]
+        out = []
+        for t in ts:
+            lo = hi = 0
+            for a, b, e in rows:
                 w = t ** e
-                lo += cl * w
-                hi += ch * w
-            f = lo >> p
-            if (hi >> p) == f:
-                return f
-            self._escalate(j, t)
+                lo += a * w
+                hi += b * w
+            f = lo >> pe
+            out.append(f if hi >> pe == f else self.floor(j, t))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +371,8 @@ def _fast_residues(t: np.ndarray, m: int, lo64: int, width: int):
 
 
 def _exact_residues(eng: _FloorEngine, j: int, t: np.ndarray) -> np.ndarray:
-    return np.array([eng.floor_term(j, v) % v for v in t.tolist()],
+    ts = t.tolist()
+    return np.array([f % v for f, v in zip(eng.floors(j, ts), ts)],
                     dtype=np.int64)
 
 
@@ -491,49 +473,14 @@ def direct_count(problem: ProblemSpec, x: int, *, workers: int = 1,
                        time.perf_counter() - start, stats)
 
 
-def scaled_forms(problem: ProblemSpec, d: int, *,
-                 max_bits: int = DEFAULT_MAX_BITS) -> list:
-    """Per-coordinate linear forms for a_j d^{m_j-1} n^{m_j} + g_j(dn)/d.
-
-    Returns one (LinearForm, exponent list) pair per coordinate; evaluate
-    at n with scales(d, n, exps).  The constant lower-order coefficient
-    must be exact (it is divided by d before evaluation).
-    """
-    forms = []
-    for j, alpha in enumerate(problem.alphas):
-        coefs = [alpha]
-        exps = [problem.ms[j]]
-        coeffs = problem.lower_terms[j]
-        if coeffs:
-            for e in range(1, len(coeffs)):
-                coefs.append(coeffs[e])
-                exps.append(e)
-            c0 = coeffs[0].exact()
-            if c0 is None:
-                raise InvalidSpec(
-                    "the constant lower-order coefficient must be exact "
-                    "(it is divided by the modulus)")
-            if c0 != 0:
-                c0d = c0 / d
-                coefs.append(Rational(c0d.numerator, c0d.denominator))
-                exps.append(0)
-        forms.append((LinearForm(coefs, max_bits=max_bits), exps))
-    return forms
-
-
-def form_scales(d: int, n: int, exps: Sequence[int]) -> list:
-    """Integer scales d^(e-1) n^e matching scaled_forms' exponent lists."""
-    return [d ** (e - 1) * n ** e if e else 1 for e in exps]
-
-
 def inner_count(problem: ProblemSpec, d: int, x: int, *,
-                form: str = "floor", max_bits: int = DEFAULT_MAX_BITS,
+                max_bits: int = DEFAULT_MAX_BITS,
                 _engine: Optional[_FloorEngine] = None) -> int:
-    """Count n ≤ x/d whose scaled fractional vector lands in [0, 1/d)^k.
+    """Count n ≤ x/d whose scaled fractional vector lands in [0, 1/d)^k,
+    that is, with floor(a_j (dn)^{m_j} + g_j(dn)) ≡ 0 (mod d) for every j.
 
-    form="floor" tests floor(a_j (dn)^{m_j} + g_j(dn)) ≡ 0 (mod d);
-    form="frac" tests {a_j d^{m_j - 1} n^{m_j} + g_j(dn)/d} < 1/d.
-    The two are equivalent pointwise and are cross-checked in tests.
+    The n run in blocks (memory stays flat in x); within a block the
+    coordinates run in order, each on the n that passed the ones before.
     """
     if d < 1:
         raise InvalidSpec("d must be >= 1")
@@ -544,30 +491,15 @@ def inner_count(problem: ProblemSpec, d: int, x: int, *,
         return 0
     if d == 1:
         return nmax
-    if form == "floor":
-        eng = _engine if _engine is not None else _FloorEngine(
-            problem, x, max_bits)
-        k = problem.k
-        cnt = 0
-        for n in range(1, nmax + 1):
-            t = d * n
-            for j in range(k):
-                if eng.floor_term(j, t) % d:
-                    break
-            else:
-                cnt += 1
-        return cnt
-    if form == "frac":
-        forms = scaled_forms(problem, d, max_bits=max_bits)
-        cnt = 0
-        for n in range(1, nmax + 1):
-            for lf, exps in forms:
-                if not lf.frac_below(form_scales(d, n, exps), 1, d):
-                    break
-            else:
-                cnt += 1
-        return cnt
-    raise InvalidSpec(f"unknown inner_count form {form!r}")
+    eng = _engine if _engine is not None else _FloorEngine(
+        problem, x, max_bits)
+    cnt = 0
+    for start in range(d, nmax * d + 1, d * _BLOCK):
+        ts = range(start, min(start + d * _BLOCK, nmax * d + 1), d)
+        for j in range(problem.k):
+            ts = [t for t, f in zip(ts, eng.floors(j, ts)) if f % d == 0]
+        cnt += len(ts)
+    return cnt
 
 
 def mobius_count(problem: ProblemSpec, x: int,
@@ -596,36 +528,6 @@ def mobius_count(problem: ProblemSpec, x: int,
     return CountResult(x, total, "mobius", d_cutoff,
                        time.perf_counter() - start,
                        FloorStats(exact_coords=problem.k))
-
-
-def tail_count(problem: ProblemSpec, d: int, x: int, *,
-               form: str = "scaled", max_bits: int = DEFAULT_MAX_BITS,
-               _engine: Optional[_FloorEngine] = None) -> int:
-    """Count n ≤ x with d | n and d | floor(a_1 n).
-
-    form="divides" walks every n ≤ x and tests both divisibilities;
-    form="scaled" substitutes n = d*n' and walks n' ≤ x/d.  Identical
-    sets, enumerated two ways, cross-checked in tests.  This is the
-    single-coordinate relaxation of inner_count, hence dominates it.
-    """
-    if d < 1:
-        raise InvalidSpec("d must be >= 1")
-    if x < 1:
-        raise InvalidSpec("x must be >= 1")
-    if x // d == 0:
-        return 0
-    eng = _engine if _engine is not None else _FloorEngine(
-        problem, x, max_bits)
-    if form == "scaled":
-        return sum(1 for n in range(1, x // d + 1)
-                   if eng.floor_term(0, d * n) % d == 0)
-    if form == "divides":
-        cnt = 0
-        for n in range(d, x + 1, d):
-            if eng.floor_term(0, n) % d == 0:
-                cnt += 1
-        return cnt
-    raise InvalidSpec(f"unknown tail_count form {form!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ growth-rate estimation of how well a number is rationally approximable.
 Partial quotients are certified by expanding both endpoints of a dyadic
 enclosure and keeping the common prefix: the reals whose expansion begins
 with a given prefix form an interval, so a prefix shared by the endpoints
-is correct for everything in between.  Precision escalates until the
-convergent denominators provably exceed the requested cap.
+is correct for everything in between.  The certified-evaluation kernel
+(realnum.LinearForm) escalates the precision until the convergent
+denominators provably exceed the requested cap.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import (InsufficientData, InvalidSpec, NoConvergent,
-                     PrecisionExhausted, RationalTerminated)
-from .realnum import (DEFAULT_MAX_BITS, Interval, RealSpec, dist_nearest_int)
+                     RationalTerminated)
+from .realnum import (DEFAULT_MAX_BITS, Interval, LinearForm, RealSpec,
+                      dist_nearest_int)
 
 Number = Union[int, float, Fraction]
 
@@ -104,25 +106,15 @@ def _certified_quotients(spec: RealSpec, max_q: int,
     exact = spec.exact()
     if exact is not None:
         return _euclid_terms(exact.numerator, exact.denominator, 1 << 62), True
-    prec = 64
-    while True:
-        pe = prec if spec.max_prec() is None else min(prec, spec.max_prec())
-        lo, hi = spec.bounds(pe)
+
+    def verdict(lo, hi, pe):
         term_cap = 2 * pe + 8
         common = _common_prefix(_euclid_terms(lo, 1 << pe, term_cap),
                                 _euclid_terms(hi, 1 << pe, term_cap))
-        if _denominators_reach(common, max_q):
-            return common, False
-        cap = spec.max_prec()
-        if cap is not None and pe >= cap:
-            raise PrecisionExhausted(
-                "stated digits cannot certify enough partial quotients",
-                spec=spec, scale=max_q, bits=pe)
-        if prec >= max_bits:
-            raise PrecisionExhausted(
-                "partial quotients not certified within the precision ceiling",
-                spec=spec, scale=max_q, bits=prec)
-        prec = min(2 * prec, max_bits)
+        return common if _denominators_reach(common, max_q) else None
+
+    form = LinearForm([(spec, 1, 0)], max_bits=max_bits)
+    return form._decide(1, 64, "partial quotients", verdict), False
 
 
 def convergents(spec: RealSpec, max_q: int, *,

@@ -21,8 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .counting import ProblemSpec, _as_exact, dec_str, form_scales, \
-    scaled_forms
+from .counting import ProblemSpec, _as_exact, coordinate_form, dec_str
 from .dioph import convergents
 from .errors import InvalidSpec, NoConvergent, ResourceLimit
 from .realnum import DEFAULT_MAX_BITS, LinearForm, SpecLike, as_spec, \
@@ -101,12 +100,13 @@ def nu_sequence(problem: ProblemSpec, d: int, N: int, *,
         raise InvalidSpec("d must be >= 1")
     if N < 0:
         raise InvalidSpec("N must be >= 0")
-    forms = scaled_forms(problem, d, max_bits=max_bits)
+    forms = [coordinate_form(problem, j, d, max_bits=max_bits)
+             for j in range(problem.k)]
     pts = np.empty((N, problem.k), dtype=np.float64)
     err = 2.0 ** -52
     for n in range(1, N + 1):
-        for j, (lf, exps) in enumerate(forms):
-            frac, e = lf.frac_unit(form_scales(d, n, exps), out_bits)
+        for j, form in enumerate(forms):
+            frac, e = form.frac_unit(n, out_bits)
             pts[n - 1, j] = frac
             err = max(err, e)
     return PointSet(problem.k, pts,
@@ -388,30 +388,10 @@ def weyl_sum(problem: ProblemSpec, d: int, hvec: Sequence[int], N: int, *,
         raise InvalidSpec("need one frequency per coordinate")
     if not any(hvec):
         raise InvalidSpec("the frequency vector must be nonzero")
-    coefs = []
-    exps = []        # (j, e) with e = exponent in n; scale h_j d^(e-1) n^e
-    for j, alpha in enumerate(problem.alphas):
-        coefs.append(alpha)
-        exps.append((j, problem.ms[j]))
-        coeffs = problem.lower_terms[j]
-        if coeffs:
-            for e in range(1, len(coeffs)):
-                coefs.append(coeffs[e])
-                exps.append((j, e))
-            c0 = coeffs[0].exact()
-            if c0 is None:
-                raise InvalidSpec(
-                    "the constant lower-order coefficient must be exact")
-            if c0 != 0:
-                c0d = c0 / d
-                coefs.append(Fraction(c0d))
-                exps.append((j, 0))
-    lf = LinearForm(coefs, max_bits=max_bits)
-    phases = []
-    for n in range(1, N + 1):
-        scales = [hvec[j] * (d ** (e - 1) * n ** e if e else 1)
-                  for j, e in exps]
-        phases.append(lf.phase_frac(scales, out_bits)[0])
+    lf = LinearForm([term for j, h in enumerate(hvec)
+                     for term in coordinate_form(problem, j, d, h).terms],
+                    max_bits=max_bits)
+    phases = [lf.phase_frac(n, out_bits)[0] for n in range(1, N + 1)]
     return WeylSum(_cis_sum(phases), N * _TERM_ERR, N)
 
 
@@ -447,20 +427,14 @@ class WeylBoundReport:
 
 def _phases_for_poly(spec, m: int, h: int, N: int, lower_poly,
                      max_bits: int) -> list:
-    coefs = [as_spec(spec)]
-    exps = [m]
-    if lower_poly:
-        for e, c in enumerate(lower_poly):
-            if e >= m:
-                raise InvalidSpec("lower polynomial degree must stay below m")
-            coefs.append(as_spec(c))
-            exps.append(e)
-    lf = LinearForm(coefs, max_bits=max_bits)
-    out = []
-    for n in range(1, N + 1):
-        scales = [h * n ** m] + [n ** e for e in exps[1:]]
-        out.append(lf.phase_frac(scales, 64)[0])
-    return out
+    """Phases {h a n^m + g(n)} for n <= N, g = sum_e lower_poly[e] n^e."""
+    lower_poly = tuple(lower_poly)
+    if len(lower_poly) > m:
+        raise InvalidSpec("lower polynomial degree must stay below m")
+    lf = LinearForm([(spec, h, m)] + [(c, 1, e)
+                                      for e, c in enumerate(lower_poly)],
+                    max_bits=max_bits)
+    return [lf.phase_frac(n, 64)[0] for n in range(1, N + 1)]
 
 
 def weyl_bound_report(spec: SpecLike, m: int, h: int, N: int,
@@ -595,17 +569,7 @@ def quadratic_bound(spec: SpecLike, h: int, d: int, N: int,
             rhs += N
         else:
             rhs += min(Fraction(N), 1 / dist.hi)
-    coefs = [spec]
-    exps = [2]
-    for e, c in enumerate(g):
-        coefs.append(as_spec(c))
-        exps.append(e)
-    lf = LinearForm(coefs, max_bits=max_bits)
-    phases = []
-    hd = h * d
-    for n in range(1, N + 1):
-        scales = [hd * n * n] + [n ** e for e in exps[1:]]
-        phases.append(lf.phase_frac(scales, 64)[0])
+    phases = _phases_for_poly(spec, 2, h * d, N, g, max_bits)
     actual = abs(_cis_sum(phases))
     rhs_f = float(rhs)
     return QuadraticBoundReport(h, d, N, rhs_f, math.sqrt(rhs_f), actual,
@@ -659,14 +623,6 @@ def reciprocal_sum(spec: SpecLike, K: int, N: int, *,
                                (float(lo_sum), float(hi_sum)), bound)
 
 
-_MONOTONE_VARIANTS = {
-    "u_over_v": "u_over_v",
-    "v_over_u": "v_over_u",
-    "lemma28": "u_over_v",
-    "lemma29": "v_over_u",
-}
-
-
 def monotone_check(u, v, M: int, variant: str) -> bool:
     """Is the merged-exponent sequence nondecreasing for m = 2..M?
 
@@ -686,10 +642,9 @@ def monotone_check(u, v, M: int, variant: str) -> bool:
     M = int(M)
     if M < 2:
         raise InvalidSpec("M must be >= 2")
-    key = _MONOTONE_VARIANTS.get(variant)
-    if key is None:
+    if variant not in ("u_over_v", "v_over_u"):
         raise InvalidSpec(f"unknown variant {variant!r}")
-    if key == "u_over_v":
+    if variant == "u_over_v":
         return all(vf ** (m - 1) >= uf * uf for m in range(2, M))
     return all(uf ** (2 * m) >= vf ** (m * m + m - 2) for m in range(2, M))
 

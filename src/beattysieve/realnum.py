@@ -7,11 +7,16 @@ Liouville type.  Every query either returns an answer together with a
 dyadic interval certificate or raises; nothing is silently rounded.
 
 The workhorse primitive is ``spec.bounds(prec)``: integers (lo, hi) with
-lo <= value * 2**prec <= hi and hi - lo <= 2.  Floor and fractional-part
-tests escalate ``prec`` geometrically (doubling from 64 + bit length of
-the scale) until the bracket decides the question, up to a hard ceiling
-(default 2**20 bits) after which PrecisionExhausted is raised with the
-offending site attached.
+lo <= value * 2**prec <= hi and hi - lo <= 2.  One kernel turns it into
+answers: ``LinearForm`` brackets sum_i spec_i * c_i * t**e_i at an
+integer t, and every certified question (floors, fractional-part tests
+and values, phases, nearest-integer distances, partial quotients) is a
+verdict over that bracket.  A verdict the bracket leaves open doubles the
+precision, from a start of 64 + the bit length of the scale, up to a hard
+ceiling (default 2**20 bits); a decimal literal stops the doubling at its
+stated digits.  Either way PrecisionExhausted names what ran out: the
+literal and its bits, or the ceiling.  Forms whose coefficients are all
+exact rationals are decided exactly.
 """
 
 from __future__ import annotations
@@ -428,167 +433,6 @@ def parse_real(text: str) -> RealSpec:
     raise InvalidSpec(f"unknown real-number form {text!r}")
 
 
-def format_real(spec: RealSpec) -> str:
-    return spec.text()
-
-
-# ---------------------------------------------------------------------------
-# cached brackets and the escalation loop
-
-
-@lru_cache(maxsize=4096)
-def _bounds_cached(spec: RealSpec, prec: int) -> tuple[int, int]:
-    return spec.bounds(prec)
-
-
-def _start_prec(scale: int) -> int:
-    return 64 + max(scale, 1).bit_length()
-
-
-def eval_enclosure(spec: RealSpec, bits: int, *,
-                   max_bits: int = DEFAULT_MAX_BITS) -> Interval:
-    """Dyadic enclosure of the value, width <= 2**(1-bits) * max(1, |lo|)."""
-    if bits < MIN_ENCLOSURE_BITS:
-        raise ValueError(f"bits must be >= {MIN_ENCLOSURE_BITS}")
-    if bits > max_bits:
-        raise PrecisionExhausted("requested bits exceed the ceiling",
-                                 spec=spec, bits=bits)
-    prec = bits + 1
-    cap = spec.max_prec()
-    if cap is not None and prec > cap:
-        raise PrecisionExhausted(
-            "representation does not carry the requested precision",
-            spec=spec, bits=bits)
-    lo, hi = _bounds_cached(spec, prec)
-    return Interval(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec), bits)
-
-
-def _bracket(spec: RealSpec, scale: int, prec: int) -> tuple[int, int]:
-    lo, hi = _bounds_cached(spec, prec)
-    return lo * scale, hi * scale
-
-
-def floor_scaled(spec: RealSpec, scale: int, *,
-                 max_bits: int = DEFAULT_MAX_BITS) -> CertifiedFloor:
-    """Certified floor(value * scale) for a positive integer scale."""
-    if scale < 1:
-        raise ValueError("scale must be a positive integer")
-    prec = _start_prec(scale)
-    cap = spec.max_prec()
-    sbits = scale.bit_length()
-    while True:
-        pe = prec if cap is None else min(prec, cap)
-        lo, hi = _bracket(spec, scale, pe)
-        f = lo >> pe
-        if (hi >> pe) == f:
-            pb = max(1, pe - sbits - 2)
-            cert = Interval(Fraction(lo, 1 << pe), Fraction(hi, 1 << pe), pb)
-            return CertifiedFloor(f, cert, scale, pe)
-        if cap is not None and pe >= cap:
-            raise PrecisionExhausted(
-                "stated digits cannot separate the floor", spec=spec,
-                scale=scale, bits=pe)
-        if prec >= max_bits:
-            raise PrecisionExhausted(
-                "floor not separated within the precision ceiling",
-                spec=spec, scale=scale, bits=prec)
-        prec = min(2 * prec, max_bits)
-
-
-def frac_below(spec: RealSpec, scale: int, bound_num: int, bound_den: int, *,
-               max_bits: int = DEFAULT_MAX_BITS) -> bool:
-    """Certified test  {value * scale} < bound_num / bound_den.
-
-    For exact rationals the boundary case resolves exactly (strict
-    inequality, so equality is False).  For irrational variants the
-    fractional part can never equal the rational bound, hence escalation
-    always terminates short of the ceiling unless the representation
-    itself runs out of information.
-    """
-    if scale < 1:
-        raise ValueError("scale must be a positive integer")
-    if not (0 < Fraction(bound_num, bound_den) <= 1):
-        raise ValueError("bound must lie in (0, 1]")
-    exact = spec.exact()
-    if exact is not None:
-        v = exact * scale
-        fr = v - (v.numerator // v.denominator)
-        return fr * bound_den < bound_num
-    prec = _start_prec(scale)
-    while True:
-        pe = prec if spec.max_prec() is None else min(prec, spec.max_prec())
-        lo, hi = _bracket(spec, scale, pe)
-        f = lo >> pe
-        if (hi >> pe) == f:
-            unit = 1 << pe
-            r_lo, r_hi = lo - (f << pe), hi - (f << pe)
-            # Strict on the True side: at exact equality the test is False.
-            if r_hi * bound_den < bound_num * unit:
-                return True
-            if r_lo * bound_den >= bound_num * unit:
-                return False
-        cap = spec.max_prec()
-        if cap is not None and pe >= cap:
-            raise PrecisionExhausted("stated digits cannot decide the test",
-                                     spec=spec, scale=scale, bits=pe)
-        if prec >= max_bits:
-            raise PrecisionExhausted(
-                "fractional test undecided within the precision ceiling",
-                spec=spec, scale=scale, bits=prec)
-        prec = min(2 * prec, max_bits)
-
-
-def dist_nearest_int(spec: RealSpec, scale: int, *, bits: int = 48,
-                     max_bits: int = DEFAULT_MAX_BITS) -> Interval:
-    """Enclosure of ||value * scale|| (distance to the nearest integer).
-
-    A stated-precision representation that cannot reach `bits` returns
-    the tightest interval its digits certify (visible through the
-    interval's precision_bits) rather than refusing outright; it only
-    raises when the digits certify nothing at all.
-    """
-    if scale < 1:
-        raise ValueError("scale must be a positive integer")
-    prec = max(_start_prec(scale), bits + scale.bit_length() + 2)
-    cap = spec.max_prec()
-    while True:
-        pe = prec if cap is None else min(prec, cap)
-        lo, hi = _bracket(spec, scale, pe)
-        unit = 1 << pe
-        half = unit >> 1
-        tight = hi - lo <= unit >> min(bits + 1, pe - 1)
-        capped = cap is not None and pe >= cap
-        if tight or capped:
-            # ||x|| is piecewise linear: minima only at integers, maxima
-            # only at half-integers, so extremes over [lo, hi]/unit are at
-            # those lattice points when inside, else at the endpoints.
-            d_lo_end = min(lo % unit, unit - lo % unit)
-            d_hi_end = min(hi % unit, unit - hi % unit)
-            int_inside = _ceil_div(lo, unit) * unit <= hi
-            a, b = _ceil_div(lo, half), hi // half
-            half_inside = b >= a and (a % 2 != 0 or b > a)
-            d_lo = 0 if int_inside else min(d_lo_end, d_hi_end)
-            d_hi = half if half_inside else max(d_lo_end, d_hi_end)
-            # d_hi - d_lo <= hi - lo, so this precision is always honest
-            pb = min(bits, pe + 1 - (hi - lo).bit_length()) if not tight \
-                else min(bits, pe - 1)
-            if pb >= 1:
-                return Interval(Fraction(d_lo, unit), Fraction(d_hi, unit),
-                                pb)
-            raise PrecisionExhausted(
-                "stated digits cannot resolve the nearest-integer distance",
-                spec=spec, scale=scale, bits=pe)
-        if prec >= max_bits:
-            raise PrecisionExhausted(
-                "nearest-integer distance not resolved within the ceiling",
-                spec=spec, scale=scale, bits=prec)
-        prec = min(2 * prec, max_bits)
-
-
-# ---------------------------------------------------------------------------
-# multi-term certified linear forms
-
-
 SpecLike = Union[RealSpec, int, Fraction, str]
 
 
@@ -617,101 +461,278 @@ def as_spec(value: SpecLike) -> RealSpec:
     raise InvalidSpec(f"cannot interpret {value!r} as a real number")
 
 
-class LinearForm:
-    """Certified evaluator of sum_t coef_t * scale_t over integer scales.
+# ---------------------------------------------------------------------------
+# the certified-evaluation kernel
 
-    Used for floors of alpha*n**m + g(n) and for exponential-sum phases.
-    Brackets for each coefficient are cached at one shared precision and
-    escalate together; scales may be negative (frequency vectors).
+
+def _start_prec(scale: int) -> int:
+    return 64 + max(scale, 1).bit_length()
+
+
+def _unit_float(r: int, width: int, unit: int):
+    """(r / unit as a float below 1, width / unit + 2**-52): a fractional
+    part in [0, 1) known to within `width` units, and its error bound."""
+    frac = r / unit
+    if frac >= 1.0:                # float rounding of (unit-1)/unit
+        frac = math.nextafter(1.0, 0.0)
+    return frac, width / unit + 2.0 ** -52
+
+
+class LinearForm:
+    """Certified evaluator of sum_i spec_i * c_i * t**e_i at an integer t >= 0.
+
+    Each term is a (spec, integer multiplier c_i, exponent e_i) triple.
+    Every certified question the package asks (floors, fractional-part
+    tests and values, phases mod 1, nearest-integer distances, partial
+    quotients) is a verdict over the form's bracket: integers lo <= hi
+    with lo <= value * 2**pe <= hi.  Brackets are built from each spec's
+    `bounds` and cached on the form per precision; every term is taken at
+    pe = min(prec, cap), where cap is the smallest max_prec() among the
+    terms, so a form is only as fine as its coarsest literal.
+
+    `_escalate` is the one precision policy: a verdict the bracket leaves
+    open doubles the precision, up to max_bits; once the coarsest literal
+    is at its cap, the failure names it.  A form whose coefficients are
+    all exact rationals is also evaluated exactly (`_value`), because its
+    value can sit exactly on an integer or on a rational threshold, where
+    no bracket decides.
     """
 
-    def __init__(self, coefs: Sequence[SpecLike], *,
+    def __init__(self, terms: Sequence[tuple], *,
                  max_bits: int = DEFAULT_MAX_BITS):
-        self.coefs = [as_spec(c) for c in coefs]
+        self.terms = [(as_spec(s), int(c), int(e)) for s, c, e in terms]
         self.max_bits = max_bits
-        caps = [c.max_prec() for c in self.coefs if c.max_prec() is not None]
-        self._cap = min(caps) if caps else None
+        capped = [s for s, _, _ in self.terms if s.max_prec() is not None]
+        self._limit = min(capped, key=lambda s: s.max_prec(), default=None)
+        self._cap = None if self._limit is None else self._limit.max_prec()
+        values = [s.exact() for s, _, _ in self.terms]
+        if None in values:
+            self._exact = None
+        else:
+            den = math.lcm(*(v.denominator for v in values))
+            self._exact = ([(v.numerator * (den // v.denominator) * c, e)
+                            for v, (_, c, e) in zip(values, self.terms)], den)
+        self._cache = {}
 
-    def _bracket(self, scales: Sequence[int], prec: int) -> tuple[int, int]:
-        lo_sum = hi_sum = 0
-        for coef, s in zip(self.coefs, scales):
-            lo, hi = _bounds_cached(coef, prec)
-            if s >= 0:
-                lo_sum += lo * s
-                hi_sum += hi * s
-            else:
-                lo_sum += hi * s
-                hi_sum += lo * s
-        return lo_sum, hi_sum
+    # -- the kernel ----------------------------------------------------------
 
-    def _escalate(self, scales, need, prec):
-        pe = prec if self._cap is None else min(prec, self._cap)
-        if self._cap is not None and pe >= self._cap and prec > self._cap:
-            raise PrecisionExhausted("stated digits cannot decide " + need,
-                                     spec=tuple(self.coefs), scale=tuple(scales),
-                                     bits=pe)
+    def _rows(self, prec: int) -> tuple:
+        """(pe, rows), rows[i] = (lo_i*c_i, hi_i*c_i, e_i) in increasing
+        order, from each spec's bracket (lo_i, hi_i) at pe."""
+        hit = self._cache.get(prec)
+        if hit is None:
+            pe = prec if self._cap is None else min(prec, self._cap)
+            rows = []
+            for spec, c, e in self.terms:
+                lo, hi = spec.bounds(pe)
+                rows.append((lo * c, hi * c, e) if c >= 0
+                            else (hi * c, lo * c, e))
+            hit = self._cache[prec] = pe, tuple(rows)
+        return hit
+
+    def _start(self, t: int) -> int:
+        biggest = max([abs(c) * t ** e for _, c, e in self.terms], default=1)
+        return _start_prec(biggest * max(len(self.terms), 1))
+
+    def _value(self, t: int) -> Fraction:
+        """The exact value at t of a form whose coefficients are all exact."""
+        nums, den = self._exact
+        return Fraction(sum(c * t ** e for c, e in nums), den)
+
+    def _escalate(self, t: int, prec: int, need: str) -> int:
+        """The precision to try after `prec` left `need` open at t."""
+        if self._cap is not None and prec >= self._cap:
+            raise PrecisionExhausted(
+                f"{need} undecided at t={t}: {self._limit.text()} carries "
+                f"only {self._cap} bits", spec=self._limit, scale=t, n=t,
+                bits=self._cap)
         if prec >= self.max_bits:
-            raise PrecisionExhausted(need + " undecided within the ceiling",
-                                     spec=tuple(self.coefs),
-                                     scale=tuple(scales), bits=prec)
+            raise PrecisionExhausted(
+                f"{need} undecided at t={t} within the {self.max_bits}-bit "
+                f"ceiling", spec=self.terms[0][0], scale=t, n=t, bits=prec)
         return min(2 * prec, self.max_bits)
 
-    def _start(self, scales) -> int:
-        biggest = max((abs(s) for s in scales), default=1)
-        return _start_prec(biggest * max(len(self.coefs), 1))
-
-    def floor(self, scales: Sequence[int]) -> int:
-        prec = self._start(scales)
+    def _decide(self, t: int, prec: int, need: str, verdict):
+        """verdict(lo, hi, pe) on the bracket at t, escalating from prec
+        until it returns something other than None."""
+        powers = [t ** e for _, _, e in self.terms]
         while True:
-            pe = prec if self._cap is None else min(prec, self._cap)
-            lo, hi = self._bracket(scales, pe)
-            f = lo >> pe
-            if (hi >> pe) == f:
-                return f
-            prec = self._escalate(scales, "floor", prec)
+            pe, rows = self._rows(prec)
+            lo = hi = 0
+            for (a, b, _), w in zip(rows, powers):
+                lo += a * w
+                hi += b * w
+            answer = verdict(lo, hi, pe)
+            if answer is not None:
+                return answer
+            prec = self._escalate(t, prec, need)
 
-    def frac_below(self, scales: Sequence[int], num: int, den: int) -> bool:
-        prec = self._start(scales)
-        while True:
-            pe = prec if self._cap is None else min(prec, self._cap)
-            lo, hi = self._bracket(scales, pe)
-            f = lo >> pe
-            if (hi >> pe) == f:
-                unit = 1 << pe
-                if (hi - (f << pe)) * den < num * unit:
-                    return True
-                if (lo - (f << pe)) * den >= num * unit:
-                    return False
-            prec = self._escalate(scales, "fractional test", prec)
+    # -- verdicts ------------------------------------------------------------
 
-    def frac_unit(self, scales: Sequence[int], out_bits: int = 60):
-        """Floor-certified fractional part as (float in [0,1), error bound)."""
-        prec = max(self._start(scales), out_bits + 4)
-        while True:
-            pe = prec if self._cap is None else min(prec, self._cap)
-            lo, hi = self._bracket(scales, pe)
-            f = lo >> pe
-            if (hi >> pe) == f and hi - lo <= 1 << max(pe - out_bits, 0):
-                unit = 1 << pe
-                frac = (lo - (f << pe)) / unit
-                if frac >= 1.0:        # float rounding of (unit-1)/unit
-                    frac = math.nextafter(1.0, 0.0)
-                return frac, (hi - lo) / unit + 2.0 ** -52
-            prec = self._escalate(scales, "fractional part", prec)
+    def floor(self, t: int) -> int:
+        """Certified floor of the value at t."""
+        if self._exact is not None:
+            return math.floor(self._value(t))
 
-    def phase_frac(self, scales: Sequence[int], out_bits: int = 60):
+        def verdict(lo, hi, pe):
+            f = lo >> pe
+            return f if hi >> pe == f else None
+        return self._decide(t, self._start(t), "floor", verdict)
+
+    def frac_below(self, t: int, num: int, den: int) -> bool:
+        """Certified test {value at t} < num/den (False at equality)."""
+        if self._exact is not None:
+            exact = self._value(t)
+            return (exact - math.floor(exact)) * den < num
+
+        def verdict(lo, hi, pe):
+            f = lo >> pe
+            if hi >> pe != f:
+                return None
+            unit = 1 << pe
+            if (hi - (f << pe)) * den < num * unit:
+                return True
+            if (lo - (f << pe)) * den >= num * unit:
+                return False
+            return None
+        return self._decide(t, self._start(t), "fractional test", verdict)
+
+    def frac_unit(self, t: int, out_bits: int = 60):
+        """Floor-certified fractional part at t as (float in [0,1), error
+        bound)."""
+        if self._exact is not None:
+            exact = self._value(t)
+            fr = exact - math.floor(exact)
+            return _unit_float(fr.numerator, 0, fr.denominator)
+
+        def verdict(lo, hi, pe):
+            f = lo >> pe
+            if hi >> pe == f and hi - lo <= 1 << max(pe - out_bits, 0):
+                return _unit_float(lo - (f << pe), hi - lo, 1 << pe)
+            return None
+        return self._decide(t, max(self._start(t), out_bits + 4),
+                            "fractional part", verdict)
+
+    def phase_frac(self, t: int, out_bits: int = 60):
         """Fractional part mod 1 for phases: no floor certificate needed.
 
         Returns (float in [0,1), absolute error bound valid modulo 1).
         """
-        prec = max(self._start(scales), out_bits + 4)
-        while True:
-            pe = prec if self._cap is None else min(prec, self._cap)
-            lo, hi = self._bracket(scales, pe)
+        def verdict(lo, hi, pe):
             if hi - lo <= 1 << max(pe - out_bits, 0):
-                unit = 1 << pe
-                frac = (lo % unit) / unit
-                if frac >= 1.0:        # float rounding of (unit-1)/unit
-                    frac = math.nextafter(1.0, 0.0)
-                return frac, (hi - lo) / unit + 2.0 ** -52
-            prec = self._escalate(scales, "phase", prec)
+                return _unit_float(lo % (1 << pe), hi - lo, 1 << pe)
+            return None
+        return self._decide(t, max(self._start(t), out_bits + 4), "phase",
+                            verdict)
+
+
+@lru_cache(maxsize=256)
+def _unit_form(spec: RealSpec, max_bits: int) -> LinearForm:
+    """The one-term form spec * t, shared by the single-number verdicts."""
+    return LinearForm([(spec, 1, 1)], max_bits=max_bits)
+
+
+# ---------------------------------------------------------------------------
+# single-number verdicts
+
+
+def eval_enclosure(spec: RealSpec, bits: int, *,
+                   max_bits: int = DEFAULT_MAX_BITS) -> Interval:
+    """Dyadic enclosure of the value, width <= 2**(1-bits) * max(1, |lo|)."""
+    if bits < MIN_ENCLOSURE_BITS:
+        raise ValueError(f"bits must be >= {MIN_ENCLOSURE_BITS}")
+    if bits > max_bits:
+        raise PrecisionExhausted("requested bits exceed the ceiling",
+                                 spec=spec, bits=bits)
+    prec = bits + 1
+    cap = spec.max_prec()
+    if cap is not None and prec > cap:
+        raise PrecisionExhausted(
+            f"{bits} bits requested: {spec.text()} carries only {cap} bits",
+            spec=spec, bits=bits)
+    lo, hi = spec.bounds(prec)
+    return Interval(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec), bits)
+
+
+def floor_scaled(spec: RealSpec, scale: int, *,
+                 max_bits: int = DEFAULT_MAX_BITS) -> CertifiedFloor:
+    """Certified floor(value * scale) for a positive integer scale."""
+    if scale < 1:
+        raise ValueError("scale must be a positive integer")
+    form = _unit_form(spec, max_bits)
+    sbits = scale.bit_length()
+
+    def verdict(lo, hi, pe):
+        f = lo >> pe
+        if hi >> pe != f:
+            return None
+        cert = Interval(Fraction(lo, 1 << pe), Fraction(hi, 1 << pe),
+                        max(1, pe - sbits - 2))
+        return CertifiedFloor(f, cert, scale, pe)
+
+    start = form._start(scale)
+    if form._exact is not None:
+        # rounding past the denominator keeps a non-integer value strictly
+        # inside its unit interval; a dyadic value is its own certificate
+        exact = form._value(scale)
+        pe = max(start, exact.denominator.bit_length())
+        num, den = exact.numerator << pe, exact.denominator
+        return verdict(num // den, -(-num // den), pe)
+    return form._decide(scale, start, "floor", verdict)
+
+
+def frac_below(spec: RealSpec, scale: int, bound_num: int, bound_den: int, *,
+               max_bits: int = DEFAULT_MAX_BITS) -> bool:
+    """Certified test  {value * scale} < bound_num / bound_den.
+
+    Strict inequality, so equality is False (decided exactly for exact
+    rationals).  For irrational variants the fractional part can never
+    equal the rational bound, so only a literal's stated digits or the
+    precision ceiling can stop the test.
+    """
+    if scale < 1:
+        raise ValueError("scale must be a positive integer")
+    if not (0 < Fraction(bound_num, bound_den) <= 1):
+        raise ValueError("bound must lie in (0, 1]")
+    return _unit_form(spec, max_bits).frac_below(scale, bound_num, bound_den)
+
+
+def dist_nearest_int(spec: RealSpec, scale: int, *, bits: int = 48,
+                     max_bits: int = DEFAULT_MAX_BITS) -> Interval:
+    """Enclosure of ||value * scale|| (distance to the nearest integer).
+
+    A stated-precision representation that cannot reach `bits` returns
+    the tightest interval its digits certify (visible through the
+    interval's precision_bits) rather than refusing outright; it only
+    raises when the digits certify nothing at all.
+    """
+    if scale < 1:
+        raise ValueError("scale must be a positive integer")
+    form = _unit_form(spec, max_bits)
+    cap = form._cap
+
+    def verdict(lo, hi, pe):
+        unit = 1 << pe
+        half = unit >> 1
+        tight = hi - lo <= unit >> min(bits + 1, pe - 1)
+        if not tight and (cap is None or pe < cap):
+            return None
+        # ||x|| is piecewise linear: minima only at integers, maxima
+        # only at half-integers, so extremes over [lo, hi]/unit are at
+        # those lattice points when inside, else at the endpoints.
+        d_lo_end = min(lo % unit, unit - lo % unit)
+        d_hi_end = min(hi % unit, unit - hi % unit)
+        int_inside = _ceil_div(lo, unit) * unit <= hi
+        a, b = _ceil_div(lo, half), hi // half
+        half_inside = b >= a and (a % 2 != 0 or b > a)
+        d_lo = 0 if int_inside else min(d_lo_end, d_hi_end)
+        d_hi = half if half_inside else max(d_lo_end, d_hi_end)
+        # d_hi - d_lo <= hi - lo, so this precision is always honest
+        pb = min(bits, pe - 1) if tight else \
+            min(bits, pe + 1 - (hi - lo).bit_length())
+        if pb < 1:
+            return None
+        return Interval(Fraction(d_lo, unit), Fraction(d_hi, unit), pb)
+
+    start = max(form._start(scale), bits + scale.bit_length() + 2)
+    return form._decide(scale, start, "nearest-integer distance", verdict)

@@ -7,6 +7,7 @@ import json
 import os
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +22,15 @@ FIXTURE_DIR = os.path.join(REPO, "fixtures")
 def pytest_configure(config):
     # CLI commands consult fixture files relative to this env var.
     os.environ.setdefault("BEATTYSIEVE_FIXTURE_DIR", FIXTURE_DIR)
+
+
+@pytest.fixture(autouse=True)
+def mpmath_precision(request):
+    """Run each test at its module's MP_PREC bits (mpmath's default 53
+    when unset), so an oracle's precision never depends on which other
+    test modules were collected."""
+    with mpmath.workprec(getattr(request.module, "MP_PREC", 53)):
+        yield
 
 
 def load_fixture(name: str) -> dict:

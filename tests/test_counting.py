@@ -16,9 +16,9 @@ from beattysieve.counting import (
     CountResult,
     FloorStats,
     ProblemSpec,
-    _FloorEngine,
     _fit_loglog,
     _mul_hi,
+    coordinate_form,
     dec_str,
     density_experiment,
     density_run_csv,
@@ -29,7 +29,6 @@ from beattysieve.counting import (
     mobius_count,
     mobius_segments,
     mobius_sieve,
-    tail_count,
     theoretical_gamma,
     theoretical_gamma_star,
     zeta_int,
@@ -41,17 +40,22 @@ from beattysieve.errors import (
     PrecisionExhausted,
     ResourceLimit,
 )
+from beattysieve.dioph import convergents
+from beattysieve.equidist import nu_sequence
 from beattysieve.realnum import (
     DecimalLiteral,
+    LinearForm,
     LiouvilleSeries,
     QuadraticSurd,
     Rational,
+    floor_scaled,
+    frac_below,
     golden_ratio,
     sqrt2,
     sqrt3,
 )
 
-mpmath.mp.prec = 200
+MP_PREC = 200          # oracle precision, set per test by conftest
 
 
 def brute_count(problem: ProblemSpec, x: int) -> int:
@@ -77,17 +81,26 @@ def brute_count(problem: ProblemSpec, x: int) -> int:
 
 
 def exact_reference_count(problem: ProblemSpec, x: int) -> int:
-    """The per-n loop: one certified big-integer floor and one gcd per
+    """The per-n loop: one certified kernel floor and one gcd per
     (n, coordinate), with no fixed-point shortcut."""
-    eng = _FloorEngine(problem, x)
+    forms = [coordinate_form(problem, j) for j in range(problem.k)]
     total = 0
     for n in range(1, x + 1):
         g = n
-        for j in range(problem.k):
-            g = math.gcd(g, eng.floor_term(j, n))
+        for form in forms:
+            g = math.gcd(g, form.floor(n))
         if g == 1:
             total += 1
     return total
+
+
+def frac_inner_count(problem: ProblemSpec, d: int, x: int) -> int:
+    """inner_count's box count tested the other way round: n <= x/d with
+    {a_j d^(m_j-1) n^(m_j) + g_j(dn)/d} < 1/d for every j, each test a
+    certified kernel verdict on the scaled coordinate form."""
+    forms = [coordinate_form(problem, j, d) for j in range(problem.k)]
+    return sum(1 for n in range(1, x // d + 1)
+               if all(form.frac_below(n, 1, d) for form in forms))
 
 
 # --- problem validation --------------------------------------------------------
@@ -237,30 +250,20 @@ def test_early_exit_toggle_agrees():
 def test_inner_count_worked_value_both_forms():
     p = ProblemSpec((sqrt2(),), (1,))
     # multiples of 2 with 2 | floor(sqrt2 n), n <= 10: n in {2, 8, 10}
-    assert inner_count(p, 2, 10, form="floor") == 3
-    assert inner_count(p, 2, 10, form="frac") == 3
+    assert inner_count(p, 2, 10) == 3
+    assert frac_inner_count(p, 2, 10) == 3
 
 
 def test_inner_count_forms_agree_widely():
     p = ProblemSpec((sqrt2(), sqrt3()), (1, 2))
     for d in (2, 3, 5, 7, 11):
-        assert inner_count(p, d, 500, form="floor") == \
-            inner_count(p, d, 500, form="frac")
+        assert inner_count(p, d, 500) == frac_inner_count(p, d, 500)
 
 
 def test_inner_count_edges():
     p = ProblemSpec((sqrt2(),), (1,))
     assert inner_count(p, 1, 17) == 17
     assert inner_count(p, 19, 17) == 0
-
-
-def test_tail_count_forms_and_domination():
-    p = ProblemSpec((sqrt2(), sqrt3()), (1, 2))
-    for d in (2, 3, 5):
-        a = tail_count(p, d, 400, form="scaled")
-        b = tail_count(p, d, 400, form="divides")
-        assert a == b
-        assert a >= inner_count(p, d, 400)
 
 
 def test_mobius_truncation_is_a_partial_sum():
@@ -295,6 +298,56 @@ def test_precision_failure_names_the_literal_cap():
     assert (info.value.n, info.value.bits, info.value.term) == (5741, 24, 0)
     assert info.value.spec is lit
     assert lit.max_prec() == 24
+
+
+_THIRD = Rational(1, 3)
+_ONE_AND_THIRD = ProblemSpec.unchecked((1, _THIRD), (1, 2))
+
+
+# Each value is exact and lands on an integer (3 * 1/3, (1/3)(3n)^2),
+# where no bracket of 1/3 can decide a floor or a fractional part.
+@pytest.mark.parametrize("verdict, want", [
+    (lambda: floor_scaled(_THIRD, 3).value, 1),
+    (lambda: (floor_scaled(_THIRD, 3).certificate.lo,
+              floor_scaled(_THIRD, 3).certificate.hi), (1, 1)),
+    (lambda: frac_below(_THIRD, 3, 1, 2), True),
+    (lambda: LinearForm([(_THIRD, 1, 1)]).floor(3), 1),
+    (lambda: LinearForm([(_THIRD, 1, 1)]).frac_below(3, 1, 2), True),
+    (lambda: LinearForm([(_THIRD, 1, 1)]).frac_unit(3), (0.0, 2.0 ** -52)),
+    (lambda: inner_count(_ONE_AND_THIRD, 3, 30), 10),
+    (lambda: frac_inner_count(_ONE_AND_THIRD, 3, 30), 10),
+    (lambda: nu_sequence(ProblemSpec.unchecked((_THIRD,), (1,)), 1, 3)
+     .points[:, 0].tolist(), [1 / 3, 2 / 3, 0.0]),
+], ids=["floor_scaled", "certificate", "frac_below", "form.floor",
+        "form.frac_below", "form.frac_unit", "inner_count",
+        "frac_inner_count", "nu_sequence"])
+def test_exact_rationals_landing_on_an_integer(verdict, want):
+    assert verdict() == want
+
+
+_LIT = DecimalLiteral("1.41421356", 8)     # 24 bits; undecided at 5741
+
+
+@pytest.mark.parametrize("verdict", [
+    lambda: floor_scaled(_LIT, 5741),
+    lambda: frac_below(_LIT, 5741, 1, 2),
+    lambda: LinearForm([(_LIT, 1, 1)]).floor(5741),
+    lambda: LinearForm([(_LIT, 1, 1)]).frac_below(5741, 1, 2),
+    lambda: LinearForm([(_LIT, 1, 1)]).frac_unit(5741),
+    lambda: LinearForm([(_LIT, 1, 1)]).phase_frac(5741),
+    lambda: convergents(_LIT, 10**9),
+    lambda: direct_count(ProblemSpec.unchecked((_LIT,), (1,)), 10**4),
+    lambda: mobius_count(ProblemSpec.unchecked((_LIT,), (1,)), 10**4),
+], ids=["floor_scaled", "frac_below", "form.floor", "form.frac_below",
+        "form.frac_unit", "form.phase_frac", "convergents", "direct_count",
+        "mobius_count"])
+def test_failures_name_the_limiting_literal(verdict):
+    with pytest.raises(PrecisionExhausted,
+                       match=r"dec:1\.41421356:8 carries only 24 bits") \
+            as info:
+        verdict()
+    assert info.value.bits == _LIT.max_prec() == 24
+    assert info.value.spec is _LIT
 
 
 def test_count_rejects_nonpositive_x():

@@ -31,7 +31,7 @@ from beattysieve.realnum import (
     sqrt3,
 )
 
-mpmath.mp.prec = 300
+MP_PREC = 300          # oracle precision, set per test by conftest
 
 
 # --- convergent ladders -------------------------------------------------------

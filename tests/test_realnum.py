@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beattysieve.errors import InvalidSpec, PrecisionExhausted
 from beattysieve.realnum import (
@@ -19,7 +21,6 @@ from beattysieve.realnum import (
     dist_nearest_int,
     eval_enclosure,
     floor_scaled,
-    format_real,
     frac_below,
     golden_ratio,
     parse_real,
@@ -27,7 +28,7 @@ from beattysieve.realnum import (
     sqrt3,
 )
 
-mpmath.mp.prec = 300
+MP_PREC = 300          # oracle precision, set per test by conftest
 
 
 def mp_fraction(value: "mpmath.mpf") -> Fraction:
@@ -61,13 +62,17 @@ def test_interval_geometry():
 # --- enclosures over every variant -------------------------------------------
 
 
-@pytest.mark.parametrize("spec, value", [
-    (sqrt2(), mpmath.sqrt(2)),
-    (sqrt3(), mpmath.sqrt(3)),
-    (golden_ratio(), (1 + mpmath.sqrt(5)) / 2),
-    (QuadraticSurd(-3, 2, 7, 5), (-3 + 2 * mpmath.sqrt(7)) / 5),
-    (Rational(355, 113), mpmath.mpf(355) / 113),
-])
+with mpmath.workprec(MP_PREC):      # the values keep this precision
+    _TRUE_VALUES = [
+        (sqrt2(), mpmath.sqrt(2)),
+        (sqrt3(), mpmath.sqrt(3)),
+        (golden_ratio(), (1 + mpmath.sqrt(5)) / 2),
+        (QuadraticSurd(-3, 2, 7, 5), (-3 + 2 * mpmath.sqrt(7)) / 5),
+        (Rational(355, 113), mpmath.mpf(355) / 113),
+    ]
+
+
+@pytest.mark.parametrize("spec, value", _TRUE_VALUES)
 def test_enclosure_contains_true_value(spec, value):
     slack = Fraction(1, 10**55)  # decimal-conversion fuzz, far below width
     for bits in (8, 53, 150):
@@ -202,11 +207,6 @@ def test_parse_rejects_garbage():
             parse_real(bad)
 
 
-def test_format_real_is_the_canonical_text():
-    assert format_real(sqrt2()) == "surd:(0+1*sqrt(2))/1"
-    assert parse_real(format_real(golden_ratio())) == golden_ratio()
-
-
 # --- as_spec coercion ------------------------------------------------------------
 
 
@@ -242,21 +242,27 @@ def test_irrationality_flags():
 
 
 def test_linear_form_floor_matches_float():
-    form = LinearForm((sqrt2(), sqrt3()))
     for a, b in ((3, 4), (100, 7), (12345, 6789)):
+        form = LinearForm([(sqrt2(), a, 0), (sqrt3(), b, 0)])
         want = math.floor(a * math.sqrt(2) + b * math.sqrt(3))
-        assert form.floor((a, b)) == want
+        assert form.floor(1) == want
 
 
 def test_linear_form_with_rational_offset():
-    form = LinearForm((sqrt2(), as_spec(Fraction(1, 2))))
-    assert form.floor((10, 1)) == math.floor(10 * math.sqrt(2) + 0.5)
+    form = LinearForm([(sqrt2(), 1, 1), (Fraction(1, 2), 1, 0)])
+    assert form.floor(10) == math.floor(10 * math.sqrt(2) + 0.5)
+
+
+def test_linear_form_powers_and_negative_multipliers():
+    # -3 sqrt2 t^2 + sqrt3 t at t = 7
+    form = LinearForm([(sqrt2(), -3, 2), (sqrt3(), 1, 1)])
+    assert form.floor(7) == math.floor(-147 * math.sqrt(2) + 7 * math.sqrt(3))
 
 
 def test_frac_unit_stays_in_unit_interval():
-    form = LinearForm((sqrt2(),))
+    form = LinearForm([(sqrt2(), 1, 1)])
     for n in range(1, 2000):
-        frac, err = form.frac_unit((n,))
+        frac, err = form.frac_unit(n)
         assert 0.0 <= frac < 1.0
         assert err >= 0
         assert abs(frac - (n * math.sqrt(2)) % 1.0) < 1e-9 + err
@@ -265,12 +271,99 @@ def test_frac_unit_stays_in_unit_interval():
 def test_phase_frac_boundary_clamp():
     # a rational form can land exactly on the wrap point; the reported
     # float must still sit strictly below 1.
-    form = LinearForm((as_spec(Fraction((1 << 60) - 1, 1 << 60)),))
-    frac, _ = form.phase_frac((1,))
+    form = LinearForm([(Fraction((1 << 60) - 1, 1 << 60), 1, 0)])
+    frac, _ = form.phase_frac(1)
     assert 0.0 <= frac < 1.0
 
 
 def test_frac_below_via_linear_form():
-    form = LinearForm((sqrt2(),))
-    assert form.frac_below((5,), 1, 10)
-    assert not form.frac_below((5,), 1, 20)
+    form = LinearForm([(sqrt2(), 1, 1)])
+    assert form.frac_below(5, 1, 10)
+    assert not form.frac_below(5, 1, 20)
+
+
+# --- property suites ----------------------------------------------------------------
+
+_NONSQUARES = [d for d in range(2, 200) if math.isqrt(d) ** 2 != d]
+_surds = st.builds(QuadraticSurd, st.integers(-1000, 1000),
+                   st.integers(1, 50) | st.integers(-50, -1),
+                   st.sampled_from(_NONSQUARES), st.integers(1, 100))
+_rationals = st.builds(Rational, st.integers(-10**6, 10**6),
+                       st.integers(1, 10**6))
+_cfs = st.builds(lambda head, tail: FiniteCF((head,) + tuple(tail)),
+                 st.integers(-50, 50),
+                 st.lists(st.integers(1, 50), max_size=8))
+
+
+@st.composite
+def _decimals(draw):
+    whole = draw(st.integers(-999, 999))
+    frac = draw(st.text("0123456789", min_size=1, max_size=12))
+    sp = draw(st.integers(1, len(frac)))
+    return DecimalLiteral(f"{whole}.{frac}", sp)
+
+
+_liouvilles = st.one_of(
+    st.builds(LiouvilleSeries, st.integers(2, 5), st.just("poly"),
+              st.sampled_from([Fraction(3, 2), Fraction(2), Fraction(3)]),
+              c1=st.integers(1, 3), depth=st.integers(1, 8)),
+    st.builds(LiouvilleSeries, st.integers(2, 5), st.just("exp"),
+              st.sampled_from([Fraction(1, 2), Fraction(1)]),
+              c1=st.integers(1, 3), beta=st.integers(2, 3),
+              depth=st.integers(1, 8)))
+_specs = st.one_of(_rationals, _surds, _cfs, _decimals(), _liouvilles)
+
+
+def _mp_value(spec):
+    """The value at the current mpmath precision, from the representation
+    itself rather than from its bounds."""
+    if isinstance(spec, QuadraticSurd):
+        return (spec.a + spec.b * mpmath.sqrt(spec.d)) / spec.c
+    if isinstance(spec, DecimalLiteral):
+        return mpmath.mpf(spec.digits)
+    if isinstance(spec, LiouvilleSeries):
+        return mpmath.fsum(mpmath.mpf(spec.base) ** -c
+                           for c in spec.schedule(mpmath.mp.prec + 8))
+    exact = spec.exact()
+    return mpmath.mpf(exact.numerator) / exact.denominator
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_specs)
+def test_text_round_trips_every_variant(spec):
+    assert parse_real(spec.text()) == spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_specs, bits=st.integers(8, 200))
+def test_enclosure_contains_the_mpmath_value(spec, bits):
+    cap = spec.max_prec()
+    if cap is not None:
+        bits = max(8, min(bits, cap - 1))
+        if bits + 1 > cap:
+            return                  # the literal carries fewer than 9 bits
+    iv = eval_enclosure(spec, bits)
+    with mpmath.workprec(400):
+        value = _mp_value(spec)
+        slack = mpmath.mpf(2) ** -380 * max(1, abs(value))
+        lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
+        hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+        assert lo - slack <= value <= hi + slack
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_surds, scale=st.integers(1, 2**40), den=st.integers(1, 1000),
+       data=st.data())
+def test_floor_frac_and_distance_agree_with_mpmath(spec, scale, den, data):
+    num = data.draw(st.integers(1, den))
+    with mpmath.workprec(400):
+        x = _mp_value(spec) * scale
+        fl = int(mpmath.floor(x))
+        frac = x - fl
+        dist = min(frac, 1 - frac)
+        assert floor_scaled(spec, scale).value == fl
+        assert frac_below(spec, scale, num, den) == (frac < mpmath.mpf(num) / den)
+        iv = dist_nearest_int(spec, scale)
+        lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
+        hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+        assert lo <= dist <= hi
