@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import decimal
-import json
 import math
 import time
 import warnings
@@ -192,60 +191,50 @@ def _primes_upto(n: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
+_SIEVE_BLOCK = 1 << 20             # entries sieved at a time
+_SIEVE_BUDGET = 1 << 29            # bytes a Moebius table may take
+
+
 def _mobius_block(start: int, end: int, primes: np.ndarray) -> np.ndarray:
-    """mu(n) for n in [start, end] given all primes up to sqrt(end)."""
+    """mu(n) for n in [start, end] as int8, given all primes up to sqrt(end).
+
+    prod collects the product of the sieved primes dividing n; where it
+    falls short of a squarefree n, the one prime factor above sqrt(end)
+    is missing, and it flips the sign once more.
+    """
     size = end - start + 1
-    mu = np.ones(size, dtype=np.int64)
-    val = np.arange(start, end + 1, dtype=np.int64)
+    mu = np.ones(size, dtype=np.int8)
+    prod = np.ones(size, dtype=np.int64)
     for p in primes.tolist():
-        first = -(-start // p) * p
-        if first > end:
-            continue
-        sl = slice(first - start, size, p)
-        mu[sl] = -mu[sl]
-        v = val[sl]
-        v //= p
-        while True:
-            mask = v % p == 0
-            if not mask.any():
-                break
-            # a repeated factor kills mu; keep dividing so the residual
-            # below is exactly the one possible large leftover prime
-            m = mu[sl]
-            m[mask] = 0
-            v[mask] //= p
-    big = val > 1
-    mu[big] = -mu[big]
+        off = -start % p
+        mu[off::p] *= -1
+        prod[off::p] *= p
+        mu[-start % (p * p)::p * p] = 0
+    mu[prod < np.arange(start, end + 1, dtype=np.int64)] *= -1
     return mu
 
 
-def mobius_sieve(limit: int, *,
-                 memory_budget: int = 1 << 29) -> np.ndarray:
+def mobius_sieve(limit: int) -> np.ndarray:
     """mu(d) for 1 ≤ d ≤ limit as int8, index 0 unused.
 
-    Raises ResourceLimit when the working arrays would exceed the budget
-    (bytes); stream `mobius_segments` instead for such limits.
+    The table takes one byte per entry, and it is filled in blocks of
+    _SIEVE_BLOCK entries, each with 18 bytes per entry of working arrays.
+    Raises ResourceLimit, before allocating, when that exceeds
+    _SIEVE_BUDGET bytes.
     """
     if limit < 1:
         raise InvalidSpec("sieve limit must be >= 1")
-    need = 17 * (limit + 1)
-    if need > memory_budget:
+    need = limit + 1 + 18 * min(limit, _SIEVE_BLOCK)
+    if need > _SIEVE_BUDGET:
         raise ResourceLimit(
-            f"sieve to {limit} needs ~{need} bytes > budget {memory_budget};"
-            f" use mobius_segments")
-    out = np.zeros(limit + 1, dtype=np.int8)
-    out[1:] = _mobius_block(1, limit, _primes_upto(math.isqrt(limit)))
-    return out
-
-
-def mobius_segments(limit: int, block: int = 1 << 20):
-    """Yield (start, int8 block of mu values) covering 1..limit."""
-    if limit < 1:
-        raise InvalidSpec("sieve limit must be >= 1")
+            f"a Moebius table to {limit} needs ~{need} bytes, over the "
+            f"budget of {_SIEVE_BUDGET} bytes")
     primes = _primes_upto(math.isqrt(limit))
-    for start in range(1, limit + 1, block):
-        end = min(start + block - 1, limit)
-        yield start, _mobius_block(start, end, primes).astype(np.int8)
+    out = np.zeros(limit + 1, dtype=np.int8)
+    for start in range(1, limit + 1, _SIEVE_BLOCK):
+        end = min(start + _SIEVE_BLOCK - 1, limit)
+        out[start:end + 1] = _mobius_block(start, end, primes)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +366,16 @@ def _exact_residues(eng: _FloorEngine, j: int, t: np.ndarray) -> np.ndarray:
 
 
 def _coprime_block(plan: list, eng: _FloorEngine, n_lo: int, n_hi: int,
-                   early_exit: bool, tally: list):
+                   tally: list):
     """Boolean mask of n in [n_lo, n_hi] with gcd(n, floor terms) = 1.
 
-    Coordinates run in order; with early_exit only the n whose running
-    gcd is still above 1 are evaluated.  tally accumulates
-    [fast floors, exact fallbacks].
+    Coordinates run in order, each only on the n whose running gcd is
+    still above 1.  tally accumulates [fast floors, exact fallbacks].
     """
     n = np.arange(n_lo, n_hi + 1, dtype=np.uint64)
     g = n.astype(np.int64)
-    every = np.arange(n.size)
     for j, fast in enumerate(plan):
-        idx = np.flatnonzero(g > 1) if early_exit else every
+        idx = np.flatnonzero(g > 1)
         if not idx.size:
             break
         t = n[idx]
@@ -408,7 +395,7 @@ def _coprime_block(plan: list, eng: _FloorEngine, n_lo: int, n_hi: int,
 def _direct_chunk(args):
     """Prefix counts at each cut for the n in [n_lo, n_hi], plus the
     kernel's [fast floors, exact fallbacks]."""
-    problem, plan, n_lo, n_hi, cuts, early_exit, max_bits = args
+    problem, plan, n_lo, n_hi, cuts, max_bits = args
     eng = _FloorEngine(problem, n_hi, max_bits)
     tally = [0, 0]
     counts = [0] * len(cuts)
@@ -416,7 +403,7 @@ def _direct_chunk(args):
     total = 0
     for b_lo in range(n_lo, n_hi + 1, _BLOCK):
         b_hi = min(b_lo + _BLOCK - 1, n_hi)
-        ok = _coprime_block(plan, eng, b_lo, b_hi, early_exit, tally)
+        ok = _coprime_block(plan, eng, b_lo, b_hi, tally)
         while i < len(cuts) and cuts[i] <= b_hi:
             counts[i] = total + int(np.count_nonzero(ok[:cuts[i] - b_lo + 1]))
             i += 1
@@ -426,7 +413,7 @@ def _direct_chunk(args):
 
 
 def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int,
-                  early_exit: bool, max_bits: int):
+                  max_bits: int):
     """Exact counts at every cut (increasing) from one sweep to cuts[-1].
 
     The range splits into `workers` contiguous chunks, each counted
@@ -437,11 +424,10 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int,
     plan = _fast_plan(problem, x)
     workers = max(1, int(workers))
     if workers == 1 or x < 4096:
-        parts = [_direct_chunk((problem, plan, 1, x, cuts, early_exit,
-                                max_bits))]
+        parts = [_direct_chunk((problem, plan, 1, x, cuts, max_bits))]
     else:
         edges = [i * x // workers for i in range(workers + 1)]
-        jobs = [(problem, plan, lo + 1, hi, cuts, early_exit, max_bits)
+        jobs = [(problem, plan, lo + 1, hi, cuts, max_bits)
                 for lo, hi in zip(edges, edges[1:]) if hi > lo]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_direct_chunk, jobs))
@@ -455,7 +441,6 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int,
 
 
 def direct_count(problem: ProblemSpec, x: int, *, workers: int = 1,
-                 early_exit: bool = True,
                  max_bits: int = DEFAULT_MAX_BITS) -> CountResult:
     """Count n ≤ x with gcd(n, floor terms) = 1, term by term.
 
@@ -467,8 +452,7 @@ def direct_count(problem: ProblemSpec, x: int, *, workers: int = 1,
     if x < 1:
         raise InvalidSpec("x must be >= 1")
     start = time.perf_counter()
-    (count,), stats = _direct_sweep(problem, (x,), workers, early_exit,
-                                    max_bits)
+    (count,), stats = _direct_sweep(problem, (x,), workers, max_bits)
     return CountResult(x, count, "direct", None,
                        time.perf_counter() - start, stats)
 
@@ -675,7 +659,7 @@ def density_experiment(problem: ProblemSpec, grid: Sequence[int], *,
     if grid[0] < 1:
         raise InvalidSpec("grid points must be >= 1")
     target = inv_zeta(problem.k + 1, zeta_bits)
-    counts, stats = _direct_sweep(problem, grid, workers, True, max_bits)
+    counts, stats = _direct_sweep(problem, grid, workers, max_bits)
     errors = tuple(abs(Fraction(c) - x * target)
                    for x, c in zip(grid, counts))
     slope, residual = _fit_loglog(grid, errors)
@@ -718,7 +702,3 @@ def density_run_payload(run: DensityRun) -> dict:
         "theoretical_gamma": None if run.theoretical_gamma is None
         else dec_str(run.theoretical_gamma),
     }
-
-
-def density_run_json(run: DensityRun) -> str:
-    return json.dumps(density_run_payload(run), indent=2, sort_keys=True)

@@ -12,7 +12,6 @@ fractional parts, exact-rational inequality checks).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -667,11 +666,6 @@ def discrepancy_report_payload(report: DiscrepancyReport) -> dict:
     }
 
 
-def discrepancy_report_json(report: DiscrepancyReport) -> str:
-    return json.dumps(discrepancy_report_payload(report), indent=2,
-                      sort_keys=True)
-
-
 def weyl_terms_csv(report: DiscrepancyReport) -> str:
     if not report.weyl_terms:
         return "magnitude,r_h\n"
@@ -697,7 +691,3 @@ def weyl_bound_payload(report: WeylBoundReport) -> dict:
         "eps_heuristic": report.eps,
         "sum_error_bound": report.sum_error_bound,
     }
-
-
-def weyl_bound_json(report: WeylBoundReport) -> str:
-    return json.dumps(weyl_bound_payload(report), indent=2, sort_keys=True)

@@ -474,7 +474,7 @@ def test_main_precision_exhausted_exit_3(tmp_path, capsys):
 def test_main_resource_limit_exit_4(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
-        f"command=count\nalphas={SQRT2}\nms=1\nx=40000000\nmethod=mobius\n")
+        f"command=count\nalphas={SQRT2}\nms=1\nx=1000000000\nmethod=mobius\n")
     assert main(["count", "--config", cfg]) == 4
     assert "resource limit" in capsys.readouterr().err
 

@@ -1,6 +1,8 @@
 """Coprimality counting: the two exact routes, sieves, zeta, exponents."""
 
 import math
+import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -22,12 +24,11 @@ from beattysieve.counting import (
     dec_str,
     density_experiment,
     density_run_csv,
-    density_run_json,
+    density_run_payload,
     direct_count,
     inner_count,
     inv_zeta,
     mobius_count,
-    mobius_segments,
     mobius_sieve,
     theoretical_gamma,
     theoretical_gamma_star,
@@ -164,16 +165,33 @@ def test_mertens_at_ten_thousand():
     assert int(mobius_sieve(10**4)[1:].sum()) == -23
 
 
-def test_segments_match_sieve():
-    mu = mobius_sieve(10**5)
-    parts = np.concatenate([blk for _, blk in mobius_segments(10**5, 2**12)])
-    assert np.array_equal(mu[1:], parts)
+def test_sieve_matches_sympy_across_block_edges():
+    # the sieve fills its table in blocks of 2^20 entries
+    mu = mobius_sieve(2**21 + 64)
+    for edge in (2**20, 2**21):
+        window = range(edge - 64, edge + 65)
+        assert mu[window.start:window.stop].tolist() == [
+            sympy.mobius(n) for n in window]
+
+
+def test_mertens_at_one_and_ten_million():
+    mu = mobius_sieve(10**7)
+    assert int(mu[1:10**6 + 1].sum()) == 212
+    assert int(mu[1:].sum()) == 1037
 
 
 def test_sieve_budget_guard():
-    with pytest.raises(ResourceLimit):
-        mobius_sieve(10**8)
-    mobius_sieve(10**8, memory_budget=1 << 62)[0]  # budget raised: allowed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit) as exc:
+            mobius_sieve(10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20                  # refused before any table exists
+    numbers = [int(s) for s in re.findall(r"\d+", str(exc.value))]
+    assert 1 << 29 in numbers              # the budget
+    assert any(n > 10**9 for n in numbers)  # the bytes the table needs
 
 
 # --- zeta --------------------------------------------------------------------------
@@ -238,13 +256,6 @@ def test_worker_counts_are_identical():
     p = ProblemSpec((sqrt2(),), (1,))
     counts = {direct_count(p, 20000, workers=w).count for w in (1, 4, 16)}
     assert counts == {12153}
-
-
-def test_early_exit_toggle_agrees():
-    p = ProblemSpec((sqrt2(), sqrt3()), (1, 2))
-    a = direct_count(p, 500, early_exit=True).count
-    b = direct_count(p, 500, early_exit=False).count
-    assert a == b
 
 
 def test_inner_count_worked_value_both_forms():
@@ -417,8 +428,7 @@ def test_density_serializers():
     text = density_run_csv(run)
     assert text.splitlines()[0] == "x,count,density,target,abs_error"
     assert len(text.strip().splitlines()) == 4
-    assert '"grid": [100, 1000, 10000]' in density_run_json(run).replace(
-        "\n    ", " ").replace("\n", "") or "100" in density_run_json(run)
+    assert density_run_payload(run)["grid"] == [100, 1000, 10000]
 
 
 def test_dec_str_significant_digits():
@@ -447,11 +457,10 @@ def test_rational_multipliers_fall_back_to_the_exact_engine():
                        ((Rational(1, 3), Rational(2, 7)), (1, 2)),
                        ((Rational(2, 7), Rational(-5, 3)), (1, 3))):
         p = ProblemSpec.unchecked(alphas, ms)
-        res = direct_count(p, 2000, early_exit=False)
+        res = direct_count(p, 2000)
         assert res.stats.exact_fallbacks > 0
         assert res.stats.fast_floors > 0
         assert res.count == exact_reference_count(p, 2000)
-        assert direct_count(p, 2000).count == res.count
 
 
 @pytest.mark.parametrize("x", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
@@ -470,8 +479,7 @@ def test_density_sweep_prefix_counts_at_the_block_edges():
 
 def test_workers_and_early_exit_give_identical_counts():
     p = ProblemSpec((sqrt2(), sqrt3(), golden_ratio()), (1, 2, 4))
-    counts = {direct_count(p, 9000, workers=w, early_exit=e).count
-              for w in (1, 2, 4) for e in (True, False)}
+    counts = {direct_count(p, 9000, workers=w).count for w in (1, 2, 4)}
     assert counts == {exact_reference_count(p, 9000)}
 
 

@@ -17,7 +17,7 @@ from beattysieve.equidist import (
     discrepancy_box_lower,
     discrepancy_exact_1d,
     discrepancy_report,
-    discrepancy_report_json,
+    discrepancy_report_payload,
     et_koksma_upper,
     linear_bound,
     linear_sum_exact,
@@ -230,7 +230,8 @@ def test_weyl_terms_csv_columns():
 def test_discrepancy_report_json_round_trip():
     import json
     ps = nu_sequence(ProblemSpec((sqrt2(),), (1,)), 1, 50)
-    blob = json.loads(discrepancy_report_json(discrepancy_report(ps, 5)))
+    blob = json.loads(json.dumps(
+        discrepancy_report_payload(discrepancy_report(ps, 5))))
     assert blob["N"] == 50
     assert blob["box_lower"] <= blob["et_upper"]
 
