@@ -241,16 +241,6 @@ def build_problem(cfg: _Config) -> ProblemSpec:
                              lower_terms)
 
 
-def _exact_or_none(cfg: _Config, key: str):
-    val = cfg.str_(key)
-    if val is None:
-        return None
-    try:
-        return Fraction(val)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{key!r} must be an exact rational, got {val!r}")
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (payload dict, csv text or None, fixtures),
 # and the counting commands append the engine's counters for the meta block

@@ -66,15 +66,11 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         alphas = tuple(as_spec(a) for a in self.alphas)
-        ms = tuple(int(m) for m in self.ms)
+        ms = _validated_ms(self.ms)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "ms", ms)
-        if not ms or len(alphas) != len(ms):
+        if len(alphas) != len(ms):
             raise InvalidSpec("need one multiplier per exponent")
-        if ms[0] != 1:
-            raise InvalidSpec("the first exponent must be 1")
-        if any(b <= a for a, b in zip(ms, ms[1:])):
-            raise InvalidSpec("exponents must increase strictly")
         low = self.lower_terms
         if low:
             if len(low) != len(ms):

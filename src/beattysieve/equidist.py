@@ -118,15 +118,16 @@ def nu_sequence(problem: ProblemSpec, d: int, N: int, *,
 
 
 def _values_1d(ps_or_values) -> list:
+    """The values in ascending order: a point set's doubles as floats
+    (their comparisons are exact), any other input as Fractions."""
     if isinstance(ps_or_values, PointSet):
         if ps_or_values.dim != 1:
             raise InvalidSpec("exact discrepancy needs dim = 1")
-        seq = ps_or_values.points[:, 0].tolist()
+        vals = np.sort(ps_or_values.points[:, 0]).tolist()
     else:
-        seq = list(ps_or_values)
-    if not seq:
+        vals = sorted(Fraction(v) for v in ps_or_values)
+    if not vals:
         raise InvalidSpec("need at least one point")
-    vals = sorted(Fraction(v) for v in seq)
     if vals[0] < 0 or vals[-1] >= 1:
         raise InvalidSpec("points must lie in [0, 1)")
     return vals
@@ -135,38 +136,25 @@ def _values_1d(ps_or_values) -> list:
 def discrepancy_exact_1d(ps_or_values) -> Fraction:
     """Exact extreme discrepancy sup |count/N - length| over [a, b).
 
-    The supremum over all half-open subintervals of [0,1) is attained in
-    the limit at interval ends drawn from the point values and their
-    one-sided neighborhoods; a single sorted scan inspects every such
-    critical pair via running prefix maxima.  Input floats are converted
-    to exact rationals, so the returned Fraction is the true supremum
-    for the stored coordinates.
+    For sorted x_1 <= ... <= x_N in [0, 1) the supremum over all
+    half-open subintervals of [0, 1) is
+    D_N = 1/N + max_i (i/N - x_i) - min_i (i/N - x_i)
+    (Kuipers–Niederreiter, *Uniform Distribution of Sequences*, Ch. 2,
+    §1).  Input floats are converted to exact rationals, so the returned
+    Fraction is the true supremum for the stored coordinates.
     """
     vals = _values_1d(ps_or_values)
     N = len(vals)
-    # distinct values with cumulative counts below (strict) and through
-    distinct = []
-    c_through = []
-    for v in vals:
-        if distinct and distinct[-1] == v:
-            c_through[-1] += 1
-        else:
-            distinct.append(v)
-            c_through.append(c_through[-1] + 1 if c_through else 1)
-    over = Fraction(0)
-    under = Fraction(0)
-    oa_max = None        # max of v_i - C<(v_i)/N over i <= current j
-    amax = Fraction(0)   # best left end for gaps: a = 0 or just past v_i
-    for j, v in enumerate(distinct):
-        c_thru = Fraction(c_through[j], N)
-        c_below = Fraction(c_through[j - 1] if j else 0, N)
-        left = v - c_below
-        oa_max = left if oa_max is None or left > oa_max else oa_max
-        over = max(over, c_thru - v + oa_max)
-        under = max(under, v - c_below + amax)
-        amax = max(amax, c_thru - v)
-    under = max(under, amax)             # right end at 1
-    return max(over, under)
+    # one pass over N * (i/N - x_i), converting each value exactly as it
+    # comes: a list of N Fractions would raise the peak memory
+    gaps = (i - N * Fraction(x) for i, x in enumerate(vals, 1))
+    top = bottom = next(gaps)
+    for g in gaps:
+        if g > top:
+            top = g
+        elif g < bottom:
+            bottom = g
+    return (1 + top - bottom) / N
 
 
 @dataclass(frozen=True)
@@ -184,7 +172,8 @@ def discrepancy_box_lower(ps: PointSet, *, budget: int = 4_000_000,
     Upper corners run over every point coordinate, its one-sided upper
     limit, and 1, per axis — the critical grid on which the supremum
     over such boxes is attained.  In dimension one this routine defers
-    to the exact interval scan (which also searches two-sided intervals).
+    to discrepancy_exact_1d, the order-statistics formula of
+    Kuipers–Niederreiter (Ch. 2, §1), which covers two-sided intervals too.
     Any returned value is a valid lower bound for the extreme
     discrepancy; when the critical grid exceeds the budget a seeded
     random subgrid is scanned instead and the result says so.
@@ -347,7 +336,8 @@ def discrepancy_report(ps: PointSet, H: int, C: Optional[float] = None, *,
     """Assemble the exact value (dim 1), box lower bound, and upper bound."""
     upper = et_koksma_upper(ps, H, C, budget=budget)
     box = discrepancy_box_lower(ps, budget=budget, seed=seed)
-    # in dimension one the box bound is the exact interval scan itself
+    # in dimension one the box bound is the exact order-statistics formula
+    # (Kuipers–Niederreiter, Ch. 2, §1) itself
     exact = box.value if ps.dim == 1 else None
     return DiscrepancyReport(ps.N, exact, box.value, upper.et_upper, H,
                              upper.weyl_terms, upper.C, box.sampled)
@@ -424,6 +414,20 @@ class WeylBoundReport:
             raise InvalidSpec("delta disagrees with its defining formula")
 
 
+def _denominator(spec, q: Optional[int], cap: int, cap_name: str,
+                 max_bits: int) -> int:
+    """q, defaulting to the largest convergent denominator <= cap."""
+    if q is None:
+        convs = convergents(spec, cap, max_bits=max_bits)
+        if not convs:
+            raise NoConvergent(
+                f"no convergent denominator within {cap_name}")
+        q = convs[-1].q
+    if q < 1:
+        raise InvalidSpec("q must be >= 1")
+    return q
+
+
 def _phases_for_poly(spec, m: int, h: int, N: int, lower_poly,
                      max_bits: int) -> list:
     """Phases {h a n^m + g(n)} for n <= N, g = sum_e lower_poly[e] n^e."""
@@ -452,13 +456,7 @@ def weyl_bound_report(spec: SpecLike, m: int, h: int, N: int,
     if N < 1:
         raise InvalidSpec("N must be >= 1")
     spec = as_spec(spec)
-    if q is None:
-        convs = convergents(spec, N, max_bits=max_bits)
-        if not convs:
-            raise NoConvergent("no convergent denominator within N")
-        q = convs[-1].q
-    if q < 1:
-        raise InvalidSpec("q must be >= 1")
+    q = _denominator(spec, q, N, "N", max_bits)
     delta = (Fraction(abs(h), q) + Fraction(1, N) + Fraction(q, N ** m)
              + Fraction(math.gcd(q, abs(h)), N ** (m - 1)))
     mm = m * m - m
@@ -601,13 +599,7 @@ def reciprocal_sum(spec: SpecLike, K: int, N: int, *,
     if K < 1 or N < 1:
         raise InvalidSpec("K and N must be >= 1")
     spec = as_spec(spec)
-    if q is None:
-        convs = convergents(spec, K, max_bits=max_bits)
-        if not convs:
-            raise NoConvergent("no convergent denominator within K")
-        q = convs[-1].q
-    if q < 1:
-        raise InvalidSpec("q must be >= 1")
+    q = _denominator(spec, q, K, "K", max_bits)
     lo_sum = Fraction(0)
     hi_sum = Fraction(0)
     for v in range(1, K + 1):

@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beattysieve.counting import ProblemSpec
 from beattysieve.dioph import convergents
@@ -114,6 +116,27 @@ def test_exact_1d_agrees_with_quadratic_brute():
             vals.reshape(-1, 1), f"rand{trial}")))
         brute = brute_extreme_discrepancy_1d(vals)
         assert abs(got - brute) < 1e-12
+
+
+# dyadic grids give repeated values, all-equal sets and exact floats
+_dyadic_sets = st.integers(0, 5).flatmap(lambda b: st.lists(
+    st.integers(0, 2 ** b - 1).map(lambda i: i / 2 ** b),
+    min_size=1, max_size=40))
+_equal_sets = st.builds(lambda v, n: [v] * n,
+                        st.floats(0, 1, exclude_max=True), st.integers(1, 40))
+_float_sets = st.lists(st.floats(0, 1, exclude_max=True),
+                       min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vals=_dyadic_sets | _equal_sets | _float_sets)
+def test_exact_1d_matches_the_brute_force_on_ties(vals):
+    got = discrepancy_exact_1d(PointSet.synthetic(
+        np.reshape(vals, (-1, 1)), "drawn"))
+    assert float(got) == pytest.approx(
+        brute_extreme_discrepancy_1d(np.asarray(vals)), abs=1e-12)
+    # the same values as an unsorted plain list of Fractions
+    assert discrepancy_exact_1d([Fraction(v) for v in vals[::-1]]) == got
 
 
 def test_exact_1d_accepts_plain_values():
