@@ -18,11 +18,10 @@ Config schema (lines of key=value; blank lines and #-comments ignored):
   lower_<j>     lower-order coefficients for coordinate j >= 2, constant
                 first, e.g. lower_2=1/2,surd:(0+1*sqrt(2))/1
   workers       positive integer (count/density only), default 1
-  max_bits      adaptive-precision ceiling, default 2^20
   seed          integer for randomized sub-sampling, default 0
 
   count:        x=; method=direct|mobius (default direct); d_cutoff=
-  density:      grid=comma ints (>= 3); tau= (exact, optional); zeta_bits=
+  density:      grid=comma ints (>= 3); tau= (exact, optional)
   discrepancy:  d=; n=; the harmonic cutoff h= (default 20); c= (optional)
   weyl:         d=; n=; h=comma ints (one per coordinate)
   dioph:        alpha=; max_q=; mode=poly|exp (default poly);
@@ -40,6 +39,9 @@ Config schema (lines of key=value; blank lines and #-comments ignored):
 Real-number descriptions: plain rationals ("1/2", "0.25") or prefixed
 forms rat:p/q, surd:(a+b*sqrt(d))/c, cf:[a0;a1,...], dec:digits:places,
 liouville:base=B,rule=poly|exp,tau|theta=T,c1=C,depth=D.
+
+Precision is not configurable: every certified evaluation doubles its
+precision as needed up to a fixed ceiling of 2^20 bits.
 
 Exit codes: 0 success, 2 configuration/precondition error,
 3 precision ceiling exhausted, 4 resource limit.
@@ -71,7 +73,7 @@ from .equidist import (discrepancy_report, discrepancy_report_payload,
                        weyl_terms_csv)
 from .errors import (BeattySieveError, ConfigError, InsufficientData,
                      InvalidSpec, PrecisionExhausted, ResourceLimit)
-from .realnum import DEFAULT_MAX_BITS, as_spec
+from .realnum import as_spec
 
 FIXTURE_ENV = "BEATTYSIEVE_FIXTURE_DIR"
 
@@ -252,7 +254,7 @@ def _count_payload(res: CountResult) -> dict:
             "density": dec_str(Fraction(res.count, res.x), 20)}
 
 
-def cmd_count(cfg: _Config, workers: int, max_bits: int, seed: int):
+def cmd_count(cfg: _Config, workers: int, seed: int):
     problem = build_problem(cfg)
     x = cfg.int_("x", required=True, minimum=1)
     method = cfg.str_("method", "direct",
@@ -262,37 +264,34 @@ def cmd_count(cfg: _Config, workers: int, max_bits: int, seed: int):
     if method == "direct":
         if d_cutoff is not None:
             raise ConfigError("d_cutoff applies to method=mobius only")
-        res = direct_count(problem, x, workers=workers, max_bits=max_bits)
+        res = direct_count(problem, x, workers=workers)
     else:
-        res = _wrap_spec_errors(mobius_count, problem, x, d_cutoff,
-                                max_bits=max_bits)
+        res = _wrap_spec_errors(mobius_count, problem, x, d_cutoff)
     payload = _count_payload(res)
     csv = "x,count,method,d_cutoff\n" \
           f"{res.x},{res.count},{res.method},{res.d_cutoff or ''}\n"
     return payload, csv, [], asdict(res.stats)
 
 
-def cmd_density(cfg: _Config, workers: int, max_bits: int, seed: int):
+def cmd_density(cfg: _Config, workers: int, seed: int):
     problem = build_problem(cfg)
     grid = cfg.int_list("grid", required=True)
     tau = cfg.str_("tau")
-    zeta_bits = cfg.int_("zeta_bits", 128, minimum=16)
     cfg.finish()
     run = _wrap_spec_errors(density_experiment, problem, grid, tau=tau,
-                            workers=workers, zeta_bits=zeta_bits,
-                            max_bits=max_bits)
+                            workers=workers)
     return (density_run_payload(run), density_run_csv(run), [],
             asdict(run.stats))
 
 
-def cmd_discrepancy(cfg: _Config, workers: int, max_bits: int, seed: int):
+def cmd_discrepancy(cfg: _Config, workers: int, seed: int):
     problem = build_problem(cfg)
     d = cfg.int_("d", 1, minimum=1)
     n = cfg.int_("n", required=True, minimum=1)
     h = cfg.int_("h", 20, minimum=1)
     c = cfg.float_("c")
     cfg.finish()
-    ps = nu_sequence(problem, d, n, max_bits=max_bits)
+    ps = nu_sequence(problem, d, n)
     report = _wrap_spec_errors(discrepancy_report, ps, h, c, seed=seed)
     payload = discrepancy_report_payload(report)
     payload["provenance"] = ps.provenance
@@ -300,14 +299,13 @@ def cmd_discrepancy(cfg: _Config, workers: int, max_bits: int, seed: int):
     return payload, weyl_terms_csv(report), []
 
 
-def cmd_weyl(cfg: _Config, workers: int, max_bits: int, seed: int):
+def cmd_weyl(cfg: _Config, workers: int, seed: int):
     problem = build_problem(cfg)
     d = cfg.int_("d", 1, minimum=1)
     n = cfg.int_("n", required=True, minimum=1)
     hvec = cfg.int_list("h", required=True)
     cfg.finish()
-    res = _wrap_spec_errors(weyl_sum, problem, d, hvec, n,
-                            max_bits=max_bits)
+    res = _wrap_spec_errors(weyl_sum, problem, d, hvec, n)
     payload = {"d": d, "N": res.N, "h": list(hvec),
                "real": res.value.real, "imag": res.value.imag,
                "magnitude": abs(res.value),
@@ -318,7 +316,7 @@ def cmd_weyl(cfg: _Config, workers: int, max_bits: int, seed: int):
     return payload, csv, []
 
 
-def cmd_dioph(cfg: _Config, workers: int, max_bits: int, seed: int):
+def cmd_dioph(cfg: _Config, workers: int, seed: int):
     alpha = cfg.str_("alpha", required=True)
     max_q = cfg.int_("max_q", required=True, minimum=1)
     mode = cfg.str_("mode", "poly",
@@ -328,9 +326,9 @@ def cmd_dioph(cfg: _Config, workers: int, max_bits: int, seed: int):
     window_exponent = cfg.float_("window_exponent")
     cfg.finish()
     spec = _wrap_spec_errors(as_spec, alpha)
-    convs = convergents(spec, max_q, max_bits=max_bits)
+    convs = convergents(spec, max_q)
     try:
-        est = estimate_type(spec, max_q, mode, max_bits=max_bits)
+        est = estimate_type(spec, max_q, mode)
         estimate = {"tau_hat": est.tau_hat, "mode": est.mode,
                     "samples": [[q, val] for q, val in est.samples]}
     except InsufficientData as exc:
@@ -359,7 +357,7 @@ def cmd_dioph(cfg: _Config, workers: int, max_bits: int, seed: int):
     return payload, convergents_csv(convs), []
 
 
-def cmd_bounds(cfg: _Config, workers: int, max_bits: int, seed: int):
+def cmd_bounds(cfg: _Config, workers: int, seed: int):
     kind = cfg.str_("bound", required=True,
                     choices={"poly_sum", "linear", "quadratic",
                              "reciprocal", "monotone"})
@@ -374,7 +372,7 @@ def cmd_bounds(cfg: _Config, workers: int, max_bits: int, seed: int):
         lower = cfg.str_list("lower") or ()
         cfg.finish()
         rep = _wrap_spec_errors(weyl_bound_report, alpha, m, h, n, lower,
-                                q=q, eps=eps, max_bits=max_bits)
+                                q=q, eps=eps)
         return weyl_bound_payload(rep), None, fixtures
     if kind == "linear":
         q = cfg.int_("q", required=True, minimum=1)
@@ -385,8 +383,7 @@ def cmd_bounds(cfg: _Config, workers: int, max_bits: int, seed: int):
         payload = {"bound": "linear", "q": q, "h": h, "N": n,
                    "value": _wrap_spec_errors(linear_bound, q, h, n)}
         if alpha is not None:
-            chk = _wrap_spec_errors(linear_sum_exact,
-                                    as_spec(alpha), h, n, max_bits=max_bits)
+            chk = _wrap_spec_errors(linear_sum_exact, as_spec(alpha), h, n)
             payload["exact_check"] = {
                 "actual": chk.actual, "cap": chk.cap,
                 "sum_error": chk.sum_error, "certified": chk.certified}
@@ -398,8 +395,7 @@ def cmd_bounds(cfg: _Config, workers: int, max_bits: int, seed: int):
         n = cfg.int_("n", required=True, minimum=1)
         g = cfg.str_list("g") or ()
         cfg.finish()
-        rep = _wrap_spec_errors(quadratic_bound, alpha, h, d, n, g,
-                                max_bits=max_bits)
+        rep = _wrap_spec_errors(quadratic_bound, alpha, h, d, n, g)
         fx = fixture_digest("lemma_constants.json")
         if fx:
             fixtures.append(fx)
@@ -413,8 +409,7 @@ def cmd_bounds(cfg: _Config, workers: int, max_bits: int, seed: int):
         n = cfg.int_("n", required=True, minimum=1)
         q = cfg.int_("q", minimum=1)
         cfg.finish()
-        rep = _wrap_spec_errors(reciprocal_sum, alpha, k, n, q=q,
-                                max_bits=max_bits)
+        rep = _wrap_spec_errors(reciprocal_sum, alpha, k, n, q=q)
         fx = fixture_digest("lemma_constants.json")
         if fx:
             fixtures.append(fx)
@@ -447,23 +442,21 @@ _COMMANDS = {
 # report assembly and entry point
 
 
-def run_config(raw: dict, *, workers: Optional[int] = None,
-               max_bits: Optional[int] = None) -> dict:
+def run_config(raw: dict, *, workers: Optional[int] = None) -> dict:
     """Dispatch a parsed config; returns the full report dictionary."""
     cfg = _Config(raw)
     command = cfg.str_("command", required=True, choices=set(_COMMANDS))
     cfg_workers = cfg.int_("workers", 1, minimum=1)
-    cfg_bits = cfg.int_("max_bits", DEFAULT_MAX_BITS, minimum=64)
     seed = cfg.int_("seed", 0)
-    workers = cfg_workers if workers is None else workers
-    max_bits = cfg_bits if max_bits is None else max_bits
+    if workers is None:
+        workers = cfg_workers
+    elif workers < 1:
+        raise ConfigError("'workers' must be >= 1")
     start = time.perf_counter()
-    payload, csv, fixtures, *stats = _COMMANDS[command](cfg, workers,
-                                                        max_bits, seed)
+    payload, csv, fixtures, *stats = _COMMANDS[command](cfg, workers, seed)
     meta = {
         "wall_time_s": time.perf_counter() - start,
         "workers": workers,
-        "max_bits": max_bits,
         "version": __version__,
     }
     if stats:
@@ -512,8 +505,6 @@ def main(argv=None) -> int:
                         help="path to a key=value config file")
     parser.add_argument("--workers", type=int, default=None,
                         help="override the config worker count")
-    parser.add_argument("--max-bits", type=int, default=None,
-                        help="override the adaptive-precision ceiling")
     parser.add_argument("--out", default=None,
                         help="write the report here (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -525,8 +516,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config says command={raw.get('command')!r}, "
                 f"CLI asked for {args.command!r}")
-        report = run_config(raw, workers=args.workers,
-                            max_bits=args.max_bits)
+        report = run_config(raw, workers=args.workers)
         if args.format == "csv":
             if report["_csv"] is None:
                 raise ConfigError(

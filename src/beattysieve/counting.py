@@ -237,8 +237,8 @@ def mobius_sieve(limit: int) -> np.ndarray:
 # coordinate forms and the floor engine shared by the counting loops
 
 
-def coordinate_form(problem: ProblemSpec, j: int, d: int = 1, h: int = 1, *,
-                    max_bits: int = DEFAULT_MAX_BITS) -> LinearForm:
+def coordinate_form(problem: ProblemSpec, j: int, d: int = 1,
+                    h: int = 1) -> LinearForm:
     """h * (a_j d^(m_j-1) n^(m_j) + g_j(dn)/d) as a LinearForm in n.
 
     With d = h = 1 this is a_j t^(m_j) + g_j(t), whose floor the counting
@@ -260,7 +260,7 @@ def coordinate_form(problem: ProblemSpec, j: int, d: int = 1, h: int = 1, *,
             terms.append((lower[0], h, 0))
         elif c0:
             terms.append((as_spec(c0 / d), h, 0))
-    return LinearForm(terms, max_bits=max_bits)
+    return LinearForm(terms)
 
 
 class _FloorEngine:
@@ -269,12 +269,10 @@ class _FloorEngine:
     inline; the rest (the value sits within ~2^-60 of an integer, or the
     form is exact) go to the form's own certified floor."""
 
-    def __init__(self, problem: ProblemSpec, t_max: int,
-                 max_bits: int = DEFAULT_MAX_BITS):
-        self.forms = [coordinate_form(problem, j, max_bits=max_bits)
-                      for j in range(problem.k)]
+    def __init__(self, problem: ProblemSpec, t_max: int):
+        self.forms = [coordinate_form(problem, j) for j in range(problem.k)]
         prec = min(64 + problem.ms[-1] * max(t_max, 1).bit_length() + 8,
-                   max_bits)
+                   DEFAULT_MAX_BITS)
         self.rows = [None if form._exact is not None else form._rows(prec)
                      for form in self.forms]
 
@@ -391,8 +389,8 @@ def _coprime_block(plan: list, eng: _FloorEngine, n_lo: int, n_hi: int,
 def _direct_chunk(args):
     """Prefix counts at each cut for the n in [n_lo, n_hi], plus the
     kernel's [fast floors, exact fallbacks]."""
-    problem, plan, n_lo, n_hi, cuts, max_bits = args
-    eng = _FloorEngine(problem, n_hi, max_bits)
+    problem, plan, n_lo, n_hi, cuts = args
+    eng = _FloorEngine(problem, n_hi)
     tally = [0, 0]
     counts = [0] * len(cuts)
     i = bisect.bisect_left(cuts, n_lo)
@@ -408,22 +406,22 @@ def _direct_chunk(args):
     return counts, tally
 
 
-def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int,
-                  max_bits: int):
+def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int):
     """Exact counts at every cut (increasing) from one sweep to cuts[-1].
 
     The range splits into `workers` contiguous chunks, each counted
     independently; chunk results are summed in chunk order.  Counts are
     exact integers, so they are identical for every worker count.
     """
+    if workers < 1:
+        raise InvalidSpec("workers must be >= 1")
     x = cuts[-1]
     plan = _fast_plan(problem, x)
-    workers = max(1, int(workers))
     if workers == 1 or x < 4096:
-        parts = [_direct_chunk((problem, plan, 1, x, cuts, max_bits))]
+        parts = [_direct_chunk((problem, plan, 1, x, cuts))]
     else:
         edges = [i * x // workers for i in range(workers + 1)]
-        jobs = [(problem, plan, lo + 1, hi, cuts, max_bits)
+        jobs = [(problem, plan, lo + 1, hi, cuts)
                 for lo, hi in zip(edges, edges[1:]) if hi > lo]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_direct_chunk, jobs))
@@ -436,8 +434,8 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int,
     return tuple(counts), FloorStats(fast, fallbacks, plan.count(None))
 
 
-def direct_count(problem: ProblemSpec, x: int, *, workers: int = 1,
-                 max_bits: int = DEFAULT_MAX_BITS) -> CountResult:
+def direct_count(problem: ProblemSpec, x: int, *,
+                 workers: int = 1) -> CountResult:
     """Count n ≤ x with gcd(n, floor terms) = 1, term by term.
 
     Floors come from the 64-bit kernel where its bracket decides them and
@@ -448,13 +446,12 @@ def direct_count(problem: ProblemSpec, x: int, *, workers: int = 1,
     if x < 1:
         raise InvalidSpec("x must be >= 1")
     start = time.perf_counter()
-    (count,), stats = _direct_sweep(problem, (x,), workers, max_bits)
+    (count,), stats = _direct_sweep(problem, (x,), workers)
     return CountResult(x, count, "direct", None,
                        time.perf_counter() - start, stats)
 
 
 def inner_count(problem: ProblemSpec, d: int, x: int, *,
-                max_bits: int = DEFAULT_MAX_BITS,
                 _engine: Optional[_FloorEngine] = None) -> int:
     """Count n ≤ x/d whose scaled fractional vector lands in [0, 1/d)^k,
     that is, with floor(a_j (dn)^{m_j} + g_j(dn)) ≡ 0 (mod d) for every j.
@@ -471,8 +468,7 @@ def inner_count(problem: ProblemSpec, d: int, x: int, *,
         return 0
     if d == 1:
         return nmax
-    eng = _engine if _engine is not None else _FloorEngine(
-        problem, x, max_bits)
+    eng = _engine if _engine is not None else _FloorEngine(problem, x)
     cnt = 0
     for start in range(d, nmax * d + 1, d * _BLOCK):
         ts = range(start, min(start + d * _BLOCK, nmax * d + 1), d)
@@ -483,8 +479,7 @@ def inner_count(problem: ProblemSpec, d: int, x: int, *,
 
 
 def mobius_count(problem: ProblemSpec, x: int,
-                 d_cutoff: Optional[int] = None, *,
-                 max_bits: int = DEFAULT_MAX_BITS) -> CountResult:
+                 d_cutoff: Optional[int] = None) -> CountResult:
     """N(x) through the divisor decomposition: sum of mu(d) * inner_count.
 
     With no cutoff this is an exact identity with direct_count; with a
@@ -498,13 +493,12 @@ def mobius_count(problem: ProblemSpec, x: int,
     start = time.perf_counter()
     depth = d_cutoff if d_cutoff is not None else x
     mu = mobius_sieve(depth)
-    eng = _FloorEngine(problem, x, max_bits)
+    eng = _FloorEngine(problem, x)
     total = 0
     for d in range(1, depth + 1):
         sign = int(mu[d])
         if sign:
-            total += sign * inner_count(problem, d, x, max_bits=max_bits,
-                                        _engine=eng)
+            total += sign * inner_count(problem, d, x, _engine=eng)
     return CountResult(x, total, "mobius", d_cutoff,
                        time.perf_counter() - start,
                        FloorStats(exact_coords=problem.k))
@@ -641,9 +635,8 @@ def _fit_loglog(xs: Sequence[float], ys: Sequence[Fraction]):
 
 
 def density_experiment(problem: ProblemSpec, grid: Sequence[int], *,
-                       tau: Optional[ExactLike] = None, workers: int = 1,
-                       zeta_bits: int = 128,
-                       max_bits: int = DEFAULT_MAX_BITS) -> DensityRun:
+                       tau: Optional[ExactLike] = None,
+                       workers: int = 1) -> DensityRun:
     """Direct counts at every grid point from one sweep to max(grid),
     exact errors against x/zeta(k+1), and the ordinary-least-squares
     slope of log error versus log x."""
@@ -654,8 +647,8 @@ def density_experiment(problem: ProblemSpec, grid: Sequence[int], *,
         raise InvalidSpec("grid must increase strictly")
     if grid[0] < 1:
         raise InvalidSpec("grid points must be >= 1")
-    target = inv_zeta(problem.k + 1, zeta_bits)
-    counts, stats = _direct_sweep(problem, grid, workers, max_bits)
+    target = inv_zeta(problem.k + 1)
+    counts, stats = _direct_sweep(problem, grid, workers)
     errors = tuple(abs(Fraction(c) - x * target)
                    for x, c in zip(grid, counts))
     slope, residual = _fit_loglog(grid, errors)

@@ -22,8 +22,7 @@ from typing import Sequence, Union
 
 from .errors import (InsufficientData, InvalidSpec, NoConvergent,
                      RationalTerminated)
-from .realnum import (DEFAULT_MAX_BITS, Interval, LinearForm, RealSpec,
-                      dist_nearest_int)
+from .realnum import Interval, LinearForm, RealSpec, dist_nearest_int
 
 Number = Union[int, float, Fraction]
 
@@ -96,8 +95,8 @@ def _denominators_reach(terms: Sequence[int], max_q: int) -> bool:
     return False
 
 
-def _certified_quotients(spec: RealSpec, max_q: int,
-                         max_bits: int) -> tuple[list[int], bool]:
+def _certified_quotients(spec: RealSpec,
+                         max_q: int) -> tuple[list[int], bool]:
     """Partial quotients valid until the denominators pass max_q.
 
     Returns (terms, terminated); terminated means the expansion is the
@@ -113,12 +112,11 @@ def _certified_quotients(spec: RealSpec, max_q: int,
                                 _euclid_terms(hi, 1 << pe, term_cap))
         return common if _denominators_reach(common, max_q) else None
 
-    form = LinearForm([(spec, 1, 0)], max_bits=max_bits)
+    form = LinearForm([(spec, 1, 0)])
     return form._decide(1, 64, "partial quotients", verdict), False
 
 
-def convergents(spec: RealSpec, max_q: int, *,
-                max_bits: int = DEFAULT_MAX_BITS) -> list[Convergent]:
+def convergents(spec: RealSpec, max_q: int) -> list[Convergent]:
     """All convergents of spec with denominator ≤ max_q, in increasing order.
 
     Emits the RationalTerminated warning when the expansion of an exact
@@ -129,7 +127,7 @@ def convergents(spec: RealSpec, max_q: int, *,
     """
     if max_q < 1:
         raise InvalidSpec("max_q must be a positive integer")
-    terms, terminated = _certified_quotients(spec, max_q, max_bits)
+    terms, terminated = _certified_quotients(spec, max_q)
     pairs: list[tuple[int, int]] = []
     p_prev, q_prev = 1, 0
     p_cur, q_cur = None, None
@@ -147,7 +145,7 @@ def convergents(spec: RealSpec, max_q: int, *,
     out = []
     for i, (p, q) in enumerate(pairs):
         bits = max(48, 2 * q.bit_length() + 8)
-        quality = dist_nearest_int(spec, q, bits=bits, max_bits=max_bits)
+        quality = dist_nearest_int(spec, q, bits=bits)
         out.append(Convergent(i, p, q, quality))
     if terminated and not _denominators_reach(terms, max_q):
         warnings.warn(f"expansion of {spec.text()} terminates at denominator "
@@ -156,8 +154,8 @@ def convergents(spec: RealSpec, max_q: int, *,
     return out
 
 
-def find_window(spec: RealSpec, Q: Number, varpi: Number, mode: str, *,
-                max_bits: int = DEFAULT_MAX_BITS) -> ApproxWindow:
+def find_window(spec: RealSpec, Q: Number, varpi: Number,
+                mode: str) -> ApproxWindow:
     """Best approximation with q ≤ Q, against the floor Q^varpi or (log Q)^(varpi+1).
 
     The returned window always carries the largest convergent denominator
@@ -178,15 +176,14 @@ def find_window(spec: RealSpec, Q: Number, varpi: Number, mode: str, *,
         lower = math.log(Qf) ** (v + 1)
     else:
         raise InvalidSpec(f"unknown window mode {mode!r}")
-    convs = convergents(spec, math.floor(Qf), max_bits=max_bits)
+    convs = convergents(spec, math.floor(Qf))
     if not convs:
         raise NoConvergent(f"no convergent with denominator <= {Qf}")
     best = convs[-1]
     return ApproxWindow(best.a, best.q, Qf, lower, best.q > lower)
 
 
-def estimate_type(spec: RealSpec, max_q: int, mode: str, *,
-                  max_bits: int = DEFAULT_MAX_BITS) -> TypeEstimate:
+def estimate_type(spec: RealSpec, max_q: int, mode: str) -> TypeEstimate:
     """Approximability exponent from convergent-denominator growth.
 
     Ratios log q_{i+1}/log q_i (polynomial) or log log q_{i+1}/log q_i
@@ -197,7 +194,7 @@ def estimate_type(spec: RealSpec, max_q: int, mode: str, *,
     """
     if mode not in ("polynomial", "exponential"):
         raise InvalidSpec(f"unknown type-estimation mode {mode!r}")
-    convs = convergents(spec, max_q, max_bits=max_bits)
+    convs = convergents(spec, max_q)
     if len(convs) < 3:
         raise InsufficientData(
             f"need at least 3 convergents below {max_q}, found {len(convs)}")

@@ -23,8 +23,7 @@ import numpy as np
 from .counting import ProblemSpec, _as_exact, coordinate_form, dec_str
 from .dioph import convergents
 from .errors import InvalidSpec, NoConvergent, ResourceLimit
-from .realnum import DEFAULT_MAX_BITS, LinearForm, SpecLike, as_spec, \
-    dist_nearest_int
+from .realnum import LinearForm, SpecLike, as_spec, dist_nearest_int
 
 # np.longdouble is 80-bit extended (or binary128) on the supported
 # platforms; phases pass through it so per-term rounding stays far below
@@ -86,26 +85,23 @@ class PointSet:
                    coord_error)
 
 
-def nu_sequence(problem: ProblemSpec, d: int, N: int, *,
-                out_bits: int = 60,
-                max_bits: int = DEFAULT_MAX_BITS) -> PointSet:
+def nu_sequence(problem: ProblemSpec, d: int, N: int) -> PointSet:
     """The first N scaled fractional-part vectors for modulus d.
 
     Point n has coordinates {a_j d^{m_j-1} n^{m_j} + g_j(dn)/d}; each is
-    floor-certified and stored as a double within 2^-out_bits + one ulp
-    of the true value.
+    floor-certified and stored as a double within 2^-60 + one ulp of the
+    true value.
     """
     if d < 1:
         raise InvalidSpec("d must be >= 1")
     if N < 0:
         raise InvalidSpec("N must be >= 0")
-    forms = [coordinate_form(problem, j, d, max_bits=max_bits)
-             for j in range(problem.k)]
+    forms = [coordinate_form(problem, j, d) for j in range(problem.k)]
     pts = np.empty((N, problem.k), dtype=np.float64)
     err = 2.0 ** -52
     for n in range(1, N + 1):
         for j, form in enumerate(forms):
-            frac, e = form.frac_unit(n, out_bits)
+            frac, e = form.frac_unit(n)
             pts[n - 1, j] = frac
             err = max(err, e)
     return PointSet(problem.k, pts,
@@ -357,15 +353,14 @@ class WeylSum:
         return abs(self.value)
 
 
-def weyl_sum(problem: ProblemSpec, d: int, hvec: Sequence[int], N: int, *,
-             out_bits: int = 64,
-             max_bits: int = DEFAULT_MAX_BITS) -> WeylSum:
+def weyl_sum(problem: ProblemSpec, d: int, hvec: Sequence[int],
+             N: int) -> WeylSum:
     """sum_{n<=N} e(sum_j h_j (a_j d^{m_j-1} n^{m_j} + g_j(dn)/d)).
 
     Because the h_j are integers the phase equals the pairing of h with
     the scaled fractional-part vector modulo 1, so this is the Fourier
     coefficient of the corresponding point set.  Phases are certified to
-    2^-out_bits, evaluated in extended precision, and the accumulated
+    2^-64, evaluated in extended precision, and the accumulated
     rounding is covered by error_bound = N * 2^-50.
     """
     if d < 1:
@@ -378,9 +373,8 @@ def weyl_sum(problem: ProblemSpec, d: int, hvec: Sequence[int], N: int, *,
     if not any(hvec):
         raise InvalidSpec("the frequency vector must be nonzero")
     lf = LinearForm([term for j, h in enumerate(hvec)
-                     for term in coordinate_form(problem, j, d, h).terms],
-                    max_bits=max_bits)
-    phases = [lf.phase_frac(n, out_bits)[0] for n in range(1, N + 1)]
+                     for term in coordinate_form(problem, j, d, h).terms])
+    phases = [lf.phase_frac(n)[0] for n in range(1, N + 1)]
     return WeylSum(_cis_sum(phases), N * _TERM_ERR, N)
 
 
@@ -414,11 +408,10 @@ class WeylBoundReport:
             raise InvalidSpec("delta disagrees with its defining formula")
 
 
-def _denominator(spec, q: Optional[int], cap: int, cap_name: str,
-                 max_bits: int) -> int:
+def _denominator(spec, q: Optional[int], cap: int, cap_name: str) -> int:
     """q, defaulting to the largest convergent denominator <= cap."""
     if q is None:
-        convs = convergents(spec, cap, max_bits=max_bits)
+        convs = convergents(spec, cap)
         if not convs:
             raise NoConvergent(
                 f"no convergent denominator within {cap_name}")
@@ -428,22 +421,20 @@ def _denominator(spec, q: Optional[int], cap: int, cap_name: str,
     return q
 
 
-def _phases_for_poly(spec, m: int, h: int, N: int, lower_poly,
-                     max_bits: int) -> list:
+def _phases_for_poly(spec, m: int, h: int, N: int, lower_poly) -> list:
     """Phases {h a n^m + g(n)} for n <= N, g = sum_e lower_poly[e] n^e."""
     lower_poly = tuple(lower_poly)
     if len(lower_poly) > m:
         raise InvalidSpec("lower polynomial degree must stay below m")
     lf = LinearForm([(spec, h, m)] + [(c, 1, e)
-                                      for e, c in enumerate(lower_poly)],
-                    max_bits=max_bits)
-    return [lf.phase_frac(n, 64)[0] for n in range(1, N + 1)]
+                                      for e, c in enumerate(lower_poly)])
+    return [lf.phase_frac(n)[0] for n in range(1, N + 1)]
 
 
 def weyl_bound_report(spec: SpecLike, m: int, h: int, N: int,
                       lower_poly: Sequence = (), *,
-                      q: Optional[int] = None, eps: float = 0.05,
-                      max_bits: int = DEFAULT_MAX_BITS) -> WeylBoundReport:
+                      q: Optional[int] = None,
+                      eps: float = 0.05) -> WeylBoundReport:
     """Evaluate |sum e(h a n^m + g(n))| against its bound shapes.
 
     q is a denominator with |a - p/q| < 1/q^2 — any convergent works;
@@ -456,13 +447,13 @@ def weyl_bound_report(spec: SpecLike, m: int, h: int, N: int,
     if N < 1:
         raise InvalidSpec("N must be >= 1")
     spec = as_spec(spec)
-    q = _denominator(spec, q, N, "N", max_bits)
+    q = _denominator(spec, q, N, "N")
     delta = (Fraction(abs(h), q) + Fraction(1, N) + Fraction(q, N ** m)
              + Fraction(math.gcd(q, abs(h)), N ** (m - 1)))
     mm = m * m - m
     bound_o = float(N) ** (1.0 + eps) * float(delta) ** (1.0 / mm)
     bound_log = N * math.log(N) * float(delta) ** (1.0 / (mm + 2))
-    phases = _phases_for_poly(spec, m, h, N, lower_poly, max_bits)
+    phases = _phases_for_poly(spec, m, h, N, lower_poly)
     actual = abs(_cis_sum(phases))
     return WeylBoundReport(m, h, q, N, delta, bound_o, bound_log, actual,
                            actual / bound_o, eps, N * _TERM_ERR)
@@ -497,9 +488,7 @@ class LinearSumCheck:
     certified: bool
 
 
-def linear_sum_exact(spec: SpecLike, h: int, N: int, *,
-                     dist_bits: int = 64,
-                     max_bits: int = DEFAULT_MAX_BITS) -> LinearSumCheck:
+def linear_sum_exact(spec: SpecLike, h: int, N: int) -> LinearSumCheck:
     """Evaluate a linear exponential sum against its exact reciprocal cap."""
     if h == 0:
         raise InvalidSpec("h must be nonzero")
@@ -518,7 +507,7 @@ def linear_sum_exact(spec: SpecLike, h: int, N: int, *,
         phases.append(acc / unit)
     s = _cis_sum(phases)
     sum_error = N * _TERM_ERR + 2 * math.pi * phase_err
-    dist = dist_nearest_int(spec, abs(h), bits=dist_bits, max_bits=max_bits)
+    dist = dist_nearest_int(spec, abs(h), bits=64)
     if dist.hi == 0:
         cap = Fraction(N)
     else:
@@ -542,8 +531,7 @@ class QuadraticBoundReport:
 
 
 def quadratic_bound(spec: SpecLike, h: int, d: int, N: int,
-                    g: Sequence = (), *, dist_bits: int = 48,
-                    max_bits: int = DEFAULT_MAX_BITS) -> QuadraticBoundReport:
+                    g: Sequence = ()) -> QuadraticBoundReport:
     """Reciprocal-distance bound for a quadratic-phase exponential sum.
 
     rhs sums min(N, 1/||2 h d v a||) for v <= N using the upper end of
@@ -560,13 +548,12 @@ def quadratic_bound(spec: SpecLike, h: int, d: int, N: int,
     spec = as_spec(spec)
     rhs = Fraction(0)
     for v in range(1, N + 1):
-        dist = dist_nearest_int(spec, abs(2 * h * d * v), bits=dist_bits,
-                                max_bits=max_bits)
+        dist = dist_nearest_int(spec, abs(2 * h * d * v), bits=48)
         if dist.hi == 0:
             rhs += N
         else:
             rhs += min(Fraction(N), 1 / dist.hi)
-    phases = _phases_for_poly(spec, 2, h * d, N, g, max_bits)
+    phases = _phases_for_poly(spec, 2, h * d, N, g)
     actual = abs(_cis_sum(phases))
     rhs_f = float(rhs)
     return QuadraticBoundReport(h, d, N, rhs_f, math.sqrt(rhs_f), actual,
@@ -589,8 +576,7 @@ class ReciprocalSumReport:
 
 
 def reciprocal_sum(spec: SpecLike, K: int, N: int, *,
-                   q: Optional[int] = None, dist_bits: int = 60,
-                   max_bits: int = DEFAULT_MAX_BITS) -> ReciprocalSumReport:
+                   q: Optional[int] = None) -> ReciprocalSumReport:
     """Exact reciprocal-distance sum and its convergent-driven bound.
 
     The bound uses (N + q ln q)(K/q + 1) with implied constant 1; q
@@ -599,11 +585,11 @@ def reciprocal_sum(spec: SpecLike, K: int, N: int, *,
     if K < 1 or N < 1:
         raise InvalidSpec("K and N must be >= 1")
     spec = as_spec(spec)
-    q = _denominator(spec, q, K, "K", max_bits)
+    q = _denominator(spec, q, K, "K")
     lo_sum = Fraction(0)
     hi_sum = Fraction(0)
     for v in range(1, K + 1):
-        dist = dist_nearest_int(spec, v, bits=dist_bits, max_bits=max_bits)
+        dist = dist_nearest_int(spec, v, bits=60)
         hi_sum += Fraction(N) if dist.lo <= 0 else min(Fraction(N),
                                                        1 / dist.lo)
         lo_sum += Fraction(N) if dist.hi == 0 else min(Fraction(N),

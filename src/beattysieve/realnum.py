@@ -12,11 +12,11 @@ answers: ``LinearForm`` brackets sum_i spec_i * c_i * t**e_i at an
 integer t, and every certified question (floors, fractional-part tests
 and values, phases, nearest-integer distances, partial quotients) is a
 verdict over that bracket.  A verdict the bracket leaves open doubles the
-precision, from a start of 64 + the bit length of the scale, up to a hard
-ceiling (default 2**20 bits); a decimal literal stops the doubling at its
-stated digits.  Either way PrecisionExhausted names what ran out: the
-literal and its bits, or the ceiling.  Forms whose coefficients are all
-exact rationals are decided exactly.
+precision, from a start of 64 + the bit length of the scale, up to the
+fixed ceiling of DEFAULT_MAX_BITS = 2**20 bits; a decimal literal stops
+the doubling at its stated digits.  Either way PrecisionExhausted names
+what ran out: the literal and its bits, or the ceiling.  Forms whose
+coefficients are all exact rationals are decided exactly.
 """
 
 from __future__ import annotations
@@ -78,8 +78,12 @@ class Interval:
             raise InvalidSpec("interval endpoints out of order")
         if self.precision_bits < 1:
             raise InvalidSpec("precision_bits must be >= 1")
-        bound = Fraction(2) ** (1 - self.precision_bits) * max(1, abs(self.lo))
-        if self.hi - self.lo > bound:
+        # hi - lo <= 2**(1-p) * max(1, |lo|), over the common dyadic
+        # denominator of the two endpoints
+        den = max(self.lo.denominator, self.hi.denominator)
+        a = self.lo.numerator * (den // self.lo.denominator)
+        b = self.hi.numerator * (den // self.hi.denominator)
+        if (b - a) << (self.precision_bits - 1) > max(den, abs(a)):
             raise InvalidSpec("interval wider than its stated precision")
 
     @property
@@ -259,8 +263,8 @@ class DecimalLiteral(RealSpec):
     def bounds(self, prec: int) -> tuple[int, int]:
         if prec > self.max_prec():
             raise PrecisionExhausted(
-                f"decimal literal only supports {self.max_prec()} bits",
-                spec=self, bits=prec)
+                f"{prec} bits requested: {self.text()} carries only "
+                f"{self.max_prec()} bits", spec=self, bits=self.max_prec())
         delta = Fraction(1, 10 ** self.stated_precision)
         lo_fr, hi_fr = self._mid() - delta, self._mid() + delta
         lo = (lo_fr.numerator << prec) // lo_fr.denominator
@@ -491,17 +495,15 @@ class LinearForm:
     terms, so a form is only as fine as its coarsest literal.
 
     `_escalate` is the one precision policy: a verdict the bracket leaves
-    open doubles the precision, up to max_bits; once the coarsest literal
-    is at its cap, the failure names it.  A form whose coefficients are
+    open doubles the precision, up to DEFAULT_MAX_BITS; once the coarsest
+    literal is at its cap, the failure names it.  A form whose coefficients are
     all exact rationals is also evaluated exactly (`_value`), because its
     value can sit exactly on an integer or on a rational threshold, where
     no bracket decides.
     """
 
-    def __init__(self, terms: Sequence[tuple], *,
-                 max_bits: int = DEFAULT_MAX_BITS):
+    def __init__(self, terms: Sequence[tuple]):
         self.terms = [(as_spec(s), int(c), int(e)) for s, c, e in terms]
-        self.max_bits = max_bits
         capped = [s for s, _, _ in self.terms if s.max_prec() is not None]
         self._limit = min(capped, key=lambda s: s.max_prec(), default=None)
         self._cap = None if self._limit is None else self._limit.max_prec()
@@ -541,16 +543,19 @@ class LinearForm:
 
     def _escalate(self, t: int, prec: int, need: str) -> int:
         """The precision to try after `prec` left `need` open at t."""
+        # a t past 64 bits is named by its size: a decimal string of over
+        # 4300 digits is refused by int -> str
+        at = f"t={t}" if t.bit_length() <= 64 else f"a {t.bit_length()}-bit t"
         if self._cap is not None and prec >= self._cap:
             raise PrecisionExhausted(
-                f"{need} undecided at t={t}: {self._limit.text()} carries "
+                f"{need} undecided at {at}: {self._limit.text()} carries "
                 f"only {self._cap} bits", spec=self._limit, scale=t, n=t,
                 bits=self._cap)
-        if prec >= self.max_bits:
+        if prec >= DEFAULT_MAX_BITS:
             raise PrecisionExhausted(
-                f"{need} undecided at t={t} within the {self.max_bits}-bit "
+                f"{need} undecided at {at} within the {DEFAULT_MAX_BITS}-bit "
                 f"ceiling", spec=self.terms[0][0], scale=t, n=t, bits=prec)
-        return min(2 * prec, self.max_bits)
+        return min(2 * prec, DEFAULT_MAX_BITS)
 
     def _decide(self, t: int, prec: int, need: str, verdict):
         """verdict(lo, hi, pe) on the bracket at t, escalating from prec
@@ -597,9 +602,9 @@ class LinearForm:
             return None
         return self._decide(t, self._start(t), "fractional test", verdict)
 
-    def frac_unit(self, t: int, out_bits: int = 60):
+    def frac_unit(self, t: int):
         """Floor-certified fractional part at t as (float in [0,1), error
-        bound)."""
+        bound), the bracket no wider than 2^-60."""
         if self._exact is not None:
             exact = self._value(t)
             fr = exact - math.floor(exact)
@@ -607,41 +612,39 @@ class LinearForm:
 
         def verdict(lo, hi, pe):
             f = lo >> pe
-            if hi >> pe == f and hi - lo <= 1 << max(pe - out_bits, 0):
+            if hi >> pe == f and hi - lo <= 1 << max(pe - 60, 0):
                 return _unit_float(lo - (f << pe), hi - lo, 1 << pe)
             return None
-        return self._decide(t, max(self._start(t), out_bits + 4),
-                            "fractional part", verdict)
+        return self._decide(t, self._start(t), "fractional part", verdict)
 
-    def phase_frac(self, t: int, out_bits: int = 60):
+    def phase_frac(self, t: int):
         """Fractional part mod 1 for phases: no floor certificate needed.
 
-        Returns (float in [0,1), absolute error bound valid modulo 1).
+        Returns (float in [0,1), absolute error bound valid modulo 1), the
+        bracket no wider than 2^-64.
         """
         def verdict(lo, hi, pe):
-            if hi - lo <= 1 << max(pe - out_bits, 0):
+            if hi - lo <= 1 << max(pe - 64, 0):
                 return _unit_float(lo % (1 << pe), hi - lo, 1 << pe)
             return None
-        return self._decide(t, max(self._start(t), out_bits + 4), "phase",
-                            verdict)
+        return self._decide(t, max(self._start(t), 68), "phase", verdict)
 
 
 @lru_cache(maxsize=256)
-def _unit_form(spec: RealSpec, max_bits: int) -> LinearForm:
+def _unit_form(spec: RealSpec) -> LinearForm:
     """The one-term form spec * t, shared by the single-number verdicts."""
-    return LinearForm([(spec, 1, 1)], max_bits=max_bits)
+    return LinearForm([(spec, 1, 1)])
 
 
 # ---------------------------------------------------------------------------
 # single-number verdicts
 
 
-def eval_enclosure(spec: RealSpec, bits: int, *,
-                   max_bits: int = DEFAULT_MAX_BITS) -> Interval:
+def eval_enclosure(spec: RealSpec, bits: int) -> Interval:
     """Dyadic enclosure of the value, width <= 2**(1-bits) * max(1, |lo|)."""
     if bits < MIN_ENCLOSURE_BITS:
         raise ValueError(f"bits must be >= {MIN_ENCLOSURE_BITS}")
-    if bits > max_bits:
+    if bits > DEFAULT_MAX_BITS:
         raise PrecisionExhausted("requested bits exceed the ceiling",
                                  spec=spec, bits=bits)
     prec = bits + 1
@@ -654,12 +657,11 @@ def eval_enclosure(spec: RealSpec, bits: int, *,
     return Interval(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec), bits)
 
 
-def floor_scaled(spec: RealSpec, scale: int, *,
-                 max_bits: int = DEFAULT_MAX_BITS) -> CertifiedFloor:
+def floor_scaled(spec: RealSpec, scale: int) -> CertifiedFloor:
     """Certified floor(value * scale) for a positive integer scale."""
     if scale < 1:
         raise ValueError("scale must be a positive integer")
-    form = _unit_form(spec, max_bits)
+    form = _unit_form(spec)
     sbits = scale.bit_length()
 
     def verdict(lo, hi, pe):
@@ -681,8 +683,8 @@ def floor_scaled(spec: RealSpec, scale: int, *,
     return form._decide(scale, start, "floor", verdict)
 
 
-def frac_below(spec: RealSpec, scale: int, bound_num: int, bound_den: int, *,
-               max_bits: int = DEFAULT_MAX_BITS) -> bool:
+def frac_below(spec: RealSpec, scale: int, bound_num: int,
+               bound_den: int) -> bool:
     """Certified test  {value * scale} < bound_num / bound_den.
 
     Strict inequality, so equality is False (decided exactly for exact
@@ -694,11 +696,11 @@ def frac_below(spec: RealSpec, scale: int, bound_num: int, bound_den: int, *,
         raise ValueError("scale must be a positive integer")
     if not (0 < Fraction(bound_num, bound_den) <= 1):
         raise ValueError("bound must lie in (0, 1]")
-    return _unit_form(spec, max_bits).frac_below(scale, bound_num, bound_den)
+    return _unit_form(spec).frac_below(scale, bound_num, bound_den)
 
 
-def dist_nearest_int(spec: RealSpec, scale: int, *, bits: int = 48,
-                     max_bits: int = DEFAULT_MAX_BITS) -> Interval:
+def dist_nearest_int(spec: RealSpec, scale: int, *,
+                     bits: int = 48) -> Interval:
     """Enclosure of ||value * scale|| (distance to the nearest integer).
 
     A stated-precision representation that cannot reach `bits` returns
@@ -708,7 +710,7 @@ def dist_nearest_int(spec: RealSpec, scale: int, *, bits: int = 48,
     """
     if scale < 1:
         raise ValueError("scale must be a positive integer")
-    form = _unit_form(spec, max_bits)
+    form = _unit_form(spec)
     cap = form._cap
 
     def verdict(lo, hi, pe):

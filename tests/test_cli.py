@@ -179,6 +179,13 @@ def test_run_config_rejects_small_max_bits():
         run_config(count_config(max_bits="32"))
 
 
+def test_run_config_rejects_the_removed_zeta_bits_key():
+    raw = {"command": "density", "alphas": SQRT2, "ms": "1",
+           "grid": "100,200,400", "zeta_bits": "128"}
+    with pytest.raises(ConfigError, match="zeta_bits"):
+        run_config(raw)
+
+
 # ---------------------------------------------------------------------------
 # report assembly and the determinism surface
 
@@ -186,8 +193,7 @@ def test_run_config_rejects_small_max_bits():
 def test_report_meta_and_version():
     report = run_config(count_config())
     meta = report["meta"]
-    assert set(meta) == {"wall_time_s", "workers", "max_bits", "version",
-                         "stats"}
+    assert set(meta) == {"wall_time_s", "workers", "version", "stats"}
     assert meta["workers"] == 1
     assert meta["version"] == __version__
     assert meta["wall_time_s"] >= 0.0
@@ -444,6 +450,19 @@ def test_main_workers_flag_overrides(tmp_path, capsys):
         tmp_path, f"command=count\nalphas={SQRT2}\nms=1\nx=50\nworkers=1\n")
     assert main(["count", "--config", cfg, "--workers", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["meta"]["workers"] == 3
+
+
+def test_main_rejects_a_nonpositive_workers_flag(tmp_path, capsys):
+    cfg = write_config(tmp_path, f"command=count\nalphas={SQRT2}\nms=1\nx=50\n")
+    assert main(["count", "--config", cfg, "--workers", "0"]) == 2
+    assert "'workers' must be >= 1" in capsys.readouterr().err
+
+
+def test_main_has_no_max_bits_flag(tmp_path):
+    cfg = write_config(tmp_path, f"command=count\nalphas={SQRT2}\nms=1\nx=50\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--config", cfg, "--max-bits", "64"])
+    assert exc.value.code == 2
 
 
 def test_main_missing_config_file(tmp_path, capsys):

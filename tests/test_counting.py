@@ -42,7 +42,7 @@ from beattysieve.errors import (
     ResourceLimit,
 )
 from beattysieve.dioph import convergents
-from beattysieve.equidist import nu_sequence
+from beattysieve.equidist import linear_sum_exact, nu_sequence
 from beattysieve.realnum import (
     DecimalLiteral,
     LinearForm,
@@ -349,9 +349,10 @@ _LIT = DecimalLiteral("1.41421356", 8)     # 24 bits; undecided at 5741
     lambda: convergents(_LIT, 10**9),
     lambda: direct_count(ProblemSpec.unchecked((_LIT,), (1,)), 10**4),
     lambda: mobius_count(ProblemSpec.unchecked((_LIT,), (1,)), 10**4),
+    lambda: linear_sum_exact(_LIT, 1, 5741),
 ], ids=["floor_scaled", "frac_below", "form.floor", "form.frac_below",
         "form.frac_unit", "form.phase_frac", "convergents", "direct_count",
-        "mobius_count"])
+        "mobius_count", "linear_sum_exact"])
 def test_failures_name_the_limiting_literal(verdict):
     with pytest.raises(PrecisionExhausted,
                        match=r"dec:1\.41421356:8 carries only 24 bits") \
@@ -359,6 +360,12 @@ def test_failures_name_the_limiting_literal(verdict):
         verdict()
     assert info.value.bits == _LIT.max_prec() == 24
     assert info.value.spec is _LIT
+
+
+def test_direct_count_rejects_nonpositive_workers():
+    p = ProblemSpec((sqrt2(),), (1,))
+    with pytest.raises(InvalidSpec, match="workers"):
+        direct_count(p, 10, workers=0)
 
 
 def test_count_rejects_nonpositive_x():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from beattysieve.errors import InvalidSpec, PrecisionExhausted
 from beattysieve.realnum import (
+    DEFAULT_MAX_BITS,
     DecimalLiteral,
     FiniteCF,
     Interval,
@@ -49,6 +50,67 @@ def test_interval_rejects_disordered_and_wide():
         Interval(Fraction(1, 2), Fraction(1, 4), 4)
     with pytest.raises(InvalidSpec):
         Interval(Fraction(0), Fraction(1, 2), 8)  # wider than 2**-7
+
+
+def _interval_error(lo, hi, p):
+    """The validation Interval makes, in Fraction arithmetic: the start
+    of the message it raises, or None when the interval is valid."""
+    for end in (lo, hi):
+        d = end.denominator
+        if d & (d - 1):
+            return "interval endpoint"
+    if lo > hi:
+        return "interval endpoints out of order"
+    if p < 1:
+        return "precision_bits must be >= 1"
+    if hi - lo > Fraction(2) ** (1 - p) * max(1, abs(lo)):
+        return "interval wider than its stated precision"
+    return None
+
+
+def _check_interval(lo, hi, p):
+    want = _interval_error(lo, hi, p)
+    if want is None:
+        assert Interval(lo, hi, p).width == hi - lo
+    else:
+        with pytest.raises(InvalidSpec, match=f"^{want}"):
+            Interval(lo, hi, p)
+
+
+@pytest.mark.parametrize("lo, hi, p", [
+    (Fraction(-3, 4), Fraction(-1, 2), 3),               # negative, at bound
+    (Fraction(-3, 4), Fraction(-1, 2), 4),
+    (Fraction(0), Fraction(0), 1),                       # zero, equal
+    (Fraction(5, 8), Fraction(5, 8), 60),                # equal endpoints
+    (Fraction(-5), Fraction(-5) + Fraction(5, 2**9), 10),   # exactly at bound
+    (Fraction(-5), Fraction(-5) + Fraction(5, 2**9) + Fraction(1, 2**40), 10),
+    (Fraction(3, 2**70), Fraction(3, 2**70) + Fraction(1, 2**63), 64),
+    (Fraction(3, 2**70), Fraction(3, 2**70) + Fraction(1, 2**62), 64),
+    (Fraction(1, 3), Fraction(1, 2), 4),                 # non-dyadic ends
+    (Fraction(1, 2), Fraction(2, 3), 4),
+    (Fraction(1, 2), Fraction(1, 4), 4),
+    (Fraction(1, 4), Fraction(1, 2), 0),
+])
+def test_interval_validation_cases(lo, hi, p):
+    _check_interval(lo, hi, p)
+
+
+_dyadics = st.builds(lambda n, e: Fraction(n, 1 << e),
+                     st.integers(-8, 8) | st.integers(-2**80, 2**80),
+                     st.integers(0, 90))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lo=_dyadics, p=st.integers(0, 100), step=st.sampled_from([-1, 0, 1]),
+       k=st.integers(0, 200), other=_dyadics, near=st.booleans())
+def test_interval_validation_matches_the_fraction_formula(lo, p, step, k,
+                                                          other, near):
+    if near:    # a width at the bound, or one 2^-k step either side of it
+        bound = Fraction(2) ** (1 - max(p, 1)) * max(1, abs(lo))
+        hi = lo + bound + step * Fraction(1, 1 << k)
+    else:
+        hi = other
+    _check_interval(lo, hi, p)
 
 
 def test_interval_geometry():
@@ -126,6 +188,20 @@ def test_decimal_literal_validates_stated_digits():
         DecimalLiteral("1.41", 5)  # claims more digits than supplied
     with pytest.raises(InvalidSpec):
         DecimalLiteral("not-a-number", 2)
+
+
+def test_the_ceiling_stops_a_form_on_a_huge_t():
+    # -L * 2^65536 lies 2^(65536 - 2^32) below an integer: only a bracket
+    # finer than 2^32 bits decides its floor, so the 2^20-bit ceiling stops
+    # it, and the message names t by its size
+    liou = parse_real("liouville:base=2,rule=poly,tau=2,c1=2,depth=8")
+    t = 2 ** 65536
+    with pytest.raises(PrecisionExhausted,
+                       match="at a 65537-bit t within the 1048576-bit "
+                             "ceiling") as err:
+        LinearForm([(liou, -1, 1)]).floor(t)
+    assert err.value.bits == DEFAULT_MAX_BITS
+    assert err.value.n == err.value.scale == t
 
 
 def test_floor_fails_cleanly_when_digits_cannot_decide():
