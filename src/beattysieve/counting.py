@@ -4,11 +4,12 @@ N(x) counts n ≤ x whose tuple (n, floor(a_1 n^{m_1} + g_1), ...,
 floor(a_k n^{m_k} + g_k)) has gcd 1.  `direct_count` evaluates the gcd
 per n; `mobius_count` expands the coprimality indicator through the
 Moebius function, reducing each divisor d to a box-occupancy count
-(`inner_count`).  Both routes use certified floors, so with no cutoff
-they must agree exactly — that identity is the strongest self-test in
-the package.  The module also carries the zeta constants the density
-converges to, the closed-form error exponents, and the density
-experiment harness with its log-log error fit.
+(`inner_count`).  Both routes are certified: a 64-bit fixed-point test
+decides what its bracket can and the exact engine the rest, so with no
+cutoff they must agree exactly — that identity is the strongest
+self-test in the package.  The module also carries the zeta constants
+the density converges to, the closed-form error exponents, and the
+density experiment harness with its log-log error fit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateFit, InsufficientData, InvalidSpec, \
     PrecisionExhausted, ResourceLimit
-from .realnum import DEFAULT_MAX_BITS, Interval, LinearForm, as_spec
+from .realnum import DEFAULT_MAX_BITS, Interval, LinearForm, _iroot, as_spec
 
 ExactLike = Union[int, Fraction, str]
 
@@ -121,10 +122,11 @@ class ProblemSpec:
 class FloorStats:
     """What the counting engine did.
 
-    fast_floors: (n, j) floors decided by the 64-bit fixed-point kernel;
-    exact_fallbacks: (n, j) floors the kernel left undecided and sent to
-    the big-integer engine; exact_coords: coordinates that only the
-    big-integer engine evaluates.
+    fast_floors: the direct route's (n, j) floors, or the Moebius route's
+    (d, n, j) box tests, decided by the 64-bit fixed-point kernel;
+    exact_fallbacks: those the kernel left undecided or could not take,
+    sent to the big-integer engine; exact_coords: coordinates that only
+    the big-integer engine evaluates.
     """
 
     fast_floors: int = 0
@@ -318,16 +320,18 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-def _fast_plan(problem: ProblemSpec, x: int) -> list:
+def _fast_plan(problem: ProblemSpec, x: Optional[int] = None) -> list:
     """Per coordinate, (m, lo mod 2^64, hi - lo) from a 64-bit bracket
     (lo, hi) of the multiplier, or None when only the exact engine may
-    evaluate it."""
+    evaluate it: it has lower-order terms, its literal carries under 64
+    bits, or (given the direct route's x) n^(m-1) could pass 2^62."""
     plan = []
     for alpha, m, lower in zip(problem.alphas, problem.ms,
                                problem.lower_terms):
         cap = alpha.max_prec()
         if (lower or (cap is not None and cap < _FIX_BITS)
-                or x >= 1 << 32 or 2 * x ** (m - 1) >= 1 << 62):
+                or (x is not None
+                    and (x >= 1 << 32 or 2 * x ** (m - 1) >= 1 << 62))):
             plan.append(None)
             continue
         lo, hi = alpha.bounds(_FIX_BITS)
@@ -451,13 +455,92 @@ def direct_count(problem: ProblemSpec, x: int, *,
                        time.perf_counter() - start, stats)
 
 
+# The Moebius route's box test.  With t = dn and S = d^(m-1) n^m,
+# a t^m = d * aS, so floor(a t^m) ≡ 0 (mod d) iff {aS} < 1/d.  The same
+# 64-bit bracket gives {aS}*2^64 in [L, L + W], L = lo*S mod 2^64 and
+# W = (hi - lo)*S, when L + W does not wrap: the test holds when
+# d(L + W) < 2^64 and fails when dL ≥ 2^64, that is, when L + W ≤ q and
+# when L > q, with q = floor((2^64 - 1) / d).  A pair needs S < 2^61 (so
+# W < 2^62) and d < 2^32; the rest, and every pair the bracket leaves
+# open, take the exact floor.
+
+_S_LIMIT = 1 << 61
+_D_LIMIT = (1 << 32) - 1
+_U64_MAX = np.uint64((1 << 64) - 1)
+
+
+def _s_cap(coeff: int, power: int) -> int:
+    """Largest v ≤ 2^32 - 1 with coeff * v^power < 2^61 (0 if none)."""
+    room = (_S_LIMIT - 1) // coeff
+    if power == 0:
+        return _D_LIMIT if room else 0
+    return min(_iroot(room, power), _D_LIMIT)
+
+
+def _threshold(d: np.ndarray, n: np.ndarray, m: int, lo64: int, width: int):
+    """({aS} < 1/d, decided mask) for uint64 d < 2^32 and n with
+    S = d^(m-1) n^m < 2^61, given the 64-bit bracket of a as
+    (lo mod 2^64, hi - lo)."""
+    s = n if m == 1 else d ** (m - 1) * n ** m
+    low = s * np.uint64(lo64)                 # wraps: exact mod 2^64
+    high = low + s * np.uint64(width)
+    whole = high >= low
+    q = _U64_MAX // d
+    inside = whole & (high <= q)
+    return inside, inside | (whole & (low > q))
+
+
+def _exact_box(eng: _FloorEngine, j: int, d: np.ndarray,
+               n: np.ndarray) -> np.ndarray:
+    ds = d.tolist()
+    ts = [a * b for a, b in zip(ds, n.tolist())]
+    return np.array([f % a == 0 for f, a in zip(eng.floors(j, ts), ds)],
+                    dtype=bool)
+
+
+def _box_hits(plan: list, eng: _FloorEngine, d: np.ndarray, n: np.ndarray,
+              fast_len: list, tally: list) -> np.ndarray:
+    """Indices i with floor(a_j t^(m_j) + g_j(t)) ≡ 0 (mod d_i), t = d_i n_i,
+    for every j.
+
+    Coordinates run in order, each on the pairs that passed the ones
+    before.  In coordinate j the pairs i < fast_len[j] take the threshold
+    test; the rest, and the pairs it leaves open, take the exact floor.
+    tally accumulates [box tests decided, exact fallbacks].
+    """
+    idx = np.arange(n.size)
+    for j, fast in enumerate(plan):
+        if not idx.size:
+            break
+        dj, nj = d[idx], n[idx]
+        if fast is None:
+            hit = _exact_box(eng, j, dj, nj)
+        else:
+            k = int(np.searchsorted(idx, fast_len[j]))
+            hit = np.empty(idx.size, dtype=bool)
+            hit[:k], decided = _threshold(dj[:k], nj[:k], *fast)
+            open_ = np.flatnonzero(~decided)
+            if k < idx.size:
+                open_ = np.concatenate((open_, np.arange(k, idx.size)))
+            tally[0] += idx.size - open_.size
+            if open_.size:
+                tally[1] += open_.size
+                hit[open_] = _exact_box(eng, j, dj[open_], nj[open_])
+        idx = idx[hit]
+    return idx
+
+
 def inner_count(problem: ProblemSpec, d: int, x: int, *,
-                _engine: Optional[_FloorEngine] = None) -> int:
+                _plan: Optional[list] = None,
+                _engine: Optional[_FloorEngine] = None,
+                _tally: Optional[list] = None) -> int:
     """Count n ≤ x/d whose scaled fractional vector lands in [0, 1/d)^k,
     that is, with floor(a_j (dn)^{m_j} + g_j(dn)) ≡ 0 (mod d) for every j.
 
-    The n run in blocks (memory stays flat in x); within a block the
-    coordinates run in order, each on the n that passed the ones before.
+    The n run in blocks of _BLOCK (memory stays flat in x) through
+    `_box_hits`: the 64-bit threshold test {a_j S} < 1/d decides each
+    pair it can, and the certified floor the rest.  _tally, when given,
+    accumulates [box tests decided, exact fallbacks].
     """
     if d < 1:
         raise InvalidSpec("d must be >= 1")
@@ -468,23 +551,52 @@ def inner_count(problem: ProblemSpec, d: int, x: int, *,
         return 0
     if d == 1:
         return nmax
+    plan = _plan if _plan is not None else _fast_plan(problem)
     eng = _engine if _engine is not None else _FloorEngine(problem, x)
+    tally = _tally if _tally is not None else [0, 0]
+    caps = [_s_cap(d ** (m - 1), m) if d <= _D_LIMIT else 0
+            for m in problem.ms]
     cnt = 0
-    for start in range(d, nmax * d + 1, d * _BLOCK):
-        ts = range(start, min(start + d * _BLOCK, nmax * d + 1), d)
-        for j in range(problem.k):
-            ts = [t for t, f in zip(ts, eng.floors(j, ts)) if f % d == 0]
-        cnt += len(ts)
+    for lo in range(1, nmax + 1, _BLOCK):
+        n = np.arange(lo, min(lo + _BLOCK, nmax + 1), dtype=np.uint64)
+        fast_len = [min(max(cap - lo + 1, 0), n.size) for cap in caps]
+        dd = np.full(n.size, d, dtype=np.uint64)
+        cnt += _box_hits(plan, eng, dd, n, fast_len, tally).size
     return cnt
+
+
+def _large_d_sum(problem: ProblemSpec, plan: list, eng: _FloorEngine,
+                 mu: np.ndarray, r: int, x: int, tally: list) -> int:
+    """Sum of mu(d) * inner_count(problem, d, x) over r < d < mu.size, as
+    one pass per n ≤ x/(r+1) over the d in (r, x/n], in _BLOCK slices
+    of the mu table."""
+    total = 0
+    for n in range(1, x // (r + 1) + 1):
+        top = min(x // n, mu.size - 1)
+        caps = [_s_cap(n ** m, m - 1) for m in problem.ms]
+        for lo in range(r + 1, top + 1, _BLOCK):
+            sign = mu[lo:min(lo + _BLOCK, top + 1)]
+            pos = np.flatnonzero(sign)
+            d = pos.astype(np.uint64) + np.uint64(lo)
+            fast_len = [int(np.searchsorted(d, cap, side="right"))
+                        for cap in caps]
+            nn = np.full(d.size, n, dtype=np.uint64)
+            hits = _box_hits(plan, eng, d, nn, fast_len, tally)
+            total += int(sign[pos[hits]].sum())
+    return total
 
 
 def mobius_count(problem: ProblemSpec, x: int,
                  d_cutoff: Optional[int] = None) -> CountResult:
     """N(x) through the divisor decomposition: sum of mu(d) * inner_count.
 
-    With no cutoff this is an exact identity with direct_count; with a
-    cutoff it is the truncation of that sum (reported as such, and it may
-    leave the [0, x] range — only the full sum is a genuine count).
+    The (d, n) pairs split at r = isqrt(x), as in Dirichlet's hyperbola
+    method: each d ≤ r is one `inner_count` over n ≤ x/d, and the d > r
+    are swept per n ≤ x/(r+1).  stats counts box tests the way
+    direct_count counts floors.  With no cutoff this is an exact
+    identity with direct_count; with a cutoff it is the truncation of
+    that sum (reported as such, and it may leave the [0, x] range — only
+    the full sum is a genuine count).
     """
     if x < 1:
         raise InvalidSpec("x must be >= 1")
@@ -493,15 +605,19 @@ def mobius_count(problem: ProblemSpec, x: int,
     start = time.perf_counter()
     depth = d_cutoff if d_cutoff is not None else x
     mu = mobius_sieve(depth)
+    plan = _fast_plan(problem)
     eng = _FloorEngine(problem, x)
+    tally = [0, 0]
+    r = math.isqrt(x)
     total = 0
-    for d in range(1, depth + 1):
-        sign = int(mu[d])
-        if sign:
-            total += sign * inner_count(problem, d, x, _engine=eng)
+    for d in np.flatnonzero(mu[:r + 1]).tolist():
+        total += int(mu[d]) * inner_count(problem, d, x, _plan=plan,
+                                          _engine=eng, _tally=tally)
+    if depth > r:
+        total += _large_d_sum(problem, plan, eng, mu, r, x, tally)
     return CountResult(x, total, "mobius", d_cutoff,
                        time.perf_counter() - start,
-                       FloorStats(exact_coords=problem.k))
+                       FloorStats(tally[0], tally[1], plan.count(None)))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,8 @@ def test_cf_multiplier_parses_and_meets_the_irrationality_check():
 def test_count_and_density_report_engine_counters():
     stats = run_config(count_config(x="5000"))["meta"]["stats"]
     assert stats["fast_floors"] > 0 and stats["exact_coords"] == 0
+    mob = run_config(count_config(x="5000", method="mobius"))["meta"]["stats"]
+    assert mob["fast_floors"] > 0 and mob["exact_coords"] == 0
     raw = {"command": "density", "alphas": f"{SQRT2},{SQRT3}", "ms": "1,2",
            "lower_2": "1/2", "grid": "100,200,400"}
     assert run_config(raw)["meta"]["stats"]["exact_coords"] == 1

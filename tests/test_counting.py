@@ -20,6 +20,7 @@ from beattysieve.counting import (
     ProblemSpec,
     _fit_loglog,
     _mul_hi,
+    _s_cap,
     coordinate_form,
     dec_str,
     density_experiment,
@@ -286,6 +287,24 @@ def test_mobius_truncation_is_a_partial_sum():
     partial = mobius_count(p, 200, d_cutoff=10).count
     recon = sum(int(mu[d]) * inner_count(p, d, 200) for d in range(1, 11))
     assert partial == recon
+    # isqrt(1000) = 31: the d past the split are swept per n, the rest
+    # are inner_count calls
+    pair = ProblemSpec((sqrt2(), sqrt3()), (1, 2))
+    mu = mobius_sieve(1000)
+    inner = [0] + [int(mu[d]) * inner_count(pair, d, 1000)
+                   for d in range(1, 1001)]
+    for cutoff in (30, 31, 32, 100, 1000):
+        assert mobius_count(pair, 1000, d_cutoff=cutoff).count \
+            == sum(inner[:cutoff + 1])
+
+
+# r^2 - 1, r^2 and r^2 + r around the split at isqrt(x); x/d straddles
+# _BLOCK at d = 1 for r = 64, at d = 2 for r = 91 and at d = 3 for r = 111
+@pytest.mark.parametrize("x", [r * r + e for r in (64, 91, 111)
+                               for e in (-1, 0, r)])
+def test_mobius_equals_direct_at_the_split_edges(x):
+    p = ProblemSpec((sqrt2(), sqrt3()), (1, 2))
+    assert mobius_count(p, x).count == direct_count(p, x).count
 
 
 def test_liouville_routes_agree():
@@ -464,10 +483,32 @@ def test_rational_multipliers_fall_back_to_the_exact_engine():
                        ((Rational(1, 3), Rational(2, 7)), (1, 2)),
                        ((Rational(2, 7), Rational(-5, 3)), (1, 3))):
         p = ProblemSpec.unchecked(alphas, ms)
-        res = direct_count(p, 2000)
-        assert res.stats.exact_fallbacks > 0
-        assert res.stats.fast_floors > 0
-        assert res.count == exact_reference_count(p, 2000)
+        want = exact_reference_count(p, 2000)
+        # on the Moebius side a phase {aS} lands exactly on 1/d, as
+        # {n/3} = 1/3 at d = 3 for n ≡ 1 (mod 3)
+        for res in (direct_count(p, 2000), mobius_count(p, 2000)):
+            assert res.stats.exact_fallbacks > 0
+            assert res.stats.fast_floors > 0
+            assert res.count == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeff=st.integers(1, 2**62), power=st.integers(0, 5))
+def test_s_cap_is_the_largest_value_below_2_61(coeff, power):
+    # S = coeff * v^power must stay below 2^61, and d below 2^32
+    v = _s_cap(coeff, power)
+    assert 0 <= v < 2**32
+    assert v == 0 or coeff * v**power < 2**61
+    assert v == 2**32 - 1 or coeff * (v + 1) ** power >= 2**61
+
+
+def test_mobius_box_tests_past_the_s_cap_fall_back():
+    # for m = 4, d^3 n^4 reaches 2^61 at d = 2, n = 23171: those box
+    # tests take the exact floor
+    p = ProblemSpec((sqrt2(), sqrt3(), golden_ratio()), (1, 2, 4))
+    res = mobius_count(p, 10**5)
+    assert res.stats.exact_fallbacks > 0 and res.stats.exact_coords == 0
+    assert res.count == direct_count(p, 10**5).count
 
 
 @pytest.mark.parametrize("x", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
@@ -500,7 +541,13 @@ def test_engine_counters():
     # stated digits below 64 bits keep the coordinate on the exact engine
     dec = ProblemSpec.unchecked((DecimalLiteral("1.41421356", 8),), (1,))
     assert direct_count(dec, 100).stats == FloorStats(0, 0, 1)
-    assert mobius_count(lower, 100).stats.exact_coords == 2
+    # the Moebius route counts box tests: only the coordinate with
+    # lower-order terms is exact-only, on the survivors of coordinate 0
+    mob = mobius_count(lower, 100).stats
+    assert mob.exact_coords == 1 and mob.fast_floors > 0
+    pair_mob = mobius_count(ProblemSpec((sqrt2(), sqrt3()), (1, 2)), 5000)
+    assert pair_mob.stats.exact_coords == 0
+    assert pair_mob.stats.fast_floors > 5000
 
 
 _NONSQUARES = [d for d in range(2, 31) if math.isqrt(d) ** 2 != d]
@@ -539,6 +586,9 @@ def _problems(draw):
 def test_direct_kernel_agrees_with_the_exact_routes(problem, x):
     direct = direct_count(problem, x).count
     assert direct == mobius_count(problem, x).count
+    # both fast routes read the same 64-bit bracket of each multiplier;
+    # the per-n certified floors do not
+    assert direct == exact_reference_count(problem, x)
     surds_only = all(isinstance(a, QuadraticSurd) for a in problem.alphas)
     rational_lower = all(isinstance(c, Rational)
                          for low in problem.lower_terms if low for c in low)
