@@ -18,7 +18,7 @@ Config schema (lines of key=value; blank lines and #-comments ignored):
   lower_<j>     lower-order coefficients for coordinate j >= 2, constant
                 first, e.g. lower_2=1/2,surd:(0+1*sqrt(2))/1
   workers       positive integer (count/density only), default 1
-  seed          integer for randomized sub-sampling, default 0
+  seed          integer >= 0 for randomized sub-sampling, default 0
 
   count:        x=; method=direct|mobius (default direct); d_cutoff=
   density:      grid=comma ints (>= 3); tau= (exact, optional)
@@ -36,6 +36,9 @@ Config schema (lines of key=value; blank lines and #-comments ignored):
                 reciprocal: alpha=, k=, n=, q= (optional)
                 monotone:   u=, v=, m_max=, variant=u_over_v|v_over_u
 
+The float keys (c, window_exponent, eps) must be finite: nan and inf
+are refused, since a report cannot carry them as JSON numbers.
+
 Real-number descriptions: plain rationals ("1/2", "0.25") or prefixed
 forms rat:p/q, surd:(a+b*sqrt(d))/c, cf:[a0;a1,...], dec:digits:places,
 liouville:base=B,rule=poly|exp,tau|theta=T,c1=C,depth=D.
@@ -52,6 +55,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -188,9 +192,12 @@ class _Config:
         if val is None:
             return None
         try:
-            return float(str(val))
+            out = float(str(val))
         except ValueError:
             raise ConfigError(f"{key!r} must be a number, got {val!r}")
+        if not math.isfinite(out):
+            raise ConfigError(f"{key!r} must be finite, got {val!r}")
+        return out
 
     def int_list(self, key, required=False):
         val = self._take(key, None, required)
@@ -447,7 +454,7 @@ def run_config(raw: dict, *, workers: Optional[int] = None) -> dict:
     cfg = _Config(raw)
     command = cfg.str_("command", required=True, choices=set(_COMMANDS))
     cfg_workers = cfg.int_("workers", 1, minimum=1)
-    seed = cfg.int_("seed", 0)
+    seed = cfg.int_("seed", 0, minimum=0)
     if workers is None:
         workers = cfg_workers
     elif workers < 1:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateFit, InsufficientData, InvalidSpec, \
     PrecisionExhausted, ResourceLimit
-from .realnum import DEFAULT_MAX_BITS, Interval, LinearForm, _iroot, as_spec
+from .realnum import Interval, LinearForm, _iroot, as_spec
 
 ExactLike = Union[int, Fraction, str]
 
@@ -236,7 +236,7 @@ def mobius_sieve(limit: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# coordinate forms and the floor engine shared by the counting loops
+# coordinate forms
 
 
 def coordinate_form(problem: ProblemSpec, j: int, d: int = 1,
@@ -265,41 +265,14 @@ def coordinate_form(problem: ProblemSpec, j: int, d: int = 1,
     return LinearForm(terms)
 
 
-class _FloorEngine:
-    """The floor form of every coordinate, bracketed once at a precision
-    shared by all t <= t_max.  That bracket decides almost every floor
-    inline; the rest (the value sits within ~2^-60 of an integer, or the
-    form is exact) go to the form's own certified floor."""
-
-    def __init__(self, problem: ProblemSpec, t_max: int):
-        self.forms = [coordinate_form(problem, j) for j in range(problem.k)]
-        prec = min(64 + problem.ms[-1] * max(t_max, 1).bit_length() + 8,
-                   DEFAULT_MAX_BITS)
-        self.rows = [None if form._exact is not None else form._rows(prec)
-                     for form in self.forms]
-
-    def floor(self, j: int, t: int) -> int:
-        try:
-            return self.forms[j].floor(t)
-        except PrecisionExhausted as exc:
-            exc.term = j
-            raise
-
-    def floors(self, j: int, ts) -> list:
-        """floor(a_j t^(m_j) + g_j(t)) for every t in ts."""
-        if self.rows[j] is None:
-            return [self.floor(j, t) for t in ts]
-        pe, rows = self.rows[j]
-        out = []
-        for t in ts:
-            lo = hi = 0
-            for a, b, e in rows:
-                w = t ** e
-                lo += a * w
-                hi += b * w
-            f = lo >> pe
-            out.append(f if hi >> pe == f else self.floor(j, t))
-        return out
+def _floors(forms: list, j: int, ts: list) -> list:
+    """Certified floors of coordinate j at every t in ts; a precision
+    failure names the coordinate."""
+    try:
+        return list(forms[j].floors(ts))
+    except PrecisionExhausted as exc:
+        exc.term = j
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +330,13 @@ def _fast_residues(t: np.ndarray, m: int, lo64: int, width: int):
     return res.astype(np.int64), decided
 
 
-def _exact_residues(eng: _FloorEngine, j: int, t: np.ndarray) -> np.ndarray:
+def _exact_residues(forms: list, j: int, t: np.ndarray) -> np.ndarray:
     ts = t.tolist()
-    return np.array([f % v for f, v in zip(eng.floors(j, ts), ts)],
+    return np.array([f % v for f, v in zip(_floors(forms, j, ts), ts)],
                     dtype=np.int64)
 
 
-def _coprime_block(plan: list, eng: _FloorEngine, n_lo: int, n_hi: int,
+def _coprime_block(plan: list, forms: list, n_lo: int, n_hi: int,
                    tally: list):
     """Boolean mask of n in [n_lo, n_hi] with gcd(n, floor terms) = 1.
 
@@ -378,14 +351,14 @@ def _coprime_block(plan: list, eng: _FloorEngine, n_lo: int, n_hi: int,
             break
         t = n[idx]
         if fast is None:
-            res = _exact_residues(eng, j, t)
+            res = _exact_residues(forms, j, t)
         else:
             res, decided = _fast_residues(t, *fast)
             open_ = np.flatnonzero(~decided)
             tally[0] += idx.size - open_.size
             if open_.size:
                 tally[1] += open_.size
-                res[open_] = _exact_residues(eng, j, t[open_])
+                res[open_] = _exact_residues(forms, j, t[open_])
         g[idx] = np.gcd(g[idx], res)
     return g == 1
 
@@ -394,14 +367,14 @@ def _direct_chunk(args):
     """Prefix counts at each cut for the n in [n_lo, n_hi], plus the
     kernel's [fast floors, exact fallbacks]."""
     problem, plan, n_lo, n_hi, cuts = args
-    eng = _FloorEngine(problem, n_hi)
+    forms = [coordinate_form(problem, j) for j in range(problem.k)]
     tally = [0, 0]
     counts = [0] * len(cuts)
     i = bisect.bisect_left(cuts, n_lo)
     total = 0
     for b_lo in range(n_lo, n_hi + 1, _BLOCK):
         b_hi = min(b_lo + _BLOCK - 1, n_hi)
-        ok = _coprime_block(plan, eng, b_lo, b_hi, tally)
+        ok = _coprime_block(plan, forms, b_lo, b_hi, tally)
         while i < len(cuts) and cuts[i] <= b_hi:
             counts[i] = total + int(np.count_nonzero(ok[:cuts[i] - b_lo + 1]))
             i += 1
@@ -490,15 +463,15 @@ def _threshold(d: np.ndarray, n: np.ndarray, m: int, lo64: int, width: int):
     return inside, inside | (whole & (low > q))
 
 
-def _exact_box(eng: _FloorEngine, j: int, d: np.ndarray,
+def _exact_box(forms: list, j: int, d: np.ndarray,
                n: np.ndarray) -> np.ndarray:
     ds = d.tolist()
     ts = [a * b for a, b in zip(ds, n.tolist())]
-    return np.array([f % a == 0 for f, a in zip(eng.floors(j, ts), ds)],
+    return np.array([f % a == 0 for f, a in zip(_floors(forms, j, ts), ds)],
                     dtype=bool)
 
 
-def _box_hits(plan: list, eng: _FloorEngine, d: np.ndarray, n: np.ndarray,
+def _box_hits(plan: list, forms: list, d: np.ndarray, n: np.ndarray,
               fast_len: list, tally: list) -> np.ndarray:
     """Indices i with floor(a_j t^(m_j) + g_j(t)) ≡ 0 (mod d_i), t = d_i n_i,
     for every j.
@@ -514,7 +487,7 @@ def _box_hits(plan: list, eng: _FloorEngine, d: np.ndarray, n: np.ndarray,
             break
         dj, nj = d[idx], n[idx]
         if fast is None:
-            hit = _exact_box(eng, j, dj, nj)
+            hit = _exact_box(forms, j, dj, nj)
         else:
             k = int(np.searchsorted(idx, fast_len[j]))
             hit = np.empty(idx.size, dtype=bool)
@@ -525,14 +498,14 @@ def _box_hits(plan: list, eng: _FloorEngine, d: np.ndarray, n: np.ndarray,
             tally[0] += idx.size - open_.size
             if open_.size:
                 tally[1] += open_.size
-                hit[open_] = _exact_box(eng, j, dj[open_], nj[open_])
+                hit[open_] = _exact_box(forms, j, dj[open_], nj[open_])
         idx = idx[hit]
     return idx
 
 
 def inner_count(problem: ProblemSpec, d: int, x: int, *,
                 _plan: Optional[list] = None,
-                _engine: Optional[_FloorEngine] = None,
+                _forms: Optional[list] = None,
                 _tally: Optional[list] = None) -> int:
     """Count n ≤ x/d whose scaled fractional vector lands in [0, 1/d)^k,
     that is, with floor(a_j (dn)^{m_j} + g_j(dn)) ≡ 0 (mod d) for every j.
@@ -552,7 +525,8 @@ def inner_count(problem: ProblemSpec, d: int, x: int, *,
     if d == 1:
         return nmax
     plan = _plan if _plan is not None else _fast_plan(problem)
-    eng = _engine if _engine is not None else _FloorEngine(problem, x)
+    forms = _forms if _forms is not None else \
+        [coordinate_form(problem, j) for j in range(problem.k)]
     tally = _tally if _tally is not None else [0, 0]
     caps = [_s_cap(d ** (m - 1), m) if d <= _D_LIMIT else 0
             for m in problem.ms]
@@ -561,11 +535,11 @@ def inner_count(problem: ProblemSpec, d: int, x: int, *,
         n = np.arange(lo, min(lo + _BLOCK, nmax + 1), dtype=np.uint64)
         fast_len = [min(max(cap - lo + 1, 0), n.size) for cap in caps]
         dd = np.full(n.size, d, dtype=np.uint64)
-        cnt += _box_hits(plan, eng, dd, n, fast_len, tally).size
+        cnt += _box_hits(plan, forms, dd, n, fast_len, tally).size
     return cnt
 
 
-def _large_d_sum(problem: ProblemSpec, plan: list, eng: _FloorEngine,
+def _large_d_sum(problem: ProblemSpec, plan: list, forms: list,
                  mu: np.ndarray, r: int, x: int, tally: list) -> int:
     """Sum of mu(d) * inner_count(problem, d, x) over r < d < mu.size, as
     one pass per n ≤ x/(r+1) over the d in (r, x/n], in _BLOCK slices
@@ -581,7 +555,7 @@ def _large_d_sum(problem: ProblemSpec, plan: list, eng: _FloorEngine,
             fast_len = [int(np.searchsorted(d, cap, side="right"))
                         for cap in caps]
             nn = np.full(d.size, n, dtype=np.uint64)
-            hits = _box_hits(plan, eng, d, nn, fast_len, tally)
+            hits = _box_hits(plan, forms, d, nn, fast_len, tally)
             total += int(sign[pos[hits]].sum())
     return total
 
@@ -606,15 +580,15 @@ def mobius_count(problem: ProblemSpec, x: int,
     depth = d_cutoff if d_cutoff is not None else x
     mu = mobius_sieve(depth)
     plan = _fast_plan(problem)
-    eng = _FloorEngine(problem, x)
+    forms = [coordinate_form(problem, j) for j in range(problem.k)]
     tally = [0, 0]
     r = math.isqrt(x)
     total = 0
     for d in np.flatnonzero(mu[:r + 1]).tolist():
         total += int(mu[d]) * inner_count(problem, d, x, _plan=plan,
-                                          _engine=eng, _tally=tally)
+                                          _forms=forms, _tally=tally)
     if depth > r:
-        total += _large_d_sum(problem, plan, eng, mu, r, x, tally)
+        total += _large_d_sum(problem, plan, forms, mu, r, x, tally)
     return CountResult(x, total, "mobius", d_cutoff,
                        time.perf_counter() - start,
                        FloorStats(tally[0], tally[1], plan.count(None)))

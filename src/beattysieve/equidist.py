@@ -99,10 +99,9 @@ def nu_sequence(problem: ProblemSpec, d: int, N: int) -> PointSet:
     forms = [coordinate_form(problem, j, d) for j in range(problem.k)]
     pts = np.empty((N, problem.k), dtype=np.float64)
     err = 2.0 ** -52
-    for n in range(1, N + 1):
-        for j, form in enumerate(forms):
-            frac, e = form.frac_unit(n)
-            pts[n - 1, j] = frac
+    for j, form in enumerate(forms):
+        for i, (frac, e) in enumerate(form.frac_units(range(1, N + 1))):
+            pts[i, j] = frac
             err = max(err, e)
     return PointSet(problem.k, pts,
                     {"kind": "scaled_fracs", "problem": problem.describe(),
@@ -374,7 +373,7 @@ def weyl_sum(problem: ProblemSpec, d: int, hvec: Sequence[int],
         raise InvalidSpec("the frequency vector must be nonzero")
     lf = LinearForm([term for j, h in enumerate(hvec)
                      for term in coordinate_form(problem, j, d, h).terms])
-    phases = [lf.phase_frac(n)[0] for n in range(1, N + 1)]
+    phases = [frac for frac, _ in lf.phase_fracs(range(1, N + 1))]
     return WeylSum(_cis_sum(phases), N * _TERM_ERR, N)
 
 
@@ -428,7 +427,7 @@ def _phases_for_poly(spec, m: int, h: int, N: int, lower_poly) -> list:
         raise InvalidSpec("lower polynomial degree must stay below m")
     lf = LinearForm([(spec, h, m)] + [(c, 1, e)
                                       for e, c in enumerate(lower_poly)])
-    return [lf.phase_frac(n)[0] for n in range(1, N + 1)]
+    return [frac for frac, _ in lf.phase_fracs(range(1, N + 1))]
 
 
 def weyl_bound_report(spec: SpecLike, m: int, h: int, N: int,

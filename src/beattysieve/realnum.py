@@ -8,15 +8,18 @@ dyadic interval certificate or raises; nothing is silently rounded.
 
 The workhorse primitive is ``spec.bounds(prec)``: integers (lo, hi) with
 lo <= value * 2**prec <= hi and hi - lo <= 2.  One kernel turns it into
-answers: ``LinearForm`` brackets sum_i spec_i * c_i * t**e_i at an
-integer t, and every certified question (floors, fractional-part tests
-and values, phases, nearest-integer distances, partial quotients) is a
-verdict over that bracket.  A verdict the bracket leaves open doubles the
-precision, from a start of 64 + the bit length of the scale, up to the
-fixed ceiling of DEFAULT_MAX_BITS = 2**20 bits; a decimal literal stops
-the doubling at its stated digits.  Either way PrecisionExhausted names
-what ran out: the literal and its bits, or the ceiling.  Forms whose
-coefficients are all exact rationals are decided exactly.
+answers: ``LinearForm`` brackets sum_i spec_i * c_i * t**e_i at integers
+t, and every certified question (floors, fractional-part tests and
+values, phases, nearest-integer distances, partial quotients) is a
+verdict over that bracket.  One loop, ``LinearForm._decide``, takes a
+batch of t and yields one verdict per t; ``floors``, ``frac_units`` and
+``phase_fracs`` serve the many-t callers, and the one-t questions pass a
+batch of one.  A verdict the bracket leaves open doubles the precision
+of that t alone, from a start of 64 + the bit length of the scale, up to
+the fixed ceiling of DEFAULT_MAX_BITS = 2**20 bits; a decimal literal
+stops the doubling at its stated digits.  Either way PrecisionExhausted
+names what ran out: the literal and its bits, or the ceiling.  Forms
+whose coefficients are all exact rationals are decided exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, groupby
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidSpec, PrecisionExhausted
@@ -421,10 +425,10 @@ def parse_real(text: str) -> RealSpec:
         for item in body.split(","):
             key, _, val = item.partition("=")
             fields[key.strip()] = val.strip()
+        rule = fields.get("rule", "poly")
         try:
-            rule = fields.get("rule", "poly")
             param = Fraction(fields["tau" if rule == "poly" else "theta"])
-            return LiouvilleSeries(
+            series = LiouvilleSeries(
                 base=int(fields.get("base", 2)),
                 rule=rule,
                 param=param,
@@ -434,6 +438,13 @@ def parse_real(text: str) -> RealSpec:
             )
         except (KeyError, ValueError) as exc:
             raise InvalidSpec(f"bad liouville form {body!r}") from exc
+        read = {"base", "rule", "c1", "depth"} | (
+            {"tau"} if rule == "poly" else {"theta", "beta"})
+        for key in fields:
+            if key not in read:
+                raise InvalidSpec(
+                    f"liouville field {key!r} is not read with rule={rule}")
+        return series
     raise InvalidSpec(f"unknown real-number form {text!r}")
 
 
@@ -469,10 +480,6 @@ def as_spec(value: SpecLike) -> RealSpec:
 # the certified-evaluation kernel
 
 
-def _start_prec(scale: int) -> int:
-    return 64 + max(scale, 1).bit_length()
-
-
 def _unit_float(r: int, width: int, unit: int):
     """(r / unit as a float below 1, width / unit + 2**-52): a fractional
     part in [0, 1) known to within `width` units, and its error bound."""
@@ -489,10 +496,11 @@ class LinearForm:
     Every certified question the package asks (floors, fractional-part
     tests and values, phases mod 1, nearest-integer distances, partial
     quotients) is a verdict over the form's bracket: integers lo <= hi
-    with lo <= value * 2**pe <= hi.  Brackets are built from each spec's
-    `bounds` and cached on the form per precision; every term is taken at
-    pe = min(prec, cap), where cap is the smallest max_prec() among the
-    terms, so a form is only as fine as its coarsest literal.
+    with lo <= value * 2**pe <= hi, which `_decide` sums at each t of a
+    batch.  Brackets are built from each spec's `bounds` and cached on the
+    form per precision; every term is taken at pe = min(prec, cap), where
+    cap is the smallest max_prec() among the terms, so a form is only as
+    fine as its coarsest literal.
 
     `_escalate` is the one precision policy: a verdict the bracket leaves
     open doubles the precision, up to DEFAULT_MAX_BITS; once the coarsest
@@ -534,7 +542,7 @@ class LinearForm:
 
     def _start(self, t: int) -> int:
         biggest = max([abs(c) * t ** e for _, c, e in self.terms], default=1)
-        return _start_prec(biggest * max(len(self.terms), 1))
+        return 64 + max(biggest * len(self.terms), 1).bit_length()
 
     def _value(self, t: int) -> Fraction:
         """The exact value at t of a form whose coefficients are all exact."""
@@ -557,32 +565,36 @@ class LinearForm:
                 f"ceiling", spec=self.terms[0][0], scale=t, n=t, bits=prec)
         return min(2 * prec, DEFAULT_MAX_BITS)
 
-    def _decide(self, t: int, prec: int, need: str, verdict):
-        """verdict(lo, hi, pe) on the bracket at t, escalating from prec
-        until it returns something other than None."""
-        powers = [t ** e for _, _, e in self.terms]
-        while True:
-            pe, rows = self._rows(prec)
+    def _decide(self, ts, prec: int, need: str, verdict):
+        """Yield verdict(lo, hi, pe) on the bracket at each t in ts, every
+        t started at prec; a t whose verdict is None is decided on its own,
+        as a batch of one at the next precision `_escalate` allows."""
+        pe, rows = self._rows(prec)
+        for t in ts:
             lo = hi = 0
-            for (a, b, _), w in zip(rows, powers):
+            for a, b, e in rows:
+                w = t ** e
                 lo += a * w
                 hi += b * w
             answer = verdict(lo, hi, pe)
-            if answer is not None:
-                return answer
-            prec = self._escalate(t, prec, need)
+            if answer is None:
+                answer = next(self._decide(
+                    (t,), self._escalate(t, prec, need), need, verdict))
+            yield answer
 
     # -- verdicts ------------------------------------------------------------
 
-    def floor(self, t: int) -> int:
-        """Certified floor of the value at t."""
+    def floors(self, ts: Sequence[int]):
+        """Certified floor at each t in ts, lazily, every t started at the
+        largest t's precision: a floor does not depend on the precision."""
         if self._exact is not None:
-            return math.floor(self._value(t))
+            return (math.floor(self._value(t)) for t in ts)
 
         def verdict(lo, hi, pe):
             f = lo >> pe
             return f if hi >> pe == f else None
-        return self._decide(t, self._start(t), "floor", verdict)
+        return self._decide(ts, self._start(max(ts, default=0)), "floor",
+                            verdict)
 
     def frac_below(self, t: int, num: int, den: int) -> bool:
         """Certified test {value at t} < num/den (False at equality)."""
@@ -600,34 +612,37 @@ class LinearForm:
             if (lo - (f << pe)) * den >= num * unit:
                 return False
             return None
-        return self._decide(t, self._start(t), "fractional test", verdict)
+        return next(self._decide((t,), self._start(t), "fractional test",
+                                 verdict))
 
-    def frac_unit(self, t: int):
-        """Floor-certified fractional part at t as (float in [0,1), error
-        bound), the bracket no wider than 2^-60."""
+    def frac_units(self, ts):
+        """Floor-certified fractional part at each t in ts, lazily, as
+        (float in [0,1), error bound), the bracket no wider than 2^-60 and
+        started at _start(t), so no float depends on the other t."""
         if self._exact is not None:
-            exact = self._value(t)
-            fr = exact - math.floor(exact)
-            return _unit_float(fr.numerator, 0, fr.denominator)
+            return (_unit_float(v.numerator, 0, v.denominator)
+                    for v in (self._value(t) % 1 for t in ts))
 
         def verdict(lo, hi, pe):
             f = lo >> pe
             if hi >> pe == f and hi - lo <= 1 << max(pe - 60, 0):
                 return _unit_float(lo - (f << pe), hi - lo, 1 << pe)
             return None
-        return self._decide(t, self._start(t), "fractional part", verdict)
+        return chain.from_iterable(
+            self._decide(run, prec, "fractional part", verdict)
+            for prec, run in groupby(ts, self._start))
 
-    def phase_frac(self, t: int):
-        """Fractional part mod 1 for phases: no floor certificate needed.
-
-        Returns (float in [0,1), absolute error bound valid modulo 1), the
-        bracket no wider than 2^-64.
-        """
+    def phase_fracs(self, ts):
+        """(float in [0,1), error bound valid modulo 1) at each t in ts,
+        lazily: the fractional part for phases, with no floor certificate,
+        the bracket no wider than 2^-64 and started at max(_start(t), 68)."""
         def verdict(lo, hi, pe):
             if hi - lo <= 1 << max(pe - 64, 0):
                 return _unit_float(lo % (1 << pe), hi - lo, 1 << pe)
             return None
-        return self._decide(t, max(self._start(t), 68), "phase", verdict)
+        return chain.from_iterable(
+            self._decide(run, prec, "phase", verdict)
+            for prec, run in groupby(ts, lambda t: max(self._start(t), 68)))
 
 
 @lru_cache(maxsize=256)
@@ -680,7 +695,7 @@ def floor_scaled(spec: RealSpec, scale: int) -> CertifiedFloor:
         pe = max(start, exact.denominator.bit_length())
         num, den = exact.numerator << pe, exact.denominator
         return verdict(num // den, -(-num // den), pe)
-    return form._decide(scale, start, "floor", verdict)
+    return next(form._decide((scale,), start, "floor", verdict))
 
 
 def frac_below(spec: RealSpec, scale: int, bound_num: int,
@@ -737,4 +752,5 @@ def dist_nearest_int(spec: RealSpec, scale: int, *,
         return Interval(Fraction(d_lo, unit), Fraction(d_hi, unit), pb)
 
     start = max(form._start(scale), bits + scale.bit_length() + 2)
-    return form._decide(scale, start, "nearest-integer distance", verdict)
+    return next(form._decide((scale,), start, "nearest-integer distance",
+                             verdict))

@@ -500,6 +500,24 @@ def test_main_resource_limit_exit_4(tmp_path, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+# a float that is not finite would reach the report as NaN or Infinity,
+# which is not JSON; a negative seed would reach numpy's generator
+@pytest.mark.parametrize("command, body, key", [
+    ("discrepancy", f"alphas={SQRT2}\nms=1\nn=100\nc=nan\n", "c"),
+    ("bounds", f"bound=poly_sum\nalpha={SQRT2}\nm=2\nh=1\nn=100\neps=inf\n",
+     "eps"),
+    ("dioph", f"alpha={SQRT2}\nmax_q=100\nwindow_q=100\nwindow_exponent=nan\n",
+     "window_exponent"),
+    ("discrepancy",
+     f"alphas={SQRT2},{SQRT3}\nms=1,2\nd=3\nn=1200\nh=2\nseed=-1\n", "seed"),
+], ids=["c_nan", "eps_inf", "window_exponent_nan", "negative_seed"])
+def test_main_refuses_values_a_report_cannot_carry(tmp_path, capsys, command,
+                                                   body, key):
+    cfg = write_config(tmp_path, f"command={command}\n{body}")
+    assert main([command, "--config", cfg]) == 2
+    assert f"config error: '{key}' must be" in capsys.readouterr().err
+
+
 def test_main_rejects_unknown_subcommand(tmp_path):
     cfg = write_config(tmp_path, "command=count\n")
     with pytest.raises(SystemExit) as exc:

@@ -90,7 +90,7 @@ def exact_reference_count(problem: ProblemSpec, x: int) -> int:
     for n in range(1, x + 1):
         g = n
         for form in forms:
-            g = math.gcd(g, form.floor(n))
+            g = math.gcd(g, next(form.floors([n])))
         if g == 1:
             total += 1
     return total
@@ -330,6 +330,16 @@ def test_precision_failure_names_the_literal_cap():
     assert lit.max_prec() == 24
 
 
+@pytest.mark.parametrize("route", [direct_count, mobius_count])
+def test_precision_failure_names_the_coordinate(route):
+    lit = DecimalLiteral("1.41421356", 8)
+    p = ProblemSpec.unchecked((sqrt3(), lit), (1, 2))
+    with pytest.raises(PrecisionExhausted, match="carries only 24 bits") \
+            as info:
+        route(p, 10**4)
+    assert (info.value.term, info.value.n, info.value.bits) == (1, 656, 24)
+
+
 _THIRD = Rational(1, 3)
 _ONE_AND_THIRD = ProblemSpec.unchecked((1, _THIRD), (1, 2))
 
@@ -341,9 +351,10 @@ _ONE_AND_THIRD = ProblemSpec.unchecked((1, _THIRD), (1, 2))
     (lambda: (floor_scaled(_THIRD, 3).certificate.lo,
               floor_scaled(_THIRD, 3).certificate.hi), (1, 1)),
     (lambda: frac_below(_THIRD, 3, 1, 2), True),
-    (lambda: LinearForm([(_THIRD, 1, 1)]).floor(3), 1),
+    (lambda: next(LinearForm([(_THIRD, 1, 1)]).floors([3])), 1),
     (lambda: LinearForm([(_THIRD, 1, 1)]).frac_below(3, 1, 2), True),
-    (lambda: LinearForm([(_THIRD, 1, 1)]).frac_unit(3), (0.0, 2.0 ** -52)),
+    (lambda: next(LinearForm([(_THIRD, 1, 1)]).frac_units([3])),
+     (0.0, 2.0 ** -52)),
     (lambda: inner_count(_ONE_AND_THIRD, 3, 30), 10),
     (lambda: frac_inner_count(_ONE_AND_THIRD, 3, 30), 10),
     (lambda: nu_sequence(ProblemSpec.unchecked((_THIRD,), (1,)), 1, 3)
@@ -361,10 +372,10 @@ _LIT = DecimalLiteral("1.41421356", 8)     # 24 bits; undecided at 5741
 @pytest.mark.parametrize("verdict", [
     lambda: floor_scaled(_LIT, 5741),
     lambda: frac_below(_LIT, 5741, 1, 2),
-    lambda: LinearForm([(_LIT, 1, 1)]).floor(5741),
+    lambda: next(LinearForm([(_LIT, 1, 1)]).floors([5741])),
     lambda: LinearForm([(_LIT, 1, 1)]).frac_below(5741, 1, 2),
-    lambda: LinearForm([(_LIT, 1, 1)]).frac_unit(5741),
-    lambda: LinearForm([(_LIT, 1, 1)]).phase_frac(5741),
+    lambda: next(LinearForm([(_LIT, 1, 1)]).frac_units([5741])),
+    lambda: next(LinearForm([(_LIT, 1, 1)]).phase_fracs([5741])),
     lambda: convergents(_LIT, 10**9),
     lambda: direct_count(ProblemSpec.unchecked((_LIT,), (1,)), 10**4),
     lambda: mobius_count(ProblemSpec.unchecked((_LIT,), (1,)), 10**4),

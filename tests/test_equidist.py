@@ -1,7 +1,9 @@
 """Point sets, discrepancy (exact / lower / upper), exponential sums."""
 
 import cmath
+import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +16,7 @@ from beattysieve.counting import ProblemSpec
 from beattysieve.dioph import convergents
 from beattysieve.equidist import (
     DiscrepancyReport,
+    _phases_for_poly,
     PointSet,
     WeylBoundReport,
     discrepancy_box_lower,
@@ -78,6 +81,38 @@ def test_nu_sequence_includes_lower_terms():
     ps = nu_sequence(p, 1, 3)
     want = [(math.sqrt(3) * n * n + 0.5) % 1 for n in (1, 2, 3)]
     assert np.allclose(ps.points[:, 1], want, atol=1e-12)
+
+
+# The stored doubles of two point sets and two phase lists, pinned by
+# SHA-256: a change to how the kernel reaches a verdict may not move them.
+_LOWER = ProblemSpec((sqrt2(), golden_ratio()), (1, 3),
+                     lower_terms=((), ("1/2", sqrt3())))
+
+
+@pytest.mark.parametrize("problem, d, digest, coord_error", [
+    (ProblemSpec((sqrt2(), sqrt3()), (1, 2)), 3,
+     "002950aad0f968815d218b358c267922aad4c78b3451c83b82d3551d384841f0",
+     2.220988030395367e-16),
+    (_LOWER, 2,
+     "f33c87c22827629ecd6346d6609e71143b8837d3a5cccfca5a7dd753a9813cf1",
+     2.220987620940964e-16),
+], ids=["k2_d3", "lower_terms"])
+def test_nu_sequence_doubles_are_pinned(problem, d, digest, coord_error):
+    ps = nu_sequence(problem, d, 2000)
+    assert hashlib.sha256(ps.points.tobytes()).hexdigest() == digest
+    assert ps.coord_error == coord_error
+
+
+@pytest.mark.parametrize("args, digest", [
+    ((sqrt2(), 2, 3, 2000, ()),
+     "7d8a47eaf25fd7479ab43341faffcfe5cb3f67e08c813d7daa84bdb31cc18546"),
+    ((golden_ratio(), 3, 2, 2000, ("1/2", sqrt3())),
+     "fac21a353494d234deac716e602df2a888fa42353b81080098198465f1714a45"),
+], ids=["sqrt2_m2", "lower_terms"])
+def test_phases_are_pinned(args, digest):
+    phases = _phases_for_poly(*args)
+    packed = struct.pack(f"<{len(phases)}d", *phases)
+    assert hashlib.sha256(packed).hexdigest() == digest
 
 
 # --- exact one-dimensional discrepancy ----------------------------------------------

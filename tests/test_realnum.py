@@ -199,7 +199,7 @@ def test_the_ceiling_stops_a_form_on_a_huge_t():
     with pytest.raises(PrecisionExhausted,
                        match="at a 65537-bit t within the 1048576-bit "
                              "ceiling") as err:
-        LinearForm([(liou, -1, 1)]).floor(t)
+        next(LinearForm([(liou, -1, 1)]).floors([t]))
     assert err.value.bits == DEFAULT_MAX_BITS
     assert err.value.n == err.value.scale == t
 
@@ -283,6 +283,17 @@ def test_parse_rejects_garbage():
             parse_real(bad)
 
 
+@pytest.mark.parametrize("text, field", [
+    ("liouville:base=2,tau=2,c1=2,dpeth=3", "dpeth"),
+    ("liouville:base=2,rule=poly,tau=2,theta=1/2", "theta"),
+    ("liouville:base=2,rule=poly,tau=2,beta=3", "beta"),
+    ("liouville:base=2,rule=exp,theta=1/2,tau=2", "tau"),
+])
+def test_parse_refuses_liouville_fields_it_does_not_read(text, field):
+    with pytest.raises(InvalidSpec, match=f"field '{field}' is not read"):
+        parse_real(text)
+
+
 # --- as_spec coercion ------------------------------------------------------------
 
 
@@ -321,24 +332,61 @@ def test_linear_form_floor_matches_float():
     for a, b in ((3, 4), (100, 7), (12345, 6789)):
         form = LinearForm([(sqrt2(), a, 0), (sqrt3(), b, 0)])
         want = math.floor(a * math.sqrt(2) + b * math.sqrt(3))
-        assert form.floor(1) == want
+        assert next(form.floors([1])) == want
 
 
 def test_linear_form_with_rational_offset():
     form = LinearForm([(sqrt2(), 1, 1), (Fraction(1, 2), 1, 0)])
-    assert form.floor(10) == math.floor(10 * math.sqrt(2) + 0.5)
+    assert next(form.floors([10])) == math.floor(10 * math.sqrt(2) + 0.5)
 
 
 def test_linear_form_powers_and_negative_multipliers():
     # -3 sqrt2 t^2 + sqrt3 t at t = 7
     form = LinearForm([(sqrt2(), -3, 2), (sqrt3(), 1, 1)])
-    assert form.floor(7) == math.floor(-147 * math.sqrt(2) + 7 * math.sqrt(3))
+    assert next(form.floors([7])) == math.floor(-147 * math.sqrt(2)
+                                                + 7 * math.sqrt(3))
+
+
+_LIOU = LiouvilleSeries(2, "poly", Fraction(2), c1=2)
+# (form, mpmath value at t): a surd, a Liouville multiplier, a form with
+# lower-order terms, and an exact form, t(t + 2)/3, that lands on an
+# integer at two t in three
+_BATCH_FORMS = [
+    (LinearForm([(sqrt2(), 1, 2)]), lambda t: mpmath.sqrt(2) * t ** 2),
+    (LinearForm([(_LIOU, 3, 2)]),
+     lambda t: 3 * t ** 2 * mpmath.fsum(mpmath.mpf(2) ** -c
+                                        for c in _LIOU.schedule(1024))),
+    (LinearForm([(golden_ratio(), 1, 3), (sqrt3(), 1, 1),
+                 (Rational(1, 2), 1, 0)]),
+     lambda t: ((1 + mpmath.sqrt(5)) / 2 * t ** 3 + mpmath.sqrt(3) * t
+                + mpmath.mpf(1) / 2)),
+    (LinearForm([(Rational(1, 3), 1, 2), (Rational(2, 3), 1, 1)]),
+     lambda t: mpmath.mpf(t * (t + 2)) / 3),
+]
+# increasing t of many bit lengths, so a batch spans several runs of
+# equal starting precision
+_increasing_ts = st.lists(
+    st.integers(0, 40).flatmap(lambda b: st.integers(2 ** b, 2 ** b + 3)),
+    min_size=1, max_size=12, unique=True).map(sorted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pick=st.integers(0, len(_BATCH_FORMS) - 1), ts=_increasing_ts)
+def test_batch_verdicts_equal_one_element_calls(pick, ts):
+    form, value = _BATCH_FORMS[pick]
+    floors = list(form.floors(ts))
+    assert floors == [next(form.floors([t])) for t in ts]
+    assert floors == [int(mpmath.floor(value(t))) for t in ts]
+    assert list(form.frac_units(ts)) == [next(form.frac_units([t]))
+                                         for t in ts]
+    assert list(form.phase_fracs(ts)) == [next(form.phase_fracs([t]))
+                                          for t in ts]
 
 
 def test_frac_unit_stays_in_unit_interval():
     form = LinearForm([(sqrt2(), 1, 1)])
     for n in range(1, 2000):
-        frac, err = form.frac_unit(n)
+        frac, err = next(form.frac_units([n]))
         assert 0.0 <= frac < 1.0
         assert err >= 0
         assert abs(frac - (n * math.sqrt(2)) % 1.0) < 1e-9 + err
@@ -348,7 +396,7 @@ def test_phase_frac_boundary_clamp():
     # a rational form can land exactly on the wrap point; the reported
     # float must still sit strictly below 1.
     form = LinearForm([(Fraction((1 << 60) - 1, 1 << 60), 1, 0)])
-    frac, _ = form.phase_frac(1)
+    frac, _ = next(form.phase_fracs([1]))
     assert 0.0 <= frac < 1.0
 
 
