@@ -5,8 +5,9 @@ For each divisor d the Moebius route counts how often a vector of
 fractional parts falls in a shrinking box; its error is controlled by
 the discrepancy of the point set.  This demo computes, for real point
 sets produced by the library, the exact extreme discrepancy (dimension
-1), a certified box lower bound (any dimension), and the Erdos–Turan
-upper bound from exponential sums — and shows the sandwich holds.
+1), a certified box lower bound (any dimension), and the
+Erdos–Turan–Koksma upper bound from exponential sums, with the constants
+of Kuipers–Niederreiter's Theorem 2.5 — and shows the sandwich holds.
 """
 
 from beattysieve import (
@@ -25,7 +26,7 @@ def main() -> int:
     rep = discrepancy_report(ps, H=20)
     print(f"  exact extreme discrepancy  = {float(rep.exact):.6f}")
     print(f"  box lower bound            = {rep.box_lower:.6f}")
-    print(f"  Erdos-Turan upper (H=20)   = {rep.et_upper:.6f}")
+    print(f"  ETK upper bound (H=20)     = {rep.et_upper:.6f}")
     print(f"  sandwich: {rep.box_lower:.6f} <= {float(rep.exact):.6f} "
           f"<= {rep.et_upper:.6f}\n")
 
@@ -42,8 +43,7 @@ def main() -> int:
     rep2 = discrepancy_report(ps2, H=20)
     print(f"  box lower bound            = {rep2.box_lower:.6f} "
           f"(sampled={rep2.box_lower_sampled})")
-    print(f"  Erdos-Turan upper (H=20)   = {rep2.et_upper:.4f} "
-          f"with C = {rep2.C}\n")
+    print(f"  ETK upper bound (H=20)     = {rep2.et_upper:.4f}\n")
 
     print("== the Weyl terms feeding the upper bound (largest first) ==")
     print("  h         |S_h|       r(h)")

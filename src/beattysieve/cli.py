@@ -22,7 +22,7 @@ Config schema (lines of key=value; blank lines and #-comments ignored):
 
   count:        x=; method=direct|mobius (default direct); d_cutoff=
   density:      grid=comma ints (>= 3); tau= (exact, optional)
-  discrepancy:  d=; n=; the harmonic cutoff h= (default 20); c= (optional)
+  discrepancy:  d=; n=; the harmonic cutoff h= (default 20)
   weyl:         d=; n=; h=comma ints (one per coordinate)
   dioph:        alpha=; max_q=; mode=poly|exp (default poly);
                 window_q= and window_exponent= (optional approximation
@@ -36,7 +36,7 @@ Config schema (lines of key=value; blank lines and #-comments ignored):
                 reciprocal: alpha=, k=, n=, q= (optional)
                 monotone:   u=, v=, m_max=, variant=u_over_v|v_over_u
 
-The float keys (c, window_exponent, eps) must be finite: nan and inf
+The float keys (window_exponent, eps) must be finite: nan and inf
 are refused, since a report cannot carry them as JSON numbers.
 
 Real-number descriptions: plain rationals ("1/2", "0.25") or prefixed
@@ -223,13 +223,6 @@ class _Config:
             raise ConfigError(f"unknown config keys: {sorted(unused)}")
 
 
-def _wrap_spec_errors(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except InvalidSpec as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def build_problem(cfg: _Config) -> ProblemSpec:
     alphas = cfg.str_list("alphas", required=True)
     ms = cfg.int_list("ms", required=True)
@@ -246,8 +239,7 @@ def build_problem(cfg: _Config) -> ProblemSpec:
         if min(lower) < 2 or max(lower) > len(ms):
             raise ConfigError("lower_<j> keys must satisfy 2 <= j <= k")
         lower_terms = tuple(lower.get(j + 1) for j in range(len(ms)))
-    return _wrap_spec_errors(ProblemSpec, tuple(alphas), tuple(ms),
-                             lower_terms)
+    return ProblemSpec(tuple(alphas), tuple(ms), lower_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +265,7 @@ def cmd_count(cfg: _Config, workers: int, seed: int):
             raise ConfigError("d_cutoff applies to method=mobius only")
         res = direct_count(problem, x, workers=workers)
     else:
-        res = _wrap_spec_errors(mobius_count, problem, x, d_cutoff)
+        res = mobius_count(problem, x, d_cutoff)
     payload = _count_payload(res)
     csv = "x,count,method,d_cutoff\n" \
           f"{res.x},{res.count},{res.method},{res.d_cutoff or ''}\n"
@@ -285,8 +277,7 @@ def cmd_density(cfg: _Config, workers: int, seed: int):
     grid = cfg.int_list("grid", required=True)
     tau = cfg.str_("tau")
     cfg.finish()
-    run = _wrap_spec_errors(density_experiment, problem, grid, tau=tau,
-                            workers=workers)
+    run = density_experiment(problem, grid, tau=tau, workers=workers)
     return (density_run_payload(run), density_run_csv(run), [],
             asdict(run.stats))
 
@@ -296,10 +287,9 @@ def cmd_discrepancy(cfg: _Config, workers: int, seed: int):
     d = cfg.int_("d", 1, minimum=1)
     n = cfg.int_("n", required=True, minimum=1)
     h = cfg.int_("h", 20, minimum=1)
-    c = cfg.float_("c")
     cfg.finish()
     ps = nu_sequence(problem, d, n)
-    report = _wrap_spec_errors(discrepancy_report, ps, h, c, seed=seed)
+    report = discrepancy_report(ps, h, seed=seed)
     payload = discrepancy_report_payload(report)
     payload["provenance"] = ps.provenance
     payload["coord_error"] = ps.coord_error
@@ -312,7 +302,7 @@ def cmd_weyl(cfg: _Config, workers: int, seed: int):
     n = cfg.int_("n", required=True, minimum=1)
     hvec = cfg.int_list("h", required=True)
     cfg.finish()
-    res = _wrap_spec_errors(weyl_sum, problem, d, hvec, n)
+    res = weyl_sum(problem, d, hvec, n)
     payload = {"d": d, "N": res.N, "h": list(hvec),
                "real": res.value.real, "imag": res.value.imag,
                "magnitude": abs(res.value),
@@ -332,7 +322,7 @@ def cmd_dioph(cfg: _Config, workers: int, seed: int):
     window_q = cfg.int_("window_q", minimum=2)
     window_exponent = cfg.float_("window_exponent")
     cfg.finish()
-    spec = _wrap_spec_errors(as_spec, alpha)
+    spec = as_spec(alpha)
     convs = convergents(spec, max_q)
     try:
         est = estimate_type(spec, max_q, mode)
@@ -354,10 +344,9 @@ def cmd_dioph(cfg: _Config, workers: int, seed: int):
         if window_exponent is None and mode == "polynomial":
             raise ConfigError("window_exponent required with window_q "
                               "in poly mode")
-        win = _wrap_spec_errors(find_window, spec, window_q,
-                                window_exponent
-                                if window_exponent is not None else 0.5,
-                                mode)
+        win = find_window(spec, window_q,
+                          window_exponent if window_exponent is not None
+                          else 0.5, mode)
         payload["window"] = {"a": win.a, "q": win.q, "Q": win.Q,
                              "lower": win.lower,
                              "satisfied": win.satisfied}
@@ -370,7 +359,7 @@ def cmd_bounds(cfg: _Config, workers: int, seed: int):
                              "reciprocal", "monotone"})
     fixtures = []
     if kind == "poly_sum":
-        alpha = _wrap_spec_errors(as_spec, cfg.str_("alpha", required=True))
+        alpha = as_spec(cfg.str_("alpha", required=True))
         m = cfg.int_("m", required=True, minimum=2)
         h = cfg.int_("h", required=True)
         n = cfg.int_("n", required=True, minimum=1)
@@ -378,8 +367,7 @@ def cmd_bounds(cfg: _Config, workers: int, seed: int):
         eps = cfg.float_("eps", 0.05)
         lower = cfg.str_list("lower") or ()
         cfg.finish()
-        rep = _wrap_spec_errors(weyl_bound_report, alpha, m, h, n, lower,
-                                q=q, eps=eps)
+        rep = weyl_bound_report(alpha, m, h, n, lower, q=q, eps=eps)
         return weyl_bound_payload(rep), None, fixtures
     if kind == "linear":
         q = cfg.int_("q", required=True, minimum=1)
@@ -388,21 +376,21 @@ def cmd_bounds(cfg: _Config, workers: int, seed: int):
         alpha = cfg.str_("alpha")
         cfg.finish()
         payload = {"bound": "linear", "q": q, "h": h, "N": n,
-                   "value": _wrap_spec_errors(linear_bound, q, h, n)}
+                   "value": linear_bound(q, h, n)}
         if alpha is not None:
-            chk = _wrap_spec_errors(linear_sum_exact, as_spec(alpha), h, n)
+            chk = linear_sum_exact(alpha, h, n)
             payload["exact_check"] = {
                 "actual": chk.actual, "cap": chk.cap,
                 "sum_error": chk.sum_error, "certified": chk.certified}
         return payload, None, fixtures
     if kind == "quadratic":
-        alpha = _wrap_spec_errors(as_spec, cfg.str_("alpha", required=True))
+        alpha = as_spec(cfg.str_("alpha", required=True))
         h = cfg.int_("h", required=True)
         d = cfg.int_("d", 1, minimum=1)
         n = cfg.int_("n", required=True, minimum=1)
         g = cfg.str_list("g") or ()
         cfg.finish()
-        rep = _wrap_spec_errors(quadratic_bound, alpha, h, d, n, g)
+        rep = quadratic_bound(alpha, h, d, n, g)
         fx = fixture_digest("lemma_constants.json")
         if fx:
             fixtures.append(fx)
@@ -411,12 +399,12 @@ def cmd_bounds(cfg: _Config, workers: int, seed: int):
                  "ratio_sq": rep.ratio_sq,
                  "sum_error_bound": rep.sum_error_bound}, None, fixtures)
     if kind == "reciprocal":
-        alpha = _wrap_spec_errors(as_spec, cfg.str_("alpha", required=True))
+        alpha = as_spec(cfg.str_("alpha", required=True))
         k = cfg.int_("k", required=True, minimum=1)
         n = cfg.int_("n", required=True, minimum=1)
         q = cfg.int_("q", minimum=1)
         cfg.finish()
-        rep = _wrap_spec_errors(reciprocal_sum, alpha, k, n, q=q)
+        rep = reciprocal_sum(alpha, k, n, q=q)
         fx = fixture_digest("lemma_constants.json")
         if fx:
             fixtures.append(fx)
@@ -430,7 +418,7 @@ def cmd_bounds(cfg: _Config, workers: int, seed: int):
     m_max = cfg.int_("m_max", required=True, minimum=2)
     variant = cfg.str_("variant", required=True)
     cfg.finish()
-    ok = _wrap_spec_errors(monotone_check, u, v, m_max, variant)
+    ok = monotone_check(u, v, m_max, variant)
     return ({"bound": "monotone", "u": u, "v": v, "M": m_max,
              "variant": variant, "nondecreasing": ok}, None, fixtures)
 
@@ -460,7 +448,11 @@ def run_config(raw: dict, *, workers: Optional[int] = None) -> dict:
     elif workers < 1:
         raise ConfigError("'workers' must be >= 1")
     start = time.perf_counter()
-    payload, csv, fixtures, *stats = _COMMANDS[command](cfg, workers, seed)
+    try:
+        payload, csv, fixtures, *stats = _COMMANDS[command](cfg, workers, seed)
+    except InvalidSpec as exc:
+        # a library precondition the config broke
+        raise ConfigError(str(exc)) from exc
     meta = {
         "wall_time_s": time.perf_counter() - start,
         "workers": workers,

@@ -293,18 +293,16 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-def _fast_plan(problem: ProblemSpec, x: Optional[int] = None) -> list:
+def _fast_plan(problem: ProblemSpec) -> list:
     """Per coordinate, (m, lo mod 2^64, hi - lo) from a 64-bit bracket
     (lo, hi) of the multiplier, or None when only the exact engine may
-    evaluate it: it has lower-order terms, its literal carries under 64
-    bits, or (given the direct route's x) n^(m-1) could pass 2^62."""
+    evaluate it: it has lower-order terms or its literal carries under 64
+    bits."""
     plan = []
     for alpha, m, lower in zip(problem.alphas, problem.ms,
                                problem.lower_terms):
         cap = alpha.max_prec()
-        if (lower or (cap is not None and cap < _FIX_BITS)
-                or (x is not None
-                    and (x >= 1 << 32 or 2 * x ** (m - 1) >= 1 << 62))):
+        if lower or (cap is not None and cap < _FIX_BITS):
             plan.append(None)
             continue
         lo, hi = alpha.bounds(_FIX_BITS)
@@ -322,7 +320,7 @@ def _mul_hi(n: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _fast_residues(t: np.ndarray, m: int, lo64: int, width: int):
     """(floor(a t^m) mod t, decided mask) for uint64 t, given the 64-bit
     bracket of a as (lo mod 2^64, hi - lo)."""
-    scale = t ** (m - 1)                      # exact: 2 x^(m-1) < 2^62
+    scale = t ** (m - 1)                      # exact while t^(m-1) < 2^61
     low = scale * np.uint64(lo64)             # wraps: exact mod 2^64
     high = low + scale * np.uint64(width)
     res = _mul_hi(t, low)
@@ -341,7 +339,10 @@ def _coprime_block(plan: list, forms: list, n_lo: int, n_hi: int,
     """Boolean mask of n in [n_lo, n_hi] with gcd(n, floor terms) = 1.
 
     Coordinates run in order, each only on the n whose running gcd is
-    still above 1.  tally accumulates [fast floors, exact fallbacks].
+    still above 1.  The kernel decides only n ≤ _s_cap(1, m - 1), that
+    is n < 2^32 and n^(m-1) < 2^61; the rest, and the n it leaves open,
+    take the exact floor.  tally accumulates [fast floors, exact
+    fallbacks].
     """
     n = np.arange(n_lo, n_hi + 1, dtype=np.uint64)
     g = n.astype(np.int64)
@@ -354,6 +355,7 @@ def _coprime_block(plan: list, forms: list, n_lo: int, n_hi: int,
             res = _exact_residues(forms, j, t)
         else:
             res, decided = _fast_residues(t, *fast)
+            decided &= t <= _s_cap(1, fast[0] - 1)
             open_ = np.flatnonzero(~decided)
             tally[0] += idx.size - open_.size
             if open_.size:
@@ -393,7 +395,7 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int):
     if workers < 1:
         raise InvalidSpec("workers must be >= 1")
     x = cuts[-1]
-    plan = _fast_plan(problem, x)
+    plan = _fast_plan(problem)
     if workers == 1 or x < 4096:
         parts = [_direct_chunk((problem, plan, 1, x, cuts))]
     else:

@@ -3,11 +3,11 @@
 Generates the point sets ({a_j d^{m_j-1} n^{m_j} + g_j(dn)/d})_{j<=k},
 measures their irregularity three ways — exact extreme discrepancy in
 dimension one, box-witness lower bounds in any dimension, and the
-harmonic-sum upper bound through exponential sums — and evaluates the
-explicit inequalities (linear, quadratic, reciprocal-sum, and
+Erdős–Turán–Koksma upper bound through exponential sums — and evaluates
+the explicit inequalities (linear, quadratic, reciprocal-sum, and
 monotonicity checks) that make those sums estimable.  Everything here
 measures; the only asserted facts are the certified ones (floor-pinned
-fractional parts, exact-rational inequality checks).
+fractional parts, exact-rational checks, the Erdős–Turán–Koksma bound).
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def nu_sequence(problem: ProblemSpec, d: int, N: int) -> PointSet:
 
 
 # ---------------------------------------------------------------------------
-# discrepancy: exact (1D), box-witness lower bound, harmonic upper bound
+# discrepancy: exact (1D), box-witness lower bound, Erdős–Turán–Koksma bound
 
 
 def _values_1d(ps_or_values) -> list:
@@ -160,8 +160,11 @@ class BoxLower:
     boxes_checked: int
 
 
-def discrepancy_box_lower(ps: PointSet, *, budget: int = 4_000_000,
-                          samples: int = 20_000, seed: int = 0) -> BoxLower:
+_BUDGET = 4_000_000     # most critical-grid boxes, or frequency pairs, a call
+_SAMPLES = 20_000       # boxes the box scan samples past _BUDGET
+
+
+def discrepancy_box_lower(ps: PointSet, *, seed: int = 0) -> BoxLower:
     """Maximize |count/N - volume| over origin-anchored boxes [0, b).
 
     Upper corners run over every point coordinate, its one-sided upper
@@ -170,8 +173,8 @@ def discrepancy_box_lower(ps: PointSet, *, budget: int = 4_000_000,
     to discrepancy_exact_1d, the order-statistics formula of
     Kuipers–Niederreiter (Ch. 2, §1), which covers two-sided intervals too.
     Any returned value is a valid lower bound for the extreme
-    discrepancy; when the critical grid exceeds the budget a seeded
-    random subgrid is scanned instead and the result says so.
+    discrepancy; past _BUDGET boxes a seeded random subgrid of _SAMPLES
+    boxes is scanned instead and the result says so.
     """
     N = ps.N
     if N < 1:
@@ -186,9 +189,9 @@ def discrepancy_box_lower(ps: PointSet, *, budget: int = 4_000_000,
     n_boxes = 1
     for vj in axes:
         n_boxes *= 2 * len(vj) + 1
-    if n_boxes <= budget:
+    if n_boxes <= _BUDGET:
         return _box_lower_full(ps, axes, n_boxes)
-    return _box_lower_sampled(ps, axes, samples, seed)
+    return _box_lower_sampled(ps, axes, _SAMPLES, seed)
 
 
 def _box_corner_candidates(vj: np.ndarray):
@@ -261,7 +264,6 @@ class DiscrepancyReport:
     et_upper: float
     H: int
     weyl_terms: tuple
-    C: float
     box_lower_sampled: bool = False
 
     def __post_init__(self) -> None:
@@ -285,16 +287,50 @@ def _half_lattice(k: int, H: int):
                 break
 
 
-def et_koksma_upper(ps: PointSet, H: int, C: Optional[float] = None, *,
-                    budget: int = 4_000_000) -> DiscrepancyReport:
-    """Harmonic upper bound C^k (1/H + (1/N) sum_h |S_h| / r(h)).
+_U = Fraction(1, 1 << 53)          # unit roundoff of a double
 
-    The sum runs over integer frequency vectors 0 < max|h_j| <= H with
-    r(h) = prod max(|h_j|, 1); opposite frequencies have conjugate sums,
-    so only one representative per pair is evaluated and counted twice.
-    weyl_terms records (h, |S_h|, r(h)) for each representative.  The
-    per-h reduction is a fixed-order pairwise sum, so results are
-    deterministic.  C defaults to 3 in dimension one and 3^k above.
+
+def _float_up(x: Fraction) -> float:
+    """The least double >= x."""
+    f = float(x)
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
+def _sum_error(N: int, k: int, H: int) -> float:
+    """A bound on |mag - |S_h|| for each float mag that et_koksma_upper
+    computes from S_h = sum_n e(<h, x_n>) over the stored doubles x_n.
+
+    With u = 2^-53, L = sum_j |h_j| <= kH and gamma_n = n u / (1 - n u)
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1):
+      * the dot product pts @ h, in any order, is within gamma_k L of
+        <h, x_n>, since every |x_nj| < 1;
+      * the angle is one rounded product of that phase with 2*math.pi,
+        which lies within 2^-51 = 4u of 2 pi, so it is within
+        6.2832 (u + gamma_k)(1 + gamma_k) L + 4u L <= 7 (k + 2) u L of
+        2 pi <h, x_n>; e^{it} is 1-Lipschitz in t, so each term moves
+        by as much;
+      * np.exp(it) takes cos t and sin t from libm, within two ulps
+        (2^-52) each, which is 3u in modulus;
+      * summing the N terms, each of modulus <= 1 + 3u, in any order,
+        errs by at most gamma_(N-1) sqrt(2) N (1 + 3u) <= 2 N gamma_(N-1);
+      * abs() is hypot, within one ulp: at most 2u |s| <= 3u N.
+    In all, N u (7 (k + 2) kH + 6) + 2 N gamma_(N-1), rounded up.
+    """
+    gamma = (N - 1) * _U / (1 - (N - 1) * _U)
+    return _float_up(N * _U * (7 * (k + 2) * k * H + 6) + 2 * N * gamma)
+
+
+def et_koksma_upper(ps: PointSet, H: int) -> DiscrepancyReport:
+    """Erdős–Turán–Koksma: for the stored doubles of ps, D_N is at most
+    (3/2)^k (2/(H+1) + sum_{0<|h|_inf<=H} |S_h| / (N r(h))), with
+    r(h) = prod max(|h_j|, 1) (Kuipers–Niederreiter, *Uniform
+    Distribution of Sequences*, Ch. 2, Thm 2.5).
+
+    Opposite frequencies have conjugate sums, so one representative per
+    pair is evaluated and counted twice; weyl_terms records (h, |S_h|,
+    r(h)) for each.  Each float |S_h| carries _sum_error; the terms are
+    nonnegative and rounded twice, and math.fsum once, so dividing their
+    sum by (1 - u)^3 covers that, and the result is rounded up.
     """
     if H < 1:
         raise InvalidSpec("H must be >= 1")
@@ -302,15 +338,12 @@ def et_koksma_upper(ps: PointSet, H: int, C: Optional[float] = None, *,
     if N < 1:
         raise InvalidSpec("need at least one point")
     k = ps.dim
-    if (2 * H + 1) ** k - 1 > 2 * budget:
+    if (2 * H + 1) ** k - 1 > 2 * _BUDGET:
         raise ResourceLimit(
             f"frequency lattice (2*{H}+1)^{k} exceeds the budget")
-    if C is None:
-        C = 3.0 if k == 1 else 3.0 ** k
-    if C <= 0:
-        raise InvalidSpec("C must be positive")
+    err = _sum_error(N, k, H)
     pts = ps.points
-    total = 0.0
+    parts = []
     terms = []
     for h in _half_lattice(k, H):
         phases = pts @ np.asarray(h, dtype=np.float64)
@@ -320,22 +353,22 @@ def et_koksma_upper(ps: PointSet, H: int, C: Optional[float] = None, *,
         for c in h:
             r *= max(abs(c), 1)
         terms.append((h, mag, r))
-        total += 2.0 * mag / r
-    rhs = C ** k * (1.0 / H + total / N)
-    return DiscrepancyReport(N, None, None, rhs, H, tuple(terms), C)
+        parts.append((mag + err) / r)
+    total = Fraction(math.fsum(parts)) / (1 - _U) ** 3
+    bound = Fraction(3, 2) ** k * (Fraction(2, H + 1) + 2 * total / N)
+    return DiscrepancyReport(N, None, None, _float_up(bound), H, tuple(terms))
 
 
-def discrepancy_report(ps: PointSet, H: int, C: Optional[float] = None, *,
-                       budget: int = 4_000_000,
+def discrepancy_report(ps: PointSet, H: int, *,
                        seed: int = 0) -> DiscrepancyReport:
     """Assemble the exact value (dim 1), box lower bound, and upper bound."""
-    upper = et_koksma_upper(ps, H, C, budget=budget)
-    box = discrepancy_box_lower(ps, budget=budget, seed=seed)
+    upper = et_koksma_upper(ps, H)
+    box = discrepancy_box_lower(ps, seed=seed)
     # in dimension one the box bound is the exact order-statistics formula
     # (Kuipers–Niederreiter, Ch. 2, §1) itself
     exact = box.value if ps.dim == 1 else None
     return DiscrepancyReport(ps.N, exact, box.value, upper.et_upper, H,
-                             upper.weyl_terms, upper.C, box.sampled)
+                             upper.weyl_terms, box.sampled)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +670,6 @@ def discrepancy_report_payload(report: DiscrepancyReport) -> dict:
         "box_lower_sampled": report.box_lower_sampled,
         "et_upper": report.et_upper,
         "H": report.H,
-        "C": report.C,
         "weyl_terms": [{"h": list(h), "magnitude": mag, "r": r}
                        for h, mag, r in report.weyl_terms],
     }

@@ -287,8 +287,8 @@ class LiouvilleSeries(RealSpec):
       poly: c_{j+1} = max(c_j + 1, floor(c_j ** tau))
       exp:  c_{j+1} = max(c_j + 1, floor(beta ** (theta * c_j)))
     and continues forever; enclosures materialize exactly as many terms as
-    the requested precision demands.  `depth` only controls how many
-    schedule entries helpers enumerate eagerly (display, type estimation).
+    the requested precision demands.  Nothing reads `depth`: it only
+    round-trips through text(), so descriptions that carry it still parse.
     """
 
     base: int

@@ -128,12 +128,12 @@ def _suite_problem(entry) -> ProblemSpec:
 
 
 def test_criterion_5_discrepancy_sandwich(lemma_constants):
-    """Lower bound <= exact (dim 1) <= harmonic upper bound, suite-wide."""
+    """Lower bound <= exact (dim 1) <= Erdős–Turán–Koksma bound, suite-wide."""
     et = lemma_constants["erdos_turan"]
     headroom = lemma_constants["rerun_headroom"]
     violations = []
     brute_gap = 0.0
-    needed = {}
+    ratio = {}
     for entry in et["suite"]:
         k = len(entry["ms"])
         try:
@@ -153,25 +153,23 @@ def test_criterion_5_discrepancy_sandwich(lemma_constants):
             if not rep.box_lower <= rep.et_upper:
                 violations.append((entry["alphas"], entry["N"], "order"))
             lower = rep.box_lower
-        need_total = lower * rep.C / rep.et_upper
-        needed[k] = max(needed.get(k, 0.0), need_total)
-    # the fixture stores the per-axis constant (k-th root of the total)
-    per_axis = {k: v ** (1.0 / k) for k, v in needed.items()}
-    pinned = {int(k): v for k, v in et["min_working_C"].items()}
-    c_ok = all(pinned[k] / headroom <= per_axis[k] <= pinned[k] * headroom
-               for k in per_axis)
-    ok = not violations and brute_gap < 1e-12 and c_ok
+        ratio[k] = max(ratio.get(k, 0.0), lower / rep.et_upper)
+    pinned = {int(k): v for k, v in et["max_lower_over_upper"].items()}
+    r_ok = set(ratio) == set(pinned) and all(
+        pinned[k] / headroom <= ratio[k] <= pinned[k] * headroom
+        for k in ratio)
+    ok = not violations and brute_gap < 1e-12 and r_ok
     detail = (f"{len(et['suite'])} point sets at H={et['H']}: "
               f"{len(violations)} ordering violations; exact vs "
-              f"order-statistic brute force gap {brute_gap:.1e}; min "
-              f"working constants {{1: {per_axis.get(1, 0):.4f}, "
-              f"2: {per_axis.get(2, 0):.4f}}} within {headroom}x of frozen "
-              f"{{1: {pinned[1]:.4f}, 2: {pinned[2]:.4f}}}")
+              f"order-statistic brute force gap {brute_gap:.1e}; max "
+              f"lower/upper {{1: {ratio.get(1, 0):.4f}, "
+              f"2: {ratio.get(2, 0):.5f}}} within {headroom}x of frozen "
+              f"{{1: {pinned[1]:.4f}, 2: {pinned[2]:.5f}}}")
     record_acceptance(5, "discrepancy sandwich", ok, detail)
     assert violations == []
     assert brute_gap < 1e-12
-    assert set(per_axis) == set(pinned)
-    for k, value in per_axis.items():
+    assert set(ratio) == set(pinned)
+    for k, value in ratio.items():
         assert pinned[k] / headroom <= value <= pinned[k] * headroom
 
 

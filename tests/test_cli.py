@@ -503,19 +503,45 @@ def test_main_resource_limit_exit_4(tmp_path, capsys):
 # a float that is not finite would reach the report as NaN or Infinity,
 # which is not JSON; a negative seed would reach numpy's generator
 @pytest.mark.parametrize("command, body, key", [
-    ("discrepancy", f"alphas={SQRT2}\nms=1\nn=100\nc=nan\n", "c"),
     ("bounds", f"bound=poly_sum\nalpha={SQRT2}\nm=2\nh=1\nn=100\neps=inf\n",
      "eps"),
     ("dioph", f"alpha={SQRT2}\nmax_q=100\nwindow_q=100\nwindow_exponent=nan\n",
      "window_exponent"),
     ("discrepancy",
      f"alphas={SQRT2},{SQRT3}\nms=1,2\nd=3\nn=1200\nh=2\nseed=-1\n", "seed"),
-], ids=["c_nan", "eps_inf", "window_exponent_nan", "negative_seed"])
+], ids=["eps_inf", "window_exponent_nan", "negative_seed"])
 def test_main_refuses_values_a_report_cannot_carry(tmp_path, capsys, command,
                                                    body, key):
     cfg = write_config(tmp_path, f"command={command}\n{body}")
     assert main([command, "--config", cfg]) == 2
     assert f"config error: '{key}' must be" in capsys.readouterr().err
+
+
+def test_main_refuses_the_removed_c_key(tmp_path, capsys):
+    # the Erdős–Turán–Koksma constants are the theorem's, not a setting
+    cfg = write_config(tmp_path, f"command=discrepancy\nalphas={SQRT2}\n"
+                                 "ms=1\nn=100\nc=3\n")
+    assert main(["discrepancy", "--config", cfg]) == 2
+    assert "config error: unknown config keys: ['c']" in \
+        capsys.readouterr().err
+
+
+# a broken library precondition is a config error whichever command and
+# whichever argument meets it first
+@pytest.mark.parametrize("raw", [
+    {"command": "discrepancy", "alphas": f"{SQRT2},{SQRT3}", "ms": "1,2",
+     "lower_2": SQRT2, "d": "2", "n": "10"},
+    {"command": "weyl", "alphas": f"{SQRT2},{SQRT3}", "ms": "1,2",
+     "lower_2": SQRT2, "d": "2", "n": "10", "h": "1,1"},
+    {"command": "bounds", "bound": "linear", "q": "5", "h": "1", "n": "10",
+     "alpha": "surd:bad"},
+    {"command": "bounds", "bound": "reciprocal", "alpha": "surd:bad",
+     "k": "10", "n": "10"},
+], ids=["discrepancy_lower_constant", "weyl_lower_constant",
+        "linear_bad_alpha", "reciprocal_bad_alpha"])
+def test_invalid_specs_become_config_errors(raw):
+    with pytest.raises(ConfigError):
+        run_config(raw)
 
 
 def test_main_rejects_unknown_subcommand(tmp_path):

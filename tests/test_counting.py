@@ -522,6 +522,21 @@ def test_mobius_box_tests_past_the_s_cap_fall_back():
     assert res.count == direct_count(p, 10**5).count
 
 
+def test_direct_kernel_caps_each_n_not_the_coordinate():
+    # for m = 6, n^5 reaches 2^61 at n = 4706: the kernel still takes the
+    # sixth powers below that, and only the n above fall back
+    p = ProblemSpec((sqrt2(), sqrt3(), golden_ratio()), (1, 2, 6))
+    res = direct_count(p, 10**4)
+    assert _s_cap(1, 5) == 4705
+    assert res.stats == FloorStats(14151, 1475, 0)
+    assert res.count == mobius_count(p, 10**4).count == 9253
+    # past the cap the uint64 powers wrap (8192^5 is 0 mod 2^64), so a
+    # kernel left to decide those n would count 6811 here
+    p = ProblemSpec((golden_ratio(), sqrt3()), (1, 6))
+    assert direct_count(p, 2**13 + 5).count == \
+        exact_reference_count(p, 2**13 + 5) == 6812
+
+
 @pytest.mark.parametrize("x", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
 def test_counts_at_the_block_edges(x):
     p = ProblemSpec((sqrt2(), sqrt3()), (1, 2))

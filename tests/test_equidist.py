@@ -16,7 +16,9 @@ from beattysieve.counting import ProblemSpec
 from beattysieve.dioph import convergents
 from beattysieve.equidist import (
     DiscrepancyReport,
+    _float_up,
     _phases_for_poly,
+    _sum_error,
     PointSet,
     WeylBoundReport,
     discrepancy_box_lower,
@@ -197,48 +199,59 @@ def test_box_lower_dim2_single_point():
     assert box.boxes_checked == 9
 
 
-def test_box_lower_sampling_kicks_in_and_stays_below_full():
+def test_box_lower_sampling_kicks_in_and_stays_below_full(monkeypatch):
+    from beattysieve import equidist
     ps = nu_sequence(ProblemSpec((sqrt2(), sqrt3()), (1, 2)), 1, 200)
-    full = discrepancy_box_lower(ps, budget=10**7)
-    sampled = discrepancy_box_lower(ps, budget=10, samples=4000, seed=1)
+    full = discrepancy_box_lower(ps)
+    monkeypatch.setattr(equidist, "_BUDGET", 10)
+    monkeypatch.setattr(equidist, "_SAMPLES", 4000)
+    sampled = discrepancy_box_lower(ps, seed=1)
     assert not full.sampled and sampled.sampled
     assert sampled.value <= full.value + 1e-12
     assert sampled.boxes_checked <= 4000 * 2  # per corner family
 
 
-def test_box_lower_sampling_deterministic_in_seed():
+def test_box_lower_sampling_deterministic_in_seed(monkeypatch):
+    from beattysieve import equidist
+    monkeypatch.setattr(equidist, "_BUDGET", 10)
     ps = nu_sequence(ProblemSpec((sqrt2(), sqrt3()), (1, 2)), 1, 300)
-    a = discrepancy_box_lower(ps, budget=10, seed=3).value
-    b = discrepancy_box_lower(ps, budget=10, seed=3).value
+    a = discrepancy_box_lower(ps, seed=3).value
+    b = discrepancy_box_lower(ps, seed=3).value
     assert a == b
 
 
-# --- Erdos-Turan / Koksma upper bound ----------------------------------------------------
+# --- Erdos-Turan-Koksma upper bound ----------------------------------------------------
 
 
 def test_et_upper_equispaced_closed_form():
-    # points i/N have S_h = 0 for 0 < |h| < N: the bound collapses to C/H
+    # points i/N have S_h = 0 for 0 < |h| < N: the bound collapses to
+    # (3/2) * 2/(H+1), plus rounding terms far below 1e-9
     n, H = 64, 20
     ps = PointSet.synthetic([[i / n] for i in range(n)], "equi")
     rep = et_koksma_upper(ps, H)
-    assert rep.C == 3.0
-    assert rep.et_upper == pytest.approx(3.0 / H, abs=1e-9)
+    assert 3.0 / (H + 1) <= rep.et_upper <= 3.0 / (H + 1) + 1e-9
     assert float(discrepancy_exact_1d(ps)) <= rep.et_upper
 
 
 def test_et_upper_dimension_two_defaults():
     ps = PointSet.synthetic([[0.1, 0.2], [0.6, 0.7]], "pair")
     rep = et_koksma_upper(ps, 3)
-    assert rep.C == 9.0
     assert len(rep.weyl_terms) == ((2 * 3 + 1) ** 2 - 1) // 2
     h, mag, r = rep.weyl_terms[0]
     assert len(h) == 2 and mag >= 0 and r >= 1
+    # (3/2)^2 (2/(H+1) + sum over both members of each pair), each |S_h|
+    # with its rounding term, in exact arithmetic
+    err = Fraction(_sum_error(2, 2, 3))
+    want = Fraction(9, 4) * (Fraction(1, 2) + sum(
+        2 * (Fraction(m) + err) / (2 * r) for _, m, r in rep.weyl_terms))
+    assert want <= Fraction(rep.et_upper) <= want * (1 + Fraction(1, 10**14))
 
 
 def test_et_upper_budget_guard():
+    # (2 * 2000 + 1)^2 - 1 frequencies pass the 8e6 limit
     ps = PointSet.synthetic([[0.1, 0.2]], "tiny")
     with pytest.raises(ResourceLimit):
-        et_koksma_upper(ps, 2000, budget=1000)
+        et_koksma_upper(ps, 2000)
 
 
 def test_et_upper_validates_h():
@@ -250,7 +263,7 @@ def test_et_upper_validates_h():
 def test_sandwich_report_validates_ordering():
     with pytest.raises(InvalidSpec):
         DiscrepancyReport(N=4, exact=0.5, box_lower=0.6, et_upper=0.4,
-                          H=10, weyl_terms=(), C=3.0)
+                          H=10, weyl_terms=())
 
 
 def test_discrepancy_report_sandwich_on_real_data():
@@ -292,6 +305,62 @@ def test_discrepancy_report_json_round_trip():
         discrepancy_report_payload(discrepancy_report(ps, 5))))
     assert blob["N"] == 50
     assert blob["box_lower"] <= blob["et_upper"]
+    assert "C" not in blob
+
+
+def test_sum_error_covers_the_float_weyl_terms():
+    # |S_h| through float64 against a 120-bit sum over the same doubles
+    ps = nu_sequence(ProblemSpec((sqrt2(), sqrt3()), (1, 2)), 3, 2000)
+    H = 20
+    err = _sum_error(ps.N, 2, H)
+    mags = {h: mag for h, mag, _ in et_koksma_upper(ps, H).weyl_terms}
+    for h in ((0, 1), (1, -1), (7, 13), (20, -20), (20, 20)):
+        exact = abs(mpmath.fsum(
+            mpmath.expjpi(2 * (h[0] * mpmath.mpf(x) + h[1] * mpmath.mpf(y)))
+            for x, y in ps.points.tolist()))
+        assert abs(mags[h] - exact) <= err
+    assert err < 1e-8
+
+
+def test_float_up_never_rounds_below():
+    # the nearest double to 1/3 lies below it; 1/2 is a double
+    assert Fraction(1 / 3) < Fraction(1, 3)
+    up = _float_up(Fraction(1, 3))
+    assert Fraction(up) >= Fraction(1, 3) and up == math.nextafter(1 / 3, 1)
+    assert _float_up(Fraction(1, 2)) == 0.5
+
+
+_unit = st.floats(0, 1, exclude_max=True)
+
+
+@st.composite
+def _drawn_points(draw, dim, max_n):
+    """Uniform draws, or a cluster: every point within `spread` of one
+    centre, modulo 1."""
+    n = draw(st.integers(1, max_n))
+    offsets = draw(st.lists(st.lists(_unit, min_size=dim, max_size=dim),
+                            min_size=n, max_size=n))
+    if draw(st.booleans()):
+        centre = draw(st.lists(_unit, min_size=dim, max_size=dim))
+        spread = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.05]))
+        offsets = [[(c + spread * o) % 1.0 for c, o in zip(centre, off)]
+                   for off in offsets]
+    return PointSet.synthetic(offsets, "drawn")
+
+
+@settings(max_examples=150, deadline=None)
+@given(ps=_drawn_points(1, 200), H=st.integers(1, 30))
+def test_et_upper_bounds_the_exact_discrepancy_in_dimension_one(ps, H):
+    upper = et_koksma_upper(ps, H).et_upper
+    assert discrepancy_exact_1d(ps) <= Fraction(upper)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ps=_drawn_points(2, 40), H=st.integers(1, 6))
+def test_et_upper_bounds_the_box_discrepancy_in_dimension_two(ps, H):
+    box = discrepancy_box_lower(ps)
+    assert not box.sampled
+    assert box.value <= et_koksma_upper(ps, H).et_upper
 
 
 # --- Weyl sums -----------------------------------------------------------------------------
