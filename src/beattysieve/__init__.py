@@ -19,7 +19,8 @@ from .dioph import (ApproxWindow, Convergent, TypeEstimate, convergents,
                     convergents_csv, estimate_type, find_window)
 from .equidist import (BoxLower, DiscrepancyReport, LinearSumCheck,
                        PointSet, QuadraticBoundReport, ReciprocalSumReport,
-                       WeylBoundReport, WeylSum, discrepancy_box_lower,
+                       SumStats, WeylBoundReport, WeylSum,
+                       discrepancy_box_lower,
                        discrepancy_exact_1d, discrepancy_report,
                        discrepancy_report_payload, et_koksma_upper,
                        linear_bound, linear_sum_exact, monotone_check,
@@ -32,8 +33,9 @@ from .errors import (BeattySieveError, ConfigError, DegenerateFit,
 from .realnum import (DEFAULT_MAX_BITS, CertifiedFloor, DecimalLiteral,
                       FiniteCF, Interval, LinearForm, LiouvilleSeries,
                       QuadraticSurd, Rational, RealSpec, as_spec,
-                      dist_nearest_int, eval_enclosure, floor_scaled,
-                      frac_below, golden_ratio, parse_real, sqrt2, sqrt3)
+                      dist_nearest_int, dist_nearest_ints, eval_enclosure,
+                      floor_scaled, frac_below, golden_ratio, parse_real,
+                      sqrt2, sqrt3)
 
 __version__ = "0.1.0"
 

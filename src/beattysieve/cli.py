@@ -4,9 +4,9 @@ Every experiment is described by a small config file; the CLI validates
 it against the target command's preconditions, dispatches to the library,
 and writes a report atomically.  Reports split into "config" (echo),
 "results" (the numerical payload — byte-identical across worker counts),
-"fixtures" (hashes of any fixture files consulted), and "meta" (wall
-time, workers, the counting engine's counters: everything outside the
-determinism surface).
+"fixtures" (hashes of fixture files consulted: always empty, since no
+command consults one), and "meta" (wall time, workers, the engine's
+counters: everything outside the determinism surface).
 
 Config schema (lines of key=value; blank lines and #-comments ignored):
 
@@ -53,7 +53,6 @@ Exit codes: 0 success, 2 configuration/precondition error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -79,25 +78,9 @@ from .errors import (BeattySieveError, ConfigError, InsufficientData,
                      InvalidSpec, PrecisionExhausted, ResourceLimit)
 from .realnum import as_spec
 
-FIXTURE_ENV = "BEATTYSIEVE_FIXTURE_DIR"
-
 EXIT_CONFIG = 2
 EXIT_PRECISION = 3
 EXIT_RESOURCE = 4
-
-
-def fixture_dir() -> str:
-    return os.environ.get(FIXTURE_ENV, "fixtures")
-
-
-def fixture_digest(name: str) -> Optional[dict]:
-    """Identity of a fixture file consulted by a command, if present."""
-    path = os.path.join(fixture_dir(), name)
-    if not os.path.isfile(path):
-        return None
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    return {"file": name, "sha256": hashlib.sha256(blob).hexdigest()}
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +226,9 @@ def build_problem(cfg: _Config) -> ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload dict, csv text or None, fixtures),
-# and the counting commands append the engine's counters for the meta block
+# command handlers: each returns (payload dict, csv text or None), and the
+# counting commands and the reciprocal-distance sums append their counters
+# for the meta block
 
 
 def _count_payload(res: CountResult) -> dict:
@@ -269,7 +253,7 @@ def cmd_count(cfg: _Config, workers: int, seed: int):
     payload = _count_payload(res)
     csv = "x,count,method,d_cutoff\n" \
           f"{res.x},{res.count},{res.method},{res.d_cutoff or ''}\n"
-    return payload, csv, [], asdict(res.stats)
+    return payload, csv, asdict(res.stats)
 
 
 def cmd_density(cfg: _Config, workers: int, seed: int):
@@ -278,7 +262,7 @@ def cmd_density(cfg: _Config, workers: int, seed: int):
     tau = cfg.str_("tau")
     cfg.finish()
     run = density_experiment(problem, grid, tau=tau, workers=workers)
-    return (density_run_payload(run), density_run_csv(run), [],
+    return (density_run_payload(run), density_run_csv(run),
             asdict(run.stats))
 
 
@@ -293,7 +277,7 @@ def cmd_discrepancy(cfg: _Config, workers: int, seed: int):
     payload = discrepancy_report_payload(report)
     payload["provenance"] = ps.provenance
     payload["coord_error"] = ps.coord_error
-    return payload, weyl_terms_csv(report), []
+    return payload, weyl_terms_csv(report)
 
 
 def cmd_weyl(cfg: _Config, workers: int, seed: int):
@@ -310,7 +294,7 @@ def cmd_weyl(cfg: _Config, workers: int, seed: int):
     csv = "d,N,h,real,imag,magnitude,error_bound\n" \
           f"{d},{res.N},{' '.join(map(str, hvec))},{res.value.real!r}," \
           f"{res.value.imag!r},{abs(res.value)!r},{res.error_bound!r}\n"
-    return payload, csv, []
+    return payload, csv
 
 
 def cmd_dioph(cfg: _Config, workers: int, seed: int):
@@ -350,14 +334,13 @@ def cmd_dioph(cfg: _Config, workers: int, seed: int):
         payload["window"] = {"a": win.a, "q": win.q, "Q": win.Q,
                              "lower": win.lower,
                              "satisfied": win.satisfied}
-    return payload, convergents_csv(convs), []
+    return payload, convergents_csv(convs)
 
 
 def cmd_bounds(cfg: _Config, workers: int, seed: int):
     kind = cfg.str_("bound", required=True,
                     choices={"poly_sum", "linear", "quadratic",
                              "reciprocal", "monotone"})
-    fixtures = []
     if kind == "poly_sum":
         alpha = as_spec(cfg.str_("alpha", required=True))
         m = cfg.int_("m", required=True, minimum=2)
@@ -368,7 +351,7 @@ def cmd_bounds(cfg: _Config, workers: int, seed: int):
         lower = cfg.str_list("lower") or ()
         cfg.finish()
         rep = weyl_bound_report(alpha, m, h, n, lower, q=q, eps=eps)
-        return weyl_bound_payload(rep), None, fixtures
+        return weyl_bound_payload(rep), None
     if kind == "linear":
         q = cfg.int_("q", required=True, minimum=1)
         h = cfg.int_("h", required=True)
@@ -382,7 +365,7 @@ def cmd_bounds(cfg: _Config, workers: int, seed: int):
             payload["exact_check"] = {
                 "actual": chk.actual, "cap": chk.cap,
                 "sum_error": chk.sum_error, "certified": chk.certified}
-        return payload, None, fixtures
+        return payload, None
     if kind == "quadratic":
         alpha = as_spec(cfg.str_("alpha", required=True))
         h = cfg.int_("h", required=True)
@@ -391,13 +374,11 @@ def cmd_bounds(cfg: _Config, workers: int, seed: int):
         g = cfg.str_list("g") or ()
         cfg.finish()
         rep = quadratic_bound(alpha, h, d, n, g)
-        fx = fixture_digest("lemma_constants.json")
-        if fx:
-            fixtures.append(fx)
         return ({"bound": "quadratic", "h": rep.h, "d": rep.d, "N": rep.N,
                  "rhs": rep.rhs, "value": rep.bound, "actual": rep.actual,
                  "ratio_sq": rep.ratio_sq,
-                 "sum_error_bound": rep.sum_error_bound}, None, fixtures)
+                 "sum_error_bound": rep.sum_error_bound}, None,
+                asdict(rep.stats))
     if kind == "reciprocal":
         alpha = as_spec(cfg.str_("alpha", required=True))
         k = cfg.int_("k", required=True, minimum=1)
@@ -405,14 +386,11 @@ def cmd_bounds(cfg: _Config, workers: int, seed: int):
         q = cfg.int_("q", minimum=1)
         cfg.finish()
         rep = reciprocal_sum(alpha, k, n, q=q)
-        fx = fixture_digest("lemma_constants.json")
-        if fx:
-            fixtures.append(fx)
         return ({"bound": "reciprocal", "K": rep.K, "N": rep.N, "q": rep.q,
                  "exact_sum": rep.exact_sum,
                  "enclosure": list(rep.enclosure),
                  "lemma_bound": rep.lemma_bound, "ratio": rep.ratio},
-                None, fixtures)
+                None, asdict(rep.stats))
     u = cfg.str_("u", required=True)
     v = cfg.str_("v", required=True)
     m_max = cfg.int_("m_max", required=True, minimum=2)
@@ -420,7 +398,7 @@ def cmd_bounds(cfg: _Config, workers: int, seed: int):
     cfg.finish()
     ok = monotone_check(u, v, m_max, variant)
     return ({"bound": "monotone", "u": u, "v": v, "M": m_max,
-             "variant": variant, "nondecreasing": ok}, None, fixtures)
+             "variant": variant, "nondecreasing": ok}, None)
 
 
 _COMMANDS = {
@@ -449,7 +427,7 @@ def run_config(raw: dict, *, workers: Optional[int] = None) -> dict:
         raise ConfigError("'workers' must be >= 1")
     start = time.perf_counter()
     try:
-        payload, csv, fixtures, *stats = _COMMANDS[command](cfg, workers, seed)
+        payload, csv, *stats = _COMMANDS[command](cfg, workers, seed)
     except InvalidSpec as exc:
         # a library precondition the config broke
         raise ConfigError(str(exc)) from exc
@@ -463,7 +441,7 @@ def run_config(raw: dict, *, workers: Optional[int] = None) -> dict:
     return {
         "config": dict(raw),
         "results": payload,
-        "fixtures": fixtures,
+        "fixtures": [],         # no command consults a fixture file
         "meta": meta,
         "_csv": csv,
     }

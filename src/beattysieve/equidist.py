@@ -23,7 +23,8 @@ import numpy as np
 from .counting import ProblemSpec, _as_exact, coordinate_form, dec_str
 from .dioph import convergents
 from .errors import InvalidSpec, NoConvergent, ResourceLimit
-from .realnum import LinearForm, SpecLike, as_spec, dist_nearest_int
+from .realnum import (LinearForm, SpecLike, as_spec, dist_nearest_int,
+                      dist_nearest_ints)
 
 # np.longdouble is 80-bit extended (or binary128) on the supported
 # platforms; phases pass through it so per-term rounding stays far below
@@ -181,7 +182,7 @@ def discrepancy_box_lower(ps: PointSet, *, seed: int = 0) -> BoxLower:
         raise InvalidSpec("need at least one point")
     if ps.dim == 1:
         exact = discrepancy_exact_1d(ps)
-        distinct = len(set(ps.points[:, 0].tolist()))
+        distinct = np.unique(ps.points[:, 0]).size
         return BoxLower(float(exact), False, 2 * distinct + 2)
     axes = []     # per axis: sorted distinct values
     for j in range(ps.dim):
@@ -549,6 +550,79 @@ def linear_sum_exact(spec: SpecLike, h: int, N: int) -> LinearSumCheck:
     return LinearSumCheck(h, N, actual, sum_error, float(cap), certified)
 
 
+_SUM_BITS = 128     # fixed-point scale of the brackets in _exact_floats
+
+
+def _exact_floats(rows) -> tuple:
+    """Correctly rounded doubles of exact sums of nonnegative rationals.
+
+    rows() returns a nonempty iterable of equal-length tuples of terms,
+    each a nonnegative rational as (numerator, denominator); column j sums
+    the j-th terms to S_j.  Returns [float(S_j) for each j] + [float(mean
+    of the S_j)], the number of rows read, and whether the exact fallback
+    ran.
+
+    The terms stream into two integers per column, the sums of
+    floor(term * 2^128) and of ceil(term * 2^128), which bracket
+    S_j * 2^128; the mean's bracket is their sum over the column count.
+    Rounding to a double is monotone, so when both ends of a bracket
+    round to the same double, that double is the rounded sum.  When they
+    differ, rows() runs once more and is summed in Fractions.
+    """
+    lo = hi = None
+    read = 0
+    for read, row in enumerate(rows(), 1):
+        if lo is None:
+            lo, hi = [0] * len(row), [0] * len(row)
+        for j, (num, den) in enumerate(row):
+            q, r = divmod(num << _SUM_BITS, den)
+            lo[j] += q
+            hi[j] += q + (r > 0)
+    if lo is None:
+        raise ValueError("an exact sum needs at least one row")
+    unit = 1 << _SUM_BITS
+    brackets = [(a, b, unit) for a, b in zip(lo, hi)]
+    brackets.append((sum(lo), sum(hi), unit * len(lo)))
+    out = [a / den for a, _, den in brackets]
+    if all(b / den == f for f, (_, b, den) in zip(out, brackets)):
+        return out, read, False
+    exact = [Fraction(0)] * len(lo)
+    for row in rows():
+        read += 1
+        for j, term in enumerate(row):
+            exact[j] += Fraction(*term)
+    exact.append(sum(exact) / len(lo))
+    return [float(x) for x in exact], read, True
+
+
+def _capped_inverse(dist: Fraction, N: int) -> tuple:
+    """min(N, 1/dist) as (numerator, denominator); N when dist = 0."""
+    num, den = dist.numerator, dist.denominator
+    return (den, num) if den < N * num else (N, 1)
+
+
+def _distance_rows(spec, scales, N: int, bits: int):
+    """A rows() for _exact_floats: (min(N, 1/d_hi), min(N, 1/d_lo)) over
+    the certified enclosure [d_lo, d_hi] of ||value * s|| at each scale s,
+    from one batch of distance verdicts."""
+    return lambda: ((_capped_inverse(dist.hi, N), _capped_inverse(dist.lo, N))
+                    for dist in dist_nearest_ints(spec, scales, bits=bits))
+
+
+@dataclass(frozen=True)
+class SumStats:
+    """What a reciprocal-distance sum did.
+
+    distance_verdicts: certified nearest-integer distances computed, one
+    per term (a sum that needs the exact fallback computes each twice);
+    exact_sum_fallbacks: times the sums were taken in exact Fractions,
+    because a 2^-128 fixed-point bracket straddled a rounding boundary.
+    """
+
+    distance_verdicts: int = 0
+    exact_sum_fallbacks: int = 0
+
+
 @dataclass(frozen=True)
 class QuadraticBoundReport:
     """|S|^2 against sum_v min(N, 1/||2 h d v a||), constant 1."""
@@ -560,15 +634,17 @@ class QuadraticBoundReport:
     actual: float
     ratio_sq: float
     sum_error_bound: float
+    stats: SumStats = SumStats()
 
 
 def quadratic_bound(spec: SpecLike, h: int, d: int, N: int,
                     g: Sequence = ()) -> QuadraticBoundReport:
     """Reciprocal-distance bound for a quadratic-phase exponential sum.
 
-    rhs sums min(N, 1/||2 h d v a||) for v <= N using the upper end of
-    the certified distance enclosure (an under-estimate of the true
-    right side, so observed ratios only overstate).  actual is
+    rhs is the correctly rounded double of the exact rational sum of
+    min(N, 1/d_v) for v <= N, d_v the upper end of the certified 48-bit
+    enclosure of ||2 h d v a|| (an under-estimate of the true right
+    side, so observed ratios only overstate).  actual is
     |sum_{n<=N} e(h d a n^2 + g(n))| with g linear at most.
     """
     if h == 0:
@@ -578,18 +654,15 @@ def quadratic_bound(spec: SpecLike, h: int, d: int, N: int,
     if len(tuple(g)) > 2:
         raise InvalidSpec("g must be a linear polynomial")
     spec = as_spec(spec)
-    rhs = Fraction(0)
-    for v in range(1, N + 1):
-        dist = dist_nearest_int(spec, abs(2 * h * d * v), bits=48)
-        if dist.hi == 0:
-            rhs += N
-        else:
-            rhs += min(Fraction(N), 1 / dist.hi)
+    step = abs(2 * h * d)
+    rows = _distance_rows(spec, range(step, step * N + 1, step), N, 48)
+    (rhs, _), read, fallback = _exact_floats(
+        lambda: (row[:1] for row in rows()))
     phases = _phases_for_poly(spec, 2, h * d, N, g)
     actual = abs(_cis_sum(phases))
-    rhs_f = float(rhs)
-    return QuadraticBoundReport(h, d, N, rhs_f, math.sqrt(rhs_f), actual,
-                                actual * actual / rhs_f, N * _TERM_ERR)
+    return QuadraticBoundReport(h, d, N, rhs, math.sqrt(rhs), actual,
+                                actual * actual / rhs, N * _TERM_ERR,
+                                SumStats(read, int(fallback)))
 
 
 @dataclass(frozen=True)
@@ -601,6 +674,7 @@ class ReciprocalSumReport:
     exact_sum: float
     enclosure: tuple
     lemma_bound: float
+    stats: SumStats = SumStats()
 
     @property
     def ratio(self) -> float:
@@ -609,27 +683,24 @@ class ReciprocalSumReport:
 
 def reciprocal_sum(spec: SpecLike, K: int, N: int, *,
                    q: Optional[int] = None) -> ReciprocalSumReport:
-    """Exact reciprocal-distance sum and its convergent-driven bound.
+    """Reciprocal-distance sum and its convergent-driven bound.
 
-    The bound uses (N + q ln q)(K/q + 1) with implied constant 1; q
-    defaults to the largest convergent denominator <= K.
+    Over the certified 60-bit enclosures [d_lo, d_hi] of ||v a||, v <= K,
+    enclosure holds the correctly rounded doubles of the exact rational
+    sums of min(N, 1/d_hi) and of min(N, 1/d_lo) (N where the end is 0),
+    and exact_sum the correctly rounded double of their exact mean.  The
+    bound uses (N + q ln q)(K/q + 1) with implied constant 1; q defaults
+    to the largest convergent denominator <= K.
     """
     if K < 1 or N < 1:
         raise InvalidSpec("K and N must be >= 1")
     spec = as_spec(spec)
     q = _denominator(spec, q, K, "K")
-    lo_sum = Fraction(0)
-    hi_sum = Fraction(0)
-    for v in range(1, K + 1):
-        dist = dist_nearest_int(spec, v, bits=60)
-        hi_sum += Fraction(N) if dist.lo <= 0 else min(Fraction(N),
-                                                       1 / dist.lo)
-        lo_sum += Fraction(N) if dist.hi == 0 else min(Fraction(N),
-                                                       1 / dist.hi)
+    (lo, hi, mid), read, fallback = _exact_floats(
+        _distance_rows(spec, range(1, K + 1), N, 60))
     bound = (N + q * math.log(q)) * (K / q + 1.0)
-    mid = (lo_sum + hi_sum) / 2
-    return ReciprocalSumReport(K, N, q, float(mid),
-                               (float(lo_sum), float(hi_sum)), bound)
+    return ReciprocalSumReport(K, N, q, mid, (lo, hi), bound,
+                               SumStats(read, int(fallback)))
 
 
 def monotone_check(u, v, M: int, variant: str) -> bool:

@@ -12,14 +12,15 @@ answers: ``LinearForm`` brackets sum_i spec_i * c_i * t**e_i at integers
 t, and every certified question (floors, fractional-part tests and
 values, phases, nearest-integer distances, partial quotients) is a
 verdict over that bracket.  One loop, ``LinearForm._decide``, takes a
-batch of t and yields one verdict per t; ``floors``, ``frac_units`` and
-``phase_fracs`` serve the many-t callers, and the one-t questions pass a
-batch of one.  A verdict the bracket leaves open doubles the precision
-of that t alone, from a start of 64 + the bit length of the scale, up to
-the fixed ceiling of DEFAULT_MAX_BITS = 2**20 bits; a decimal literal
-stops the doubling at its stated digits.  Either way PrecisionExhausted
-names what ran out: the literal and its bits, or the ceiling.  Forms
-whose coefficients are all exact rationals are decided exactly.
+batch of t and yields one verdict per t; ``floors``, ``frac_units``,
+``phase_fracs`` and ``dist_nearest_ints`` serve the many-t callers, and
+the one-t questions pass a batch of one.  A verdict the bracket leaves
+open doubles the precision of that t alone, from a start of 64 + the bit
+length of the scale, up to the fixed ceiling of DEFAULT_MAX_BITS = 2**20
+bits; a decimal literal stops the doubling at its stated digits.
+Either way PrecisionExhausted names what ran out: the literal and its
+bits, or the ceiling.  Forms whose coefficients are all exact rationals
+are decided exactly.
 """
 
 from __future__ import annotations
@@ -714,19 +715,25 @@ def frac_below(spec: RealSpec, scale: int, bound_num: int,
     return _unit_form(spec).frac_below(scale, bound_num, bound_den)
 
 
-def dist_nearest_int(spec: RealSpec, scale: int, *,
-                     bits: int = 48) -> Interval:
-    """Enclosure of ||value * scale|| (distance to the nearest integer).
+def dist_nearest_ints(spec: RealSpec, scales, *, bits: int = 48):
+    """Enclosures of ||value * s|| (distance to the nearest integer) for
+    each positive integer s in scales, lazily.
 
-    A stated-precision representation that cannot reach `bits` returns
-    the tightest interval its digits certify (visible through the
-    interval's precision_bits) rather than refusing outright; it only
-    raises when the digits certify nothing at all.
+    Each s starts at the precision max(64 + its bit length, bits + its
+    bit length + 2), by splitting the scales into runs of equal start, so
+    every Interval is the one dist_nearest_int returns for s alone.  A
+    stated-precision representation that cannot reach `bits` returns the
+    tightest interval its digits certify (visible through the interval's
+    precision_bits) rather than refusing outright; it only raises when
+    the digits certify nothing at all.
     """
-    if scale < 1:
-        raise ValueError("scale must be a positive integer")
     form = _unit_form(spec)
     cap = form._cap
+
+    def start(scale):
+        if scale < 1:
+            raise ValueError("scale must be a positive integer")
+        return max(form._start(scale), bits + scale.bit_length() + 2)
 
     def verdict(lo, hi, pe):
         unit = 1 << pe
@@ -751,6 +758,12 @@ def dist_nearest_int(spec: RealSpec, scale: int, *,
             return None
         return Interval(Fraction(d_lo, unit), Fraction(d_hi, unit), pb)
 
-    start = max(form._start(scale), bits + scale.bit_length() + 2)
-    return next(form._decide((scale,), start, "nearest-integer distance",
-                             verdict))
+    return chain.from_iterable(
+        form._decide(run, prec, "nearest-integer distance", verdict)
+        for prec, run in groupby(scales, start))
+
+
+def dist_nearest_int(spec: RealSpec, scale: int, *,
+                     bits: int = 48) -> Interval:
+    """Enclosure of ||value * scale||: dist_nearest_ints on one scale."""
+    return next(dist_nearest_ints(spec, (scale,), bits=bits))

@@ -5,7 +5,6 @@ Covers the textual config format, per-command validation, report assembly
 fixture digests, and the documented exit codes 0/2/3/4.
 """
 
-import hashlib
 import json
 import os
 import warnings
@@ -372,24 +371,40 @@ def test_bounds_linear_with_certified_check():
     assert chk["cap"] == pytest.approx(2.0606601717, abs=1e-9)
 
 
-def test_bounds_quadratic_includes_fixture_digest():
-    raw = {"command": "bounds", "bound": "quadratic", "alpha": SQRT2,
-           "h": "1", "n": "50"}
-    report = run_config(raw)
+@pytest.mark.parametrize("with_file", [True, False],
+                         ids=["file_present", "file_absent"])
+def test_bounds_sums_report_no_fixtures(monkeypatch, tmp_path, with_file):
+    # neither sum reads a fixture file, so none is named, whether or not
+    # fixtures/lemma_constants.json can be found
+    if with_file:
+        assert os.path.isfile(os.path.join(FIXTURE_DIR,
+                                           "lemma_constants.json"))
+        monkeypatch.chdir(os.path.dirname(FIXTURE_DIR))
+    else:
+        monkeypatch.delenv("BEATTYSIEVE_FIXTURE_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+    quadratic = {"command": "bounds", "bound": "quadratic", "alpha": SQRT2,
+                 "h": "1", "n": "50"}
+    reciprocal = {"command": "bounds", "bound": "reciprocal",
+                  "alpha": SQRT2, "k": "50", "n": "50"}
+    report = run_config(quadratic)
     assert report["results"]["ratio_sq"] < 16
-    fixture_path = os.path.join(FIXTURE_DIR, "lemma_constants.json")
-    with open(fixture_path, "rb") as fh:
-        want = hashlib.sha256(fh.read()).hexdigest()
-    assert report["fixtures"] == [
-        {"file": "lemma_constants.json", "sha256": want}]
+    assert report["fixtures"] == []
+    assert run_config(reciprocal)["fixtures"] == []
 
 
-def test_bounds_fixture_digest_absent_without_file(monkeypatch, tmp_path):
-    monkeypatch.delenv("BEATTYSIEVE_FIXTURE_DIR", raising=False)
-    monkeypatch.chdir(tmp_path)
-    raw = {"command": "bounds", "bound": "quadratic", "alpha": SQRT2,
-           "h": "1", "n": "50"}
-    assert run_config(raw)["fixtures"] == []
+def test_bounds_sums_report_their_counters():
+    raw = {"command": "bounds", "bound": "reciprocal", "alpha": SQRT2,
+           "k": "40", "n": "30"}
+    report = run_config(raw)
+    assert report["meta"]["stats"] == {"distance_verdicts": 40,
+                                       "exact_sum_fallbacks": 0}
+    quadratic = {"command": "bounds", "bound": "quadratic", "alpha": SQRT2,
+                 "h": "2", "n": "25"}
+    assert run_config(quadratic)["meta"]["stats"] == {
+        "distance_verdicts": 25, "exact_sum_fallbacks": 0}
+    # the counters stay outside the determinism surface
+    assert b"distance_verdicts" not in payload_bytes(report)
 
 
 def test_bounds_reciprocal_worked_value():

@@ -16,6 +16,7 @@ from beattysieve.counting import ProblemSpec
 from beattysieve.dioph import convergents
 from beattysieve.equidist import (
     DiscrepancyReport,
+    _exact_floats,
     _float_up,
     _phases_for_poly,
     _sum_error,
@@ -525,6 +526,74 @@ def test_reciprocal_sum_default_q():
     lb = (10 + rep.q * math.log(rep.q)) * (1000 / rep.q + 1)
     assert rep.lemma_bound == pytest.approx(lb, rel=1e-12)
 
+
+
+# --- exact sums of rationals ------------------------------------------------------------------
+
+
+_SUM_SPECS = ["surd:(0+1*sqrt(2))/1", "surd:(0+1*sqrt(19))/1",
+              "surd:(0+1*sqrt(94))/1", "surd:(1+1*sqrt(5))/2",
+              "liouville:base=2,rule=poly,tau=2,c1=2,depth=8"]
+# (exact_sum, enclosure) of reciprocal_sum at K = N = 3000 and (rhs,
+# ratio_sq) of quadratic_bound at h = d = 1, N = 2000, as the exact
+# Fraction sums gave them
+_PINNED_SUMS = {
+    _SUM_SPECS[0]: ((48419.819063073985, 48419.819063073985,
+                     48419.819063073985),
+                    (29873.086633325525, 0.028809365078036536)),
+    _SUM_SPECS[1]: ((48004.047785104456, 48004.04778510445,
+                     48004.047785104456),
+                    (30950.675361228004, 0.009128219541588822)),
+    _SUM_SPECS[2]: ((49805.37168436435, 49805.37168436435,
+                     49805.37168436435),
+                    (29849.591136622854, 0.03766199237540738)),
+    _SUM_SPECS[3]: ((48618.408847607745, 48618.408847607745,
+                     48618.408847607745),
+                    (30898.018401063113, 0.07452991469413899)),
+    _SUM_SPECS[4]: ((40539.96922481048, 40539.96922481048,
+                     40539.96922481048),
+                    (31135.936610620887, 0.031795709383742925)),
+}
+
+
+@pytest.mark.parametrize("text", _SUM_SPECS)
+def test_reciprocal_and_quadratic_sums_are_pinned(text):
+    (mid, lo, hi), (rhs, ratio_sq) = _PINNED_SUMS[text]
+    rep = reciprocal_sum(text, 3000, 3000)
+    assert (rep.exact_sum, rep.enclosure) == (mid, (lo, hi))
+    quad = quadratic_bound(text, 1, 1, 2000)
+    assert (quad.rhs, quad.ratio_sq) == (rhs, ratio_sq)
+
+
+# nonnegative rationals whose denominators are not powers of two, so no
+# term is exact at the 2^-128 scale of the brackets
+_non_dyadic = st.builds(
+    Fraction, st.integers(0, 10 ** 40),
+    st.integers(1, 10 ** 30).map(lambda d: 2 * d + 1)
+    | st.integers(1, 10 ** 6).map(lambda d: 3 * d << 150))
+
+
+@settings(max_examples=250, deadline=None)
+@given(terms=st.lists(_non_dyadic, min_size=1, max_size=30))
+def test_exact_floats_round_the_exact_sum(terms):
+    rows = [((t.numerator, t.denominator), (3 * t.numerator, t.denominator))
+            for t in terms]
+    total = sum(terms)
+    (one, three, mean), read, _ = _exact_floats(lambda: iter(rows))
+    assert read in (len(rows), 2 * len(rows))
+    assert (one, three, mean) == (float(total), float(3 * total),
+                                  float(2 * total))
+
+
+def test_exact_floats_fall_back_on_a_half_ulp_tie():
+    # 1 + 2^-53 is halfway between 1 and the next double, and rounds to
+    # even, 1.0; the bracket's two ends round to different doubles
+    y = Fraction(1, 3 << 140)
+    terms = [1 + Fraction(1, 1 << 53) - y, y]
+    (value, _), read, fallback = _exact_floats(
+        lambda: [((t.numerator, t.denominator),) for t in terms])
+    assert fallback and read == 4
+    assert value == 1.0 == float(sum(terms))
 
 # --- monotone step conditions -----------------------------------------------------------------
 

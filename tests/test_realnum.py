@@ -20,6 +20,7 @@ from beattysieve.realnum import (
     Rational,
     as_spec,
     dist_nearest_int,
+    dist_nearest_ints,
     eval_enclosure,
     floor_scaled,
     frac_below,
@@ -382,6 +383,27 @@ def test_batch_verdicts_equal_one_element_calls(pick, ts):
     assert list(form.phase_fracs(ts)) == [next(form.phase_fracs([t]))
                                           for t in ts]
 
+
+# scales of 1 to 40 bits, in any order and with repeats, so a batch
+# spans runs of equal starting precision and returns to earlier ones
+_dist_scales = st.lists(
+    st.integers(0, 39).flatmap(lambda b: st.integers(2 ** b, 2 ** b + 3)),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.sampled_from([sqrt2(), _LIOU, Rational(22, 7)]),
+       bits=st.sampled_from([48, 60, 64]), scales=_dist_scales)
+def test_batch_distances_equal_one_element_calls(spec, bits, scales):
+    batch = list(dist_nearest_ints(spec, scales, bits=bits))
+    assert batch == [dist_nearest_int(spec, s, bits=bits) for s in scales]
+
+
+def test_batch_distances_refuse_a_nonpositive_scale():
+    with pytest.raises(ValueError):
+        list(dist_nearest_ints(sqrt2(), [3, 0]))
+    with pytest.raises(ValueError):
+        dist_nearest_int(sqrt2(), 0)
 
 def test_frac_unit_stays_in_unit_interval():
     form = LinearForm([(sqrt2(), 1, 1)])
