@@ -5,7 +5,8 @@ For each divisor d the Moebius route counts how often a vector of
 fractional parts falls in a shrinking box; its error is controlled by
 the discrepancy of the point set.  This demo computes, for real point
 sets produced by the library, the exact extreme discrepancy (dimension
-1), a certified box lower bound (any dimension), and the
+1), the star discrepancy from one sweep of the critical grid (a
+certified lower bound in any dimension), and the
 Erdos–Turan–Koksma upper bound from exponential sums, with the constants
 of Kuipers–Niederreiter's Theorem 2.5 — and shows the sandwich holds.
 """
@@ -41,8 +42,8 @@ def main() -> int:
     problem2 = ProblemSpec((sqrt2(), sqrt3()), (1, 2))
     ps2 = nu_sequence(problem2, 2, 1000)
     rep2 = discrepancy_report(ps2, H=20)
-    print(f"  box lower bound            = {rep2.box_lower:.6f} "
-          f"(sampled={rep2.box_lower_sampled})")
+    print(f"  star discrepancy D*_N      = {rep2.box_lower:.6f} "
+          "(of the stored points)")
     print(f"  ETK upper bound (H=20)     = {rep2.et_upper:.4f}\n")
 
     print("== the Weyl terms feeding the upper bound (largest first) ==")

@@ -18,7 +18,7 @@ Config schema (lines of key=value; blank lines and #-comments ignored):
   lower_<j>     lower-order coefficients for coordinate j >= 2, constant
                 first, e.g. lower_2=1/2,surd:(0+1*sqrt(2))/1
   workers       positive integer (count/density only), default 1
-  seed          integer >= 0 for randomized sub-sampling, default 0
+  seed          integer >= 0, default 0; accepted and unused
 
   count:        x=; method=direct|mobius (default direct); d_cutoff=
   density:      grid=comma ints (>= 3); tau= (exact, optional)
@@ -237,7 +237,7 @@ def _count_payload(res: CountResult) -> dict:
             "density": dec_str(Fraction(res.count, res.x), 20)}
 
 
-def cmd_count(cfg: _Config, workers: int, seed: int):
+def cmd_count(cfg: _Config, workers: int):
     problem = build_problem(cfg)
     x = cfg.int_("x", required=True, minimum=1)
     method = cfg.str_("method", "direct",
@@ -256,7 +256,7 @@ def cmd_count(cfg: _Config, workers: int, seed: int):
     return payload, csv, asdict(res.stats)
 
 
-def cmd_density(cfg: _Config, workers: int, seed: int):
+def cmd_density(cfg: _Config, workers: int):
     problem = build_problem(cfg)
     grid = cfg.int_list("grid", required=True)
     tau = cfg.str_("tau")
@@ -266,21 +266,21 @@ def cmd_density(cfg: _Config, workers: int, seed: int):
             asdict(run.stats))
 
 
-def cmd_discrepancy(cfg: _Config, workers: int, seed: int):
+def cmd_discrepancy(cfg: _Config, workers: int):
     problem = build_problem(cfg)
     d = cfg.int_("d", 1, minimum=1)
     n = cfg.int_("n", required=True, minimum=1)
     h = cfg.int_("h", 20, minimum=1)
     cfg.finish()
     ps = nu_sequence(problem, d, n)
-    report = discrepancy_report(ps, h, seed=seed)
+    report = discrepancy_report(ps, h)
     payload = discrepancy_report_payload(report)
     payload["provenance"] = ps.provenance
     payload["coord_error"] = ps.coord_error
     return payload, weyl_terms_csv(report)
 
 
-def cmd_weyl(cfg: _Config, workers: int, seed: int):
+def cmd_weyl(cfg: _Config, workers: int):
     problem = build_problem(cfg)
     d = cfg.int_("d", 1, minimum=1)
     n = cfg.int_("n", required=True, minimum=1)
@@ -297,7 +297,7 @@ def cmd_weyl(cfg: _Config, workers: int, seed: int):
     return payload, csv
 
 
-def cmd_dioph(cfg: _Config, workers: int, seed: int):
+def cmd_dioph(cfg: _Config, workers: int):
     alpha = cfg.str_("alpha", required=True)
     max_q = cfg.int_("max_q", required=True, minimum=1)
     mode = cfg.str_("mode", "poly",
@@ -337,7 +337,7 @@ def cmd_dioph(cfg: _Config, workers: int, seed: int):
     return payload, convergents_csv(convs)
 
 
-def cmd_bounds(cfg: _Config, workers: int, seed: int):
+def cmd_bounds(cfg: _Config, workers: int):
     kind = cfg.str_("bound", required=True,
                     choices={"poly_sum", "linear", "quadratic",
                              "reciprocal", "monotone"})
@@ -420,14 +420,14 @@ def run_config(raw: dict, *, workers: Optional[int] = None) -> dict:
     cfg = _Config(raw)
     command = cfg.str_("command", required=True, choices=set(_COMMANDS))
     cfg_workers = cfg.int_("workers", 1, minimum=1)
-    seed = cfg.int_("seed", 0, minimum=0)
+    cfg.int_("seed", 0, minimum=0)
     if workers is None:
         workers = cfg_workers
     elif workers < 1:
         raise ConfigError("'workers' must be >= 1")
     start = time.perf_counter()
     try:
-        payload, csv, *stats = _COMMANDS[command](cfg, workers, seed)
+        payload, csv, *stats = _COMMANDS[command](cfg, workers)
     except InvalidSpec as exc:
         # a library precondition the config broke
         raise ConfigError(str(exc)) from exc

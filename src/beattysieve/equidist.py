@@ -2,7 +2,7 @@
 
 Generates the point sets ({a_j d^{m_j-1} n^{m_j} + g_j(dn)/d})_{j<=k},
 measures their irregularity three ways — exact extreme discrepancy in
-dimension one, box-witness lower bounds in any dimension, and the
+dimension one, the star discrepancy (a lower bound) in any dimension, and the
 Erdős–Turán–Koksma upper bound through exponential sums — and evaluates
 the explicit inequalities (linear, quadratic, reciprocal-sum, and
 monotonicity checks) that make those sums estimable.  Everything here
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Optional, Sequence
 
@@ -157,103 +158,72 @@ def discrepancy_exact_1d(ps_or_values) -> Fraction:
 class BoxLower:
     """A witnessed lower bound for the extreme discrepancy."""
     value: float
-    sampled: bool
     boxes_checked: int
 
 
-_BUDGET = 4_000_000     # most critical-grid boxes, or frequency pairs, a call
-_SAMPLES = 20_000       # boxes the box scan samples past _BUDGET
+_BUDGET = 4_000_000             # most frequency pairs et_koksma_upper sums
+_BOX_BUDGET = 2_000_000_000     # most critical-grid boxes a box sweep scores
 
 
-def discrepancy_box_lower(ps: PointSet, *, seed: int = 0) -> BoxLower:
-    """Maximize |count/N - volume| over origin-anchored boxes [0, b).
+def discrepancy_box_lower(ps: PointSet) -> BoxLower:
+    """The star discrepancy of the stored points, the largest
+    |count/N - volume| over boxes [0, b): a lower bound for the extreme
+    discrepancy.  In dimension one it is discrepancy_exact_1d, the
+    extreme discrepancy itself.
 
-    Upper corners run over every point coordinate, its one-sided upper
-    limit, and 1, per axis — the critical grid on which the supremum
-    over such boxes is attained.  In dimension one this routine defers
-    to discrepancy_exact_1d, the order-statistics formula of
-    Kuipers–Niederreiter (Ch. 2, §1), which covers two-sided intervals too.
-    Any returned value is a valid lower bound for the extreme
-    discrepancy; past _BUDGET boxes a seeded random subgrid of _SAMPLES
-    boxes is scanned instead and the result says so.
+    Per axis, b runs over each point coordinate v, its one-sided upper
+    limit v+, and 1: the critical grid on which the supremum is attained
+    (Kuipers–Niederreiter, *Uniform Distribution of Sequences*, Ch. 2,
+    §1).  boxes_checked is its size, the product of 2 n_j + 1 over the
+    n_j distinct values per axis; past _BOX_BUDGET boxes ResourceLimit
+    is raised before any table exists.
+
+    One sweep walks the cuts of the axis with the most distinct values
+    over a below-cut count table of the other axes: O(N^k) time,
+    O(N^(k-1)) memory.  The corners of a cut tuple share one count, and
+    their volumes run from prod lo (b = v+ of each value below the cut)
+    to prod hi (b = the value above it, or 1), so, rounding being
+    monotone, count/N - prod lo or prod hi - count/N is the largest
+    float deviation among them.  The best corner is rescored exactly and
+    rounded down, so the value never exceeds the supremum.
     """
-    N = ps.N
+    N, k = ps.N, ps.dim
     if N < 1:
         raise InvalidSpec("need at least one point")
-    if ps.dim == 1:
-        exact = discrepancy_exact_1d(ps)
-        distinct = np.unique(ps.points[:, 0]).size
-        return BoxLower(float(exact), False, 2 * distinct + 2)
-    axes = []     # per axis: sorted distinct values
-    for j in range(ps.dim):
-        axes.append(np.unique(ps.points[:, j]))
-    n_boxes = 1
-    for vj in axes:
-        n_boxes *= 2 * len(vj) + 1
-    if n_boxes <= _BUDGET:
-        return _box_lower_full(ps, axes, n_boxes)
-    return _box_lower_sampled(ps, axes, _SAMPLES, seed)
-
-
-def _box_corner_candidates(vj: np.ndarray):
-    """(volume coordinate, points counted strictly below cut) per option."""
-    cands = [(float(v), i) for i, v in enumerate(vj)]          # b = v
-    cands += [(float(v), i + 1) for i, v in enumerate(vj)]     # b = v+
-    cands.append((1.0, len(vj)))                               # b = 1
-    return cands
-
-
-def _ranks(ps: PointSet, axes) -> np.ndarray:
-    out = np.empty(ps.points.shape, dtype=np.intp)
-    for j, vj in enumerate(axes):
-        out[:, j] = np.searchsorted(vj, ps.points[:, j])
-    return out
-
-
-def _below_cut_table(ps: PointSet, axes) -> np.ndarray:
-    """C[c_1,...,c_k] = number of points with rank_j < c_j on every axis."""
-    ranks = _ranks(ps, axes)
-    hist = np.zeros(tuple(len(vj) for vj in axes), dtype=np.int64)
-    np.add.at(hist, tuple(ranks[:, j] for j in range(ps.dim)), 1)
-    for axis in range(ps.dim):
-        np.cumsum(hist, axis=axis, out=hist)
-    return np.pad(hist, [(1, 0)] * ps.dim)
-
-
-def _box_lower_full(ps: PointSet, axes, n_boxes: int) -> BoxLower:
-    table = _below_cut_table(ps, axes)
-    cuts = []
-    vols = []
-    for vj in axes:
-        cands = _box_corner_candidates(vj)
-        cuts.append(np.array([c for _, c in cands], dtype=np.intp))
-        vols.append(np.array([v for v, _ in cands]))
-    counts = table[np.ix_(*cuts)]
-    vol = vols[0]
-    for vv in vols[1:]:
-        vol = np.multiply.outer(vol, vv)
-    dev = np.abs(counts / ps.N - vol)
-    return BoxLower(float(dev.max()), False, n_boxes)
-
-
-def _box_lower_sampled(ps: PointSet, axes, samples: int,
-                       seed: int) -> BoxLower:
-    rng = np.random.default_rng(seed)
-    cand_lists = [_box_corner_candidates(vj) for vj in axes]
-    ranks = _ranks(ps, axes)
-    N = ps.N
-    best = 0.0
-    for _ in range(samples):
-        vol = 1.0
-        mask = np.ones(N, dtype=bool)
-        for j, cands in enumerate(cand_lists):
-            val, cut = cands[int(rng.integers(len(cands)))]
-            vol *= val
-            mask &= ranks[:, j] < cut
-        dev = abs(int(mask.sum()) / N - vol)
-        if dev > best:
-            best = dev
-    return BoxLower(best, True, samples)
+    axes = [np.unique(col) for col in ps.points.T]
+    if k == 1:
+        return BoxLower(float(discrepancy_exact_1d(ps)), 2 * len(axes[0]) + 2)
+    n_boxes = math.prod(2 * len(vj) + 1 for vj in axes)
+    if n_boxes > _BOX_BUDGET:
+        raise ResourceLimit(f"the critical grid has {n_boxes} boxes, past "
+                            f"the budget of {_BOX_BUDGET}")
+    s = max(range(k), key=lambda j: len(axes[j]))
+    lo = [np.concatenate((vj[:1], vj)) for vj in axes]
+    hi = [np.concatenate((vj, [1.0])) for vj in axes]
+    ranks = [np.searchsorted(vj, col) for vj, col in zip(axes, ps.points.T)]
+    order = np.argsort(ranks[s])
+    others = np.column_stack([rj[order] + 1 for j, rj in enumerate(ranks)
+                              if j != s])
+    # piece c holds the points of rank c - 1 on axis s; piece 0 is empty
+    pieces = np.split(others, np.searchsorted(
+        ranks[s], np.arange(len(axes[s])), sorter=order))
+    table = np.zeros([len(vj) + 1 for j, vj in enumerate(axes) if j != s],
+                     dtype=np.int64)
+    best = -math.inf
+    for c, piece in enumerate(pieces):
+        for r in piece:
+            table[tuple(slice(x, None) for x in r)] += 1
+        below = table / N
+        for vols, sign in ((lo, 1), (hi, -1)):
+            dev = sign * (below - reduce(np.multiply.outer, [
+                vj[c] if j == s else vj for j, vj in enumerate(vols)]))
+            i = int(dev.argmax())
+            if dev.flat[i] > best:
+                cuts = np.insert(np.unravel_index(i, table.shape), s, c)
+                vol = math.prod(Fraction(vj[cj]) for vj, cj in zip(vols, cuts))
+                best = dev.flat[i]
+                exact = sign * (Fraction(int(table.flat[i]), N) - vol)
+    return BoxLower(_float_down(exact), n_boxes)
 
 
 @dataclass(frozen=True)
@@ -265,7 +235,6 @@ class DiscrepancyReport:
     et_upper: float
     H: int
     weyl_terms: tuple
-    box_lower_sampled: bool = False
 
     def __post_init__(self) -> None:
         if self.box_lower is not None and self.box_lower > self.et_upper:
@@ -295,6 +264,12 @@ def _float_up(x: Fraction) -> float:
     """The least double >= x."""
     f = float(x)
     return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
+def _float_down(x: Fraction) -> float:
+    """The largest double <= x."""
+    f = float(x)
+    return f if Fraction(f) <= x else math.nextafter(f, -math.inf)
 
 
 def _sum_error(N: int, k: int, H: int) -> float:
@@ -360,16 +335,13 @@ def et_koksma_upper(ps: PointSet, H: int) -> DiscrepancyReport:
     return DiscrepancyReport(N, None, None, _float_up(bound), H, tuple(terms))
 
 
-def discrepancy_report(ps: PointSet, H: int, *,
-                       seed: int = 0) -> DiscrepancyReport:
+def discrepancy_report(ps: PointSet, H: int) -> DiscrepancyReport:
     """Assemble the exact value (dim 1), box lower bound, and upper bound."""
     upper = et_koksma_upper(ps, H)
-    box = discrepancy_box_lower(ps, seed=seed)
-    # in dimension one the box bound is the exact order-statistics formula
-    # (Kuipers–Niederreiter, Ch. 2, §1) itself
+    box = discrepancy_box_lower(ps)
     exact = box.value if ps.dim == 1 else None
     return DiscrepancyReport(ps.N, exact, box.value, upper.et_upper, H,
-                             upper.weyl_terms, box.sampled)
+                             upper.weyl_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +710,6 @@ def discrepancy_report_payload(report: DiscrepancyReport) -> dict:
         "N": report.N,
         "exact": report.exact,
         "box_lower": report.box_lower,
-        "box_lower_sampled": report.box_lower_sampled,
         "et_upper": report.et_upper,
         "H": report.H,
         "weyl_terms": [{"h": list(h), "magnitude": mag, "r": r}

@@ -508,7 +508,9 @@ class LinearForm:
     literal is at its cap, the failure names it.  A form whose coefficients are
     all exact rationals is also evaluated exactly (`_value`), because its
     value can sit exactly on an integer or on a rational threshold, where
-    no bracket decides.
+    no bracket decides; so is a form at a t where the irrational parts of
+    its terms cancel (`_rational_value`), as -sqrt3 t^3 + 4 sqrt3 t does
+    at t = 2.
     """
 
     def __init__(self, terms: Sequence[tuple]):
@@ -550,6 +552,27 @@ class LinearForm:
         nums, den = self._exact
         return Fraction(sum(c * t ** e for c, e in nums), den)
 
+    def _rational_value(self, t: int) -> Optional[Fraction]:
+        """The exact value at t when the irrational parts of the terms
+        cancel there, else None.  A surd (a + b sqrt(d))/c counts on the
+        basis sqrt(r) of the first radicand r with d r a square, as
+        sqrt(d) = isqrt(d r)/r * sqrt(r); any other irrational spec is
+        its own basis."""
+        value, irrational = Fraction(0), {}
+        for spec, c, e in self.terms:
+            w = c * t ** e
+            if spec.exact() is not None:
+                value += spec.exact() * w
+            elif isinstance(spec, QuadraticSurd):
+                r = next(r for r in (*irrational, spec.d) if isinstance(r, int)
+                         and math.isqrt(r * spec.d) ** 2 == r * spec.d)
+                value += Fraction(spec.a * w, spec.c)
+                irrational[r] = irrational.get(r, 0) + Fraction(
+                    spec.b * math.isqrt(spec.d * r) * w, spec.c * r)
+            else:
+                irrational[spec] = irrational.get(spec, 0) + w
+        return None if any(irrational.values()) else value
+
     def _escalate(self, t: int, prec: int, need: str) -> int:
         """The precision to try after `prec` left `need` open at t."""
         # a t past 64 bits is named by its size: a decimal string of over
@@ -566,10 +589,12 @@ class LinearForm:
                 f"ceiling", spec=self.terms[0][0], scale=t, n=t, bits=prec)
         return min(2 * prec, DEFAULT_MAX_BITS)
 
-    def _decide(self, ts, prec: int, need: str, verdict):
+    def _decide(self, ts, prec: int, need: str, verdict, exact=None):
         """Yield verdict(lo, hi, pe) on the bracket at each t in ts, every
-        t started at prec; a t whose verdict is None is decided on its own,
-        as a batch of one at the next precision `_escalate` allows."""
+        t started at prec; a t whose verdict is None is decided by
+        exact(value) when exact is given and the value there is rational,
+        else on its own, as a batch of one at the next precision
+        `_escalate` allows."""
         pe, rows = self._rows(prec)
         for t in ts:
             lo = hi = 0
@@ -579,8 +604,10 @@ class LinearForm:
                 hi += b * w
             answer = verdict(lo, hi, pe)
             if answer is None:
-                answer = next(self._decide(
-                    (t,), self._escalate(t, prec, need), need, verdict))
+                value = None if exact is None else self._rational_value(t)
+                answer = exact(value) if value is not None else next(
+                    self._decide((t,), self._escalate(t, prec, need), need,
+                                 verdict))
             yield answer
 
     # -- verdicts ------------------------------------------------------------
@@ -595,13 +622,14 @@ class LinearForm:
             f = lo >> pe
             return f if hi >> pe == f else None
         return self._decide(ts, self._start(max(ts, default=0)), "floor",
-                            verdict)
+                            verdict, math.floor)
 
     def frac_below(self, t: int, num: int, den: int) -> bool:
         """Certified test {value at t} < num/den (False at equality)."""
+        def below(value):
+            return (value - math.floor(value)) * den < num
         if self._exact is not None:
-            exact = self._value(t)
-            return (exact - math.floor(exact)) * den < num
+            return below(self._value(t))
 
         def verdict(lo, hi, pe):
             f = lo >> pe
@@ -614,15 +642,17 @@ class LinearForm:
                 return False
             return None
         return next(self._decide((t,), self._start(t), "fractional test",
-                                 verdict))
+                                 verdict, below))
 
     def frac_units(self, ts):
         """Floor-certified fractional part at each t in ts, lazily, as
         (float in [0,1), error bound), the bracket no wider than 2^-60 and
         started at _start(t), so no float depends on the other t."""
+        def unit(value):
+            value %= 1
+            return _unit_float(value.numerator, 0, value.denominator)
         if self._exact is not None:
-            return (_unit_float(v.numerator, 0, v.denominator)
-                    for v in (self._value(t) % 1 for t in ts))
+            return (unit(self._value(t)) for t in ts)
 
         def verdict(lo, hi, pe):
             f = lo >> pe
@@ -630,7 +660,7 @@ class LinearForm:
                 return _unit_float(lo - (f << pe), hi - lo, 1 << pe)
             return None
         return chain.from_iterable(
-            self._decide(run, prec, "fractional part", verdict)
+            self._decide(run, prec, "fractional part", verdict, unit)
             for prec, run in groupby(ts, self._start))
 
     def phase_fracs(self, ts):

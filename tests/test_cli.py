@@ -516,7 +516,7 @@ def test_main_resource_limit_exit_4(tmp_path, capsys):
 
 
 # a float that is not finite would reach the report as NaN or Infinity,
-# which is not JSON; a negative seed would reach numpy's generator
+# which is not JSON; seed is unused, but the CLI still validates the key
 @pytest.mark.parametrize("command, body, key", [
     ("bounds", f"bound=poly_sum\nalpha={SQRT2}\nm=2\nh=1\nn=100\neps=inf\n",
      "eps"),

@@ -620,3 +620,20 @@ def test_direct_kernel_agrees_with_the_exact_routes(problem, x):
                          for low in problem.lower_terms if low for c in low)
     if surds_only and rational_lower:
         assert direct == brute_count(problem, x)
+
+
+def test_routes_count_a_coordinate_that_lands_on_an_integer():
+    # -sqrt3 n^3 + 2 sqrt12 n = sqrt3 (4n - n^3) is 0 at n = 2, where the
+    # running gcd is 2 and no bracket decides the floor
+    problem = ProblemSpec((sqrt2(), QuadraticSurd(0, -1, 3, 1)), (1, 3),
+                          (None, (Rational(0, 1), QuadraticSurd(0, 2, 12, 1))))
+
+    def floor_sqrt3(k):
+        r = math.isqrt(3 * k * k)
+        return r if k >= 0 else -r - 1
+    want = sum(1 for n in range(1, 31)
+               if math.gcd(n, math.isqrt(2 * n * n),
+                           floor_sqrt3(4 * n - n ** 3)) == 1)
+    assert direct_count(problem, 30).count == want
+    assert mobius_count(problem, 30).count == want
+    assert exact_reference_count(problem, 30) == want

@@ -3,8 +3,13 @@
 import cmath
 import hashlib
 import math
+import operator
+import re
 import struct
+import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 
 import mpmath
 import numpy as np
@@ -15,6 +20,7 @@ from hypothesis import strategies as st
 from beattysieve.counting import ProblemSpec
 from beattysieve.dioph import convergents
 from beattysieve.equidist import (
+    _BOX_BUDGET,
     DiscrepancyReport,
     _exact_floats,
     _float_up,
@@ -190,7 +196,6 @@ def test_box_lower_dim1_equals_exact():
     exact = discrepancy_exact_1d(ps)
     box = discrepancy_box_lower(ps)
     assert box.value == pytest.approx(float(exact), abs=1e-12)
-    assert not box.sampled
 
 
 def test_box_lower_dim2_single_point():
@@ -200,25 +205,64 @@ def test_box_lower_dim2_single_point():
     assert box.boxes_checked == 9
 
 
-def test_box_lower_sampling_kicks_in_and_stays_below_full(monkeypatch):
-    from beattysieve import equidist
-    ps = nu_sequence(ProblemSpec((sqrt2(), sqrt3()), (1, 2)), 1, 200)
-    full = discrepancy_box_lower(ps)
-    monkeypatch.setattr(equidist, "_BUDGET", 10)
-    monkeypatch.setattr(equidist, "_SAMPLES", 4000)
-    sampled = discrepancy_box_lower(ps, seed=1)
-    assert not full.sampled and sampled.sampled
-    assert sampled.value <= full.value + 1e-12
-    assert sampled.boxes_checked <= 4000 * 2  # per corner family
+def _exact_box_max(points) -> Fraction:
+    """max |count/N - volume| in Fractions over every critical-grid
+    corner: per axis each value v as b = v and as b = v+, and b = 1."""
+    N = len(points)
+    options = []
+    for col in zip(*points):
+        opts = [(Fraction(1), (1 << N) - 1)]
+        for v in set(col):
+            opts.append((Fraction(v), sum(1 << i for i, x in enumerate(col)
+                                          if x < v)))
+            opts.append((Fraction(v), sum(1 << i for i, x in enumerate(col)
+                                          if x <= v)))
+        options.append(opts)
+    best = Fraction(0)
+    for corner in product(*options):
+        inside = reduce(operator.and_, (mask for _, mask in corner))
+        volume = math.prod(v for v, _ in corner)
+        best = max(best, abs(Fraction(inside.bit_count(), N) - volume))
+    return best
 
 
-def test_box_lower_sampling_deterministic_in_seed(monkeypatch):
-    from beattysieve import equidist
-    monkeypatch.setattr(equidist, "_BUDGET", 10)
-    ps = nu_sequence(ProblemSpec((sqrt2(), sqrt3()), (1, 2)), 1, 300)
-    a = discrepancy_box_lower(ps, seed=3).value
-    b = discrepancy_box_lower(ps, seed=3).value
-    assert a == b
+@st.composite
+def _grid_points(draw):
+    """Up to 30 points in dimension 2 or 3: uniform draws, or values on a
+    dyadic grid, where coordinates tie."""
+    dim = draw(st.integers(2, 3))
+    bits = draw(st.integers(0, 3))
+    coord = draw(st.sampled_from([
+        st.floats(0, 1, exclude_max=True),
+        st.integers(0, 2 ** bits - 1).map(lambda i: i / 2 ** bits)]))
+    return draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                         min_size=1, max_size=30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=_grid_points())
+def test_box_lower_is_the_critical_grid_maximum_rounded_down(points):
+    value = discrepancy_box_lower(PointSet.synthetic(points, "drawn")).value
+    exact = _exact_box_max(points)
+    assert Fraction(value) <= exact
+    assert value >= float(exact) - 1e-15
+
+
+def test_box_lower_budget_guard():
+    # 25000 distinct values per axis: (2 * 25000 + 1)^2 boxes
+    ps = PointSet.synthetic(np.random.default_rng(3).random((25000, 2)),
+                            "past the budget")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit) as exc:
+            discrepancy_box_lower(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20                   # refused before any table exists
+    numbers = [int(s) for s in re.findall(r"\d+", str(exc.value))]
+    assert 50001 ** 2 in numbers            # the boxes of the critical grid
+    assert _BOX_BUDGET in numbers
 
 
 # --- Erdos-Turan-Koksma upper bound ----------------------------------------------------
@@ -360,7 +404,6 @@ def test_et_upper_bounds_the_exact_discrepancy_in_dimension_one(ps, H):
 @given(ps=_drawn_points(2, 40), H=st.integers(1, 6))
 def test_et_upper_bounds_the_box_discrepancy_in_dimension_two(ps, H):
     box = discrepancy_box_lower(ps)
-    assert not box.sampled
     assert box.value <= et_koksma_upper(ps, H).et_upper
 
 

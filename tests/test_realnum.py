@@ -348,6 +348,15 @@ def test_linear_form_powers_and_negative_multipliers():
                                                 + 7 * math.sqrt(3))
 
 
+def test_linear_form_decides_where_irrational_parts_cancel():
+    # -sqrt3 t^3 + 2 sqrt12 t = sqrt3 (4t - t^3) is 0 at t = 2; sqrt12
+    # shares the basis sqrt3, and no bracket decides a floor at 0
+    form = LinearForm([(sqrt3(), -1, 3), (QuadraticSurd(0, 1, 12, 1), 2, 1)])
+    assert list(form.floors([1, 2, 3])) == [5, 0, -26]
+    assert form.frac_below(2, 1, 2)
+    assert next(form.frac_units([2]))[0] == 0.0
+
+
 _LIOU = LiouvilleSeries(2, "poly", Fraction(2), c1=2)
 # (form, mpmath value at t): a surd, a Liouville multiplier, a form with
 # lower-order terms, and an exact form, t(t + 2)/3, that lands on an
