@@ -4,10 +4,12 @@ N(x) counts n ≤ x whose tuple (n, floor(a_1 n^{m_1} + g_1), ...,
 floor(a_k n^{m_k} + g_k)) has gcd 1.  `direct_count` evaluates the gcd
 per n; `mobius_count` expands the coprimality indicator through the
 Moebius function, reducing each divisor d to a box-occupancy count
-(`inner_count`).  Both routes are certified: a 64-bit fixed-point test
-decides what its bracket can and the exact engine the rest, so with no
-cutoff they must agree exactly — that identity is the strongest
-self-test in the package.  The module also carries the zeta constants
+(`inner_count`).  Both routes ask for floor(a t^m) mod d at t = dn, the
+direct one with d = t and the Moebius one only whether it is 0, and
+both are certified: one 64-bit fixed-point kernel decides what its
+bracket can and the exact engine the rest, so with no cutoff they must
+agree exactly — that identity is the strongest self-test in the
+package.  The module also carries the zeta constants
 the density converges to, the closed-form error exponents, and the
 density experiment harness with its log-log error fit.
 """
@@ -265,49 +267,52 @@ def coordinate_form(problem: ProblemSpec, j: int, d: int = 1,
     return LinearForm(terms)
 
 
-def _floors(forms: list, j: int, ts: list) -> list:
-    """Certified floors of coordinate j at every t in ts; a precision
-    failure names the coordinate."""
-    try:
-        return list(forms[j].floors(ts))
-    except PrecisionExhausted as exc:
-        exc.term = j
-        raise
-
-
 # ---------------------------------------------------------------------------
-# the two counting routes
+# the two counting routes and their one fixed-point kernel
 
 
-# The direct route's 64-bit fixed-point kernel.  With theta the fractional
-# part of a*n^(m-1),  floor(a n^m) mod n = floor(n*theta).  A 64-bit
-# bracket (lo, hi) of a*2^64 gives theta*2^64 in [L, L + W], where
-# L = lo*n^(m-1) mod 2^64 and W = (hi - lo)*n^(m-1), as long as L + W does
-# not pass 2^64; floor(n*R / 2^64) is monotone in R, so the residue is
-# decided when both ends give the same floor.  Everything else goes to
-# the big-integer engine, so every count keeps its certificate.
+# Both routes ask of coordinate j at a pair (d, n), t = dn, for
+# r = floor(a t^m) mod d: the direct route takes d = t, n = 1 and needs r,
+# the Moebius route only whether r = 0.  With S = d^(m-1) n^m, a t^m =
+# d * aS, so r = floor(d * {aS}).  A 64-bit bracket (lo, hi) of a*2^64
+# gives {aS}*2^64 in [L, L + W], L = lo*S mod 2^64 and W = (hi - lo)*S,
+# when L + W does not pass 2^64.  floor(d R / 2^64) is monotone in R, so r
+# is decided when both ends give the same one, and r = 0 when L + W ≤ q or
+# L > q, q = floor((2^64 - 1) / d), which leaves about d times fewer pairs
+# open.  The kernel takes pairs with d < 2^32 and S < 2^61 (so W < 2^62);
+# the rest, and the pairs it leaves open, take the exact floor.
 
 _FIX_BITS = 64
-_BLOCK = 4096                      # n per kernel block; keeps RSS flat
+_BLOCK = 4096                      # pairs per kernel block; keeps RSS flat
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_S_LIMIT = 1 << 61
+_D_LIMIT = (1 << 32) - 1
+_U64_MAX = np.uint64((1 << 64) - 1)
 
 
-def _fast_plan(problem: ProblemSpec) -> list:
-    """Per coordinate, (m, lo mod 2^64, hi - lo) from a 64-bit bracket
-    (lo, hi) of the multiplier, or None when only the exact engine may
-    evaluate it: it has lower-order terms or its literal carries under 64
-    bits."""
+def _fast_plan(forms: list) -> list:
+    """Per coordinate form, (m, lo mod 2^64, hi - lo) from the 64-bit
+    bracket (lo, hi) of its one term a t^m, or None when only the exact
+    engine may evaluate it: it has lower-order terms or its literal
+    carries under 64 bits."""
     plan = []
-    for alpha, m, lower in zip(problem.alphas, problem.ms,
-                               problem.lower_terms):
-        cap = alpha.max_prec()
-        if lower or (cap is not None and cap < _FIX_BITS):
+    for form in forms:
+        pe, rows = form._rows(_FIX_BITS)
+        if len(rows) == 1 and pe == _FIX_BITS:
+            lo, hi, m = rows[0]
+            plan.append((m, lo % (1 << _FIX_BITS), hi - lo))
+        else:
             plan.append(None)
-            continue
-        lo, hi = alpha.bounds(_FIX_BITS)
-        plan.append((m, lo % (1 << _FIX_BITS), hi - lo))
     return plan
+
+
+def _s_cap(coeff: int, power: int) -> int:
+    """Largest v ≤ 2^32 - 1 with coeff * v^power < 2^61 (0 if none)."""
+    room = (_S_LIMIT - 1) // coeff
+    if power == 0:
+        return _D_LIMIT if room else 0
+    return min(_iroot(room, power), _D_LIMIT)
 
 
 def _mul_hi(n: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -317,50 +322,70 @@ def _mul_hi(n: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a >> _SHIFT32) + (((a & _LOW32) + (b >> _SHIFT32)) >> _SHIFT32)
 
 
-def _fast_residues(t: np.ndarray, m: int, lo64: int, width: int):
-    """(floor(a t^m) mod t, decided mask) for uint64 t, given the 64-bit
-    bracket of a as (lo mod 2^64, hi - lo)."""
-    scale = t ** (m - 1)                      # exact while t^(m-1) < 2^61
-    low = scale * np.uint64(lo64)             # wraps: exact mod 2^64
-    high = low + scale * np.uint64(width)
-    res = _mul_hi(t, low)
-    decided = (high >= low) & (_mul_hi(t, high) == res)
+def _kernel(d: np.ndarray, n: np.ndarray, m: int, lo64: int, width: int,
+            zero: bool):
+    """(r, decided mask) for r = floor(a (dn)^m) mod d as int64, or with
+    zero (r == 0, decided mask), for uint64 d < 2^32 and n with
+    S = d^(m-1) n^m < 2^61, given the 64-bit bracket of a as
+    (lo mod 2^64, hi - lo)."""
+    s = n if m == 1 else d ** (m - 1) * n ** m
+    low = s * np.uint64(lo64)                 # wraps: exact mod 2^64
+    high = low + s * np.uint64(width)
+    whole = high >= low
+    if zero:
+        q = _U64_MAX // d
+        inside = whole & (high <= q)
+        return inside, inside | (whole & (low > q))
+    res = _mul_hi(d, low)
+    # compare before the cast: numpy takes uint64 == int64 in float64
+    decided = whole & (_mul_hi(d, high) == res)
     return res.astype(np.int64), decided
 
 
-def _exact_residues(forms: list, j: int, t: np.ndarray) -> np.ndarray:
-    ts = t.tolist()
-    return np.array([f % v for f, v in zip(_floors(forms, j, ts), ts)],
-                    dtype=np.int64)
+def _coordinate(plan: list, forms: list, j: int, d: np.ndarray,
+                n: np.ndarray, fast: np.ndarray, zero: bool,
+                tally: list) -> np.ndarray:
+    """floor(a_j t^(m_j) + g_j(t)) mod d at t = dn per pair, or with zero
+    whether it is 0: the kernel takes the pairs in the mask fast when
+    coordinate j has a plan, and the exact floor the rest and the pairs it
+    leaves open.  tally accumulates [kernel verdicts, exact fallbacks]."""
+    if plan[j] is None:
+        out = np.empty(d.size, dtype=bool if zero else np.int64)
+        open_ = np.arange(d.size)
+    else:
+        out, decided = _kernel(d, n, *plan[j], zero)
+        open_ = np.flatnonzero(~(decided & fast))
+        tally[0] += d.size - open_.size
+        tally[1] += open_.size
+    if open_.size:
+        ds = d[open_].tolist()
+        ts = [a * b for a, b in zip(ds, n[open_].tolist())]
+        try:
+            res = [f % a for f, a in zip(forms[j].floors(ts), ds)]
+        except PrecisionExhausted as exc:
+            exc.term = j                   # the failure names the coordinate
+            raise
+        out[open_] = [r == 0 for r in res] if zero else res
+    return out
 
 
-def _coprime_block(plan: list, forms: list, n_lo: int, n_hi: int,
-                   tally: list):
+def _coprime_block(plan: list, forms: list, caps: list, n_lo: int,
+                   n_hi: int, tally: list):
     """Boolean mask of n in [n_lo, n_hi] with gcd(n, floor terms) = 1.
 
     Coordinates run in order, each only on the n whose running gcd is
-    still above 1.  The kernel decides only n ≤ _s_cap(1, m - 1), that
-    is n < 2^32 and n^(m-1) < 2^61; the rest, and the n it leaves open,
-    take the exact floor.  tally accumulates [fast floors, exact
-    fallbacks].
+    still above 1, as the pairs (d, n) = (n, 1); the kernel takes the
+    n ≤ caps[j].  tally accumulates [kernel verdicts, exact fallbacks].
     """
     n = np.arange(n_lo, n_hi + 1, dtype=np.uint64)
     g = n.astype(np.int64)
-    for j, fast in enumerate(plan):
+    for j, cap in enumerate(caps):
         idx = np.flatnonzero(g > 1)
         if not idx.size:
             break
         t = n[idx]
-        if fast is None:
-            res = _exact_residues(forms, j, t)
-        else:
-            res, decided = _fast_residues(t, *fast)
-            decided &= t <= _s_cap(1, fast[0] - 1)
-            open_ = np.flatnonzero(~decided)
-            tally[0] += idx.size - open_.size
-            if open_.size:
-                tally[1] += open_.size
-                res[open_] = _exact_residues(forms, j, t[open_])
+        res = _coordinate(plan, forms, j, t, np.ones_like(t), t <= cap,
+                          False, tally)
         g[idx] = np.gcd(g[idx], res)
     return g == 1
 
@@ -368,15 +393,16 @@ def _coprime_block(plan: list, forms: list, n_lo: int, n_hi: int,
 def _direct_chunk(args):
     """Prefix counts at each cut for the n in [n_lo, n_hi], plus the
     kernel's [fast floors, exact fallbacks]."""
-    problem, plan, n_lo, n_hi, cuts = args
+    problem, caps, n_lo, n_hi, cuts = args
     forms = [coordinate_form(problem, j) for j in range(problem.k)]
+    plan = _fast_plan(forms)
     tally = [0, 0]
     counts = [0] * len(cuts)
     i = bisect.bisect_left(cuts, n_lo)
     total = 0
     for b_lo in range(n_lo, n_hi + 1, _BLOCK):
         b_hi = min(b_lo + _BLOCK - 1, n_hi)
-        ok = _coprime_block(plan, forms, b_lo, b_hi, tally)
+        ok = _coprime_block(plan, forms, caps, b_lo, b_hi, tally)
         while i < len(cuts) and cuts[i] <= b_hi:
             counts[i] = total + int(np.count_nonzero(ok[:cuts[i] - b_lo + 1]))
             i += 1
@@ -395,12 +421,14 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int):
     if workers < 1:
         raise InvalidSpec("workers must be >= 1")
     x = cuts[-1]
-    plan = _fast_plan(problem)
+    forms = [coordinate_form(problem, j) for j in range(problem.k)]
+    # the kernel takes n < 2^32 with S = n^(m-1) < 2^61
+    caps = [_s_cap(1, m - 1) for m in problem.ms]
     if workers == 1 or x < 4096:
-        parts = [_direct_chunk((problem, plan, 1, x, cuts))]
+        parts = [_direct_chunk((problem, caps, 1, x, cuts))]
     else:
         edges = [i * x // workers for i in range(workers + 1)]
-        jobs = [(problem, plan, lo + 1, hi, cuts)
+        jobs = [(problem, caps, lo + 1, hi, cuts)
                 for lo, hi in zip(edges, edges[1:]) if hi > lo]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_direct_chunk, jobs))
@@ -410,7 +438,8 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int):
         counts = [a + b for a, b in zip(counts, part)]
         fast += f
         fallbacks += fb
-    return tuple(counts), FloorStats(fast, fallbacks, plan.count(None))
+    return tuple(counts), FloorStats(fast, fallbacks,
+                                     _fast_plan(forms).count(None))
 
 
 def direct_count(problem: ProblemSpec, x: int, *,
@@ -430,92 +459,32 @@ def direct_count(problem: ProblemSpec, x: int, *,
                        time.perf_counter() - start, stats)
 
 
-# The Moebius route's box test.  With t = dn and S = d^(m-1) n^m,
-# a t^m = d * aS, so floor(a t^m) ≡ 0 (mod d) iff {aS} < 1/d.  The same
-# 64-bit bracket gives {aS}*2^64 in [L, L + W], L = lo*S mod 2^64 and
-# W = (hi - lo)*S, when L + W does not wrap: the test holds when
-# d(L + W) < 2^64 and fails when dL ≥ 2^64, that is, when L + W ≤ q and
-# when L > q, with q = floor((2^64 - 1) / d).  A pair needs S < 2^61 (so
-# W < 2^62) and d < 2^32; the rest, and every pair the bracket leaves
-# open, take the exact floor.
-
-_S_LIMIT = 1 << 61
-_D_LIMIT = (1 << 32) - 1
-_U64_MAX = np.uint64((1 << 64) - 1)
-
-
-def _s_cap(coeff: int, power: int) -> int:
-    """Largest v ≤ 2^32 - 1 with coeff * v^power < 2^61 (0 if none)."""
-    room = (_S_LIMIT - 1) // coeff
-    if power == 0:
-        return _D_LIMIT if room else 0
-    return min(_iroot(room, power), _D_LIMIT)
-
-
-def _threshold(d: np.ndarray, n: np.ndarray, m: int, lo64: int, width: int):
-    """({aS} < 1/d, decided mask) for uint64 d < 2^32 and n with
-    S = d^(m-1) n^m < 2^61, given the 64-bit bracket of a as
-    (lo mod 2^64, hi - lo)."""
-    s = n if m == 1 else d ** (m - 1) * n ** m
-    low = s * np.uint64(lo64)                 # wraps: exact mod 2^64
-    high = low + s * np.uint64(width)
-    whole = high >= low
-    q = _U64_MAX // d
-    inside = whole & (high <= q)
-    return inside, inside | (whole & (low > q))
-
-
-def _exact_box(forms: list, j: int, d: np.ndarray,
-               n: np.ndarray) -> np.ndarray:
-    ds = d.tolist()
-    ts = [a * b for a, b in zip(ds, n.tolist())]
-    return np.array([f % a == 0 for f, a in zip(_floors(forms, j, ts), ds)],
-                    dtype=bool)
-
-
 def _box_hits(plan: list, forms: list, d: np.ndarray, n: np.ndarray,
-              fast_len: list, tally: list) -> np.ndarray:
+              along: np.ndarray, caps: list, tally: list) -> np.ndarray:
     """Indices i with floor(a_j t^(m_j) + g_j(t)) ≡ 0 (mod d_i), t = d_i n_i,
-    for every j.
-
-    Coordinates run in order, each on the pairs that passed the ones
-    before.  In coordinate j the pairs i < fast_len[j] take the threshold
-    test; the rest, and the pairs it leaves open, take the exact floor.
-    tally accumulates [box tests decided, exact fallbacks].
-    """
+    for every j.  Coordinates run in order, each on the pairs that passed
+    the ones before; the kernel takes the pairs with along ≤ caps[j]."""
     idx = np.arange(n.size)
-    for j, fast in enumerate(plan):
+    for j, cap in enumerate(caps):
         if not idx.size:
             break
-        dj, nj = d[idx], n[idx]
-        if fast is None:
-            hit = _exact_box(forms, j, dj, nj)
-        else:
-            k = int(np.searchsorted(idx, fast_len[j]))
-            hit = np.empty(idx.size, dtype=bool)
-            hit[:k], decided = _threshold(dj[:k], nj[:k], *fast)
-            open_ = np.flatnonzero(~decided)
-            if k < idx.size:
-                open_ = np.concatenate((open_, np.arange(k, idx.size)))
-            tally[0] += idx.size - open_.size
-            if open_.size:
-                tally[1] += open_.size
-                hit[open_] = _exact_box(forms, j, dj[open_], nj[open_])
+        hit = _coordinate(plan, forms, j, d[idx], n[idx], along[idx] <= cap,
+                          True, tally)
         idx = idx[hit]
     return idx
 
 
 def inner_count(problem: ProblemSpec, d: int, x: int, *,
-                _plan: Optional[list] = None,
                 _forms: Optional[list] = None,
                 _tally: Optional[list] = None) -> int:
     """Count n ≤ x/d whose scaled fractional vector lands in [0, 1/d)^k,
     that is, with floor(a_j (dn)^{m_j} + g_j(dn)) ≡ 0 (mod d) for every j.
 
     The n run in blocks of _BLOCK (memory stays flat in x) through
-    `_box_hits`: the 64-bit threshold test {a_j S} < 1/d decides each
-    pair it can, and the certified floor the rest.  _tally, when given,
-    accumulates [box tests decided, exact fallbacks].
+    `_box_hits`: the kernel's zero test decides each pair it can, those
+    with d < 2^32 and d^(m_j-1) n^(m_j) < 2^61, and the certified floor
+    the rest.  _tally, when given, accumulates [box tests decided, exact
+    fallbacks].
     """
     if d < 1:
         raise InvalidSpec("d must be >= 1")
@@ -526,18 +495,17 @@ def inner_count(problem: ProblemSpec, d: int, x: int, *,
         return 0
     if d == 1:
         return nmax
-    plan = _plan if _plan is not None else _fast_plan(problem)
     forms = _forms if _forms is not None else \
         [coordinate_form(problem, j) for j in range(problem.k)]
+    plan = _fast_plan(forms)
     tally = _tally if _tally is not None else [0, 0]
     caps = [_s_cap(d ** (m - 1), m) if d <= _D_LIMIT else 0
             for m in problem.ms]
     cnt = 0
     for lo in range(1, nmax + 1, _BLOCK):
         n = np.arange(lo, min(lo + _BLOCK, nmax + 1), dtype=np.uint64)
-        fast_len = [min(max(cap - lo + 1, 0), n.size) for cap in caps]
         dd = np.full(n.size, d, dtype=np.uint64)
-        cnt += _box_hits(plan, forms, dd, n, fast_len, tally).size
+        cnt += _box_hits(plan, forms, dd, n, n, caps, tally).size
     return cnt
 
 
@@ -554,10 +522,8 @@ def _large_d_sum(problem: ProblemSpec, plan: list, forms: list,
             sign = mu[lo:min(lo + _BLOCK, top + 1)]
             pos = np.flatnonzero(sign)
             d = pos.astype(np.uint64) + np.uint64(lo)
-            fast_len = [int(np.searchsorted(d, cap, side="right"))
-                        for cap in caps]
             nn = np.full(d.size, n, dtype=np.uint64)
-            hits = _box_hits(plan, forms, d, nn, fast_len, tally)
+            hits = _box_hits(plan, forms, d, nn, d, caps, tally)
             total += int(sign[pos[hits]].sum())
     return total
 
@@ -581,14 +547,14 @@ def mobius_count(problem: ProblemSpec, x: int,
     start = time.perf_counter()
     depth = d_cutoff if d_cutoff is not None else x
     mu = mobius_sieve(depth)
-    plan = _fast_plan(problem)
     forms = [coordinate_form(problem, j) for j in range(problem.k)]
+    plan = _fast_plan(forms)
     tally = [0, 0]
     r = math.isqrt(x)
     total = 0
     for d in np.flatnonzero(mu[:r + 1]).tolist():
-        total += int(mu[d]) * inner_count(problem, d, x, _plan=plan,
-                                          _forms=forms, _tally=tally)
+        total += int(mu[d]) * inner_count(problem, d, x, _forms=forms,
+                                          _tally=tally)
     if depth > r:
         total += _large_d_sum(problem, plan, forms, mu, r, x, tally)
     return CountResult(x, total, "mobius", d_cutoff,

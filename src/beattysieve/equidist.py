@@ -169,7 +169,7 @@ def discrepancy_box_lower(ps: PointSet) -> BoxLower:
     """The star discrepancy of the stored points, the largest
     |count/N - volume| over boxes [0, b): a lower bound for the extreme
     discrepancy.  In dimension one it is discrepancy_exact_1d, the
-    extreme discrepancy itself.
+    extreme discrepancy itself, rounded down.
 
     Per axis, b runs over each point coordinate v, its one-sided upper
     limit v+, and 1: the critical grid on which the supremum is attained
@@ -192,7 +192,8 @@ def discrepancy_box_lower(ps: PointSet) -> BoxLower:
         raise InvalidSpec("need at least one point")
     axes = [np.unique(col) for col in ps.points.T]
     if k == 1:
-        return BoxLower(float(discrepancy_exact_1d(ps)), 2 * len(axes[0]) + 2)
+        return BoxLower(_float_down(discrepancy_exact_1d(ps)),
+                        2 * len(axes[0]) + 2)
     n_boxes = math.prod(2 * len(vj) + 1 for vj in axes)
     if n_boxes > _BOX_BUDGET:
         raise ResourceLimit(f"the critical grid has {n_boxes} boxes, past "

@@ -19,11 +19,6 @@ REPO = os.path.dirname(HERE)
 FIXTURE_DIR = os.path.join(REPO, "fixtures")
 
 
-def pytest_configure(config):
-    # CLI commands consult fixture files relative to this env var.
-    os.environ.setdefault("BEATTYSIEVE_FIXTURE_DIR", FIXTURE_DIR)
-
-
 @pytest.fixture(autouse=True)
 def mpmath_precision(request):
     """Run each test at its module's MP_PREC bits (mpmath's default 53

@@ -381,7 +381,6 @@ def test_bounds_sums_report_no_fixtures(monkeypatch, tmp_path, with_file):
                                            "lemma_constants.json"))
         monkeypatch.chdir(os.path.dirname(FIXTURE_DIR))
     else:
-        monkeypatch.delenv("BEATTYSIEVE_FIXTURE_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
     quadratic = {"command": "bounds", "bound": "quadratic", "alpha": SQRT2,
                  "h": "1", "n": "50"}

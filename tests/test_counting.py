@@ -18,7 +18,9 @@ from beattysieve.counting import (
     CountResult,
     FloorStats,
     ProblemSpec,
+    _fast_plan,
     _fit_loglog,
+    _kernel,
     _mul_hi,
     _s_cap,
     coordinate_form,
@@ -475,7 +477,7 @@ def test_dec_str_significant_digits():
     assert dec_str(inv_zeta(2), 15) == "0.607927101854027"
 
 
-# --- the 64-bit fixed-point kernel of the direct route -------------------------------
+# --- the 64-bit fixed-point kernel of both routes ------------------------------------
 
 
 @settings(max_examples=100, deadline=None)
@@ -511,6 +513,44 @@ def test_s_cap_is_the_largest_value_below_2_61(coeff, power):
     assert 0 <= v < 2**32
     assert v == 0 or coeff * v**power < 2**61
     assert v == 2**32 - 1 or coeff * (v + 1) ** power >= 2**61
+
+
+@st.composite
+def _kernel_pairs(draw):
+    """m and pairs (d, n) the kernel takes: d < 2^32, S = d^(m-1) n^m
+    < 2^61, n at the cap of its d, n = 1 as on the direct route, or any n
+    below the cap.  Small d with S near 2^61 is where L + W wraps and the
+    zero test's threshold q is largest."""
+    m = draw(st.integers(1, 6))
+    top = _s_cap(1, m - 1)
+    pairs = []
+    for _ in range(draw(st.integers(1, 16))):
+        d = draw(st.integers(1, 8) | st.just(top) | st.integers(1, top))
+        cap = _s_cap(d ** (m - 1), m)
+        pairs.append((d, draw(st.just(cap) | st.just(1) |
+                              st.integers(1, cap))))
+    return m, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=st.integers(2, 10**6).filter(lambda r: math.isqrt(r) ** 2 != r),
+       sign=st.sampled_from([1, -1]), case=_kernel_pairs())
+def test_kernel_verdicts_match_the_integer_square_root(root, sign, case):
+    # floor(±sqrt(root) t^m) from isqrt(root t^(2m)), with no bracket
+    m, pairs = case
+    form = LinearForm([(QuadraticSurd(0, sign, root, 1), 1, m)])
+    fast, = _fast_plan([form])
+    d = np.array([a for a, _ in pairs], dtype=np.uint64)
+    n = np.array([b for _, b in pairs], dtype=np.uint64)
+    want = []
+    for a, b in pairs:
+        f = math.isqrt(root * (a * b) ** (2 * m))
+        want.append((f if sign > 0 else -f - 1) % a)
+    res, decided = _kernel(d, n, *fast, False)
+    zero, zero_decided = _kernel(d, n, *fast, True)
+    for i, r in enumerate(want):
+        assert not decided[i] or res[i] == r
+        assert not zero_decided[i] or zero[i] == (r == 0)
 
 
 def test_mobius_box_tests_past_the_s_cap_fall_back():

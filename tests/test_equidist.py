@@ -248,6 +248,19 @@ def test_box_lower_is_the_critical_grid_maximum_rounded_down(points):
     assert value >= float(exact) - 1e-15
 
 
+def test_box_lower_in_dimension_one_is_rounded_down():
+    # rounded to nearest, the value sat above the exact discrepancy in
+    # about two sets of five
+    rng = np.random.default_rng(0)
+    for trial in range(1000):
+        vals = rng.random(int(rng.integers(1, 50)))
+        ps = PointSet.synthetic(vals.reshape(-1, 1), f"rand{trial}")
+        exact = discrepancy_exact_1d(ps)
+        value = discrepancy_box_lower(ps).value
+        assert Fraction(value) <= exact
+        assert value == exact or math.nextafter(value, 1.0) > exact
+
+
 def test_box_lower_budget_guard():
     # 25000 distinct values per axis: (2 * 25000 + 1)^2 boxes
     ps = PointSet.synthetic(np.random.default_rng(3).random((25000, 2)),
