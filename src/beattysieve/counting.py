@@ -4,14 +4,15 @@ N(x) counts n ≤ x whose tuple (n, floor(a_1 n^{m_1} + g_1), ...,
 floor(a_k n^{m_k} + g_k)) has gcd 1.  `direct_count` evaluates the gcd
 per n; `mobius_count` expands the coprimality indicator through the
 Moebius function, reducing each divisor d to a box-occupancy count
-(`inner_count`).  Both routes ask for floor(a t^m) mod d at t = dn, the
-direct one with d = t and the Moebius one only whether it is 0, and
-both are certified: one 64-bit fixed-point kernel decides what its
-bracket can and the exact engine the rest, so with no cutoff they must
-agree exactly — that identity is the strongest self-test in the
-package.  The module also carries the zeta constants
-the density converges to, the closed-form error exponents, and the
-density experiment harness with its log-log error fit.
+(`inner_count`).  Both routes ask for floor(a t^m + g(t)) mod d at
+t = dn, the direct one with d = t and the Moebius one only whether it
+is 0, and both are certified: one 64-bit fixed-point kernel, which sums
+the brackets of every term, decides what it can and the exact engine
+the rest, so with no cutoff they must agree exactly — that identity is
+the strongest self-test in the package.  The module also carries the
+zeta constants the density converges to, the closed-form error
+exponents, and the density experiment harness with its log-log error
+fit.
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ class FloorStats:
     fast_floors: the direct route's (n, j) floors, or the Moebius route's
     (d, n, j) box tests, decided by the 64-bit fixed-point kernel;
     exact_fallbacks: those the kernel left undecided or could not take,
-    sent to the big-integer engine; exact_coords: coordinates that only
-    the big-integer engine evaluates.
+    every one of an exact-only coordinate included, sent to the
+    big-integer engine, so the two sum to the floors or tests evaluated;
+    exact_coords: coordinates that only the big-integer engine evaluates.
     """
 
     fast_floors: int = 0
@@ -272,15 +274,22 @@ def coordinate_form(problem: ProblemSpec, j: int, d: int = 1,
 
 
 # Both routes ask of coordinate j at a pair (d, n), t = dn, for
-# r = floor(a t^m) mod d: the direct route takes d = t, n = 1 and needs r,
-# the Moebius route only whether r = 0.  With S = d^(m-1) n^m, a t^m =
-# d * aS, so r = floor(d * {aS}).  A 64-bit bracket (lo, hi) of a*2^64
-# gives {aS}*2^64 in [L, L + W], L = lo*S mod 2^64 and W = (hi - lo)*S,
-# when L + W does not pass 2^64.  floor(d R / 2^64) is monotone in R, so r
-# is decided when both ends give the same one, and r = 0 when L + W ≤ q or
-# L > q, q = floor((2^64 - 1) / d), which leaves about d times fewer pairs
-# open.  The kernel takes pairs with d < 2^32 and S < 2^61 (so W < 2^62);
-# the rest, and the pairs it leaves open, take the exact floor.
+# r = floor(f(t)) mod d, f(t) = sum_e c_e t^e: the direct route takes
+# d = t, n = 1 and needs r, the Moebius route only whether r = 0.  With
+# S_e = d^(e-1) n^e, f(t) = d * Phi, Phi = sum_{e>=1} c_e S_e + c_0/d, so
+# r = floor(d * {Phi}).  64-bit brackets (lo_e, hi_e) of c_e*2^64 give
+# {Phi}*2^64 in [L, L + W], L = sum_{e>=1} lo_e*S_e + floor(lo_0/d)
+# mod 2^64 and W = sum_{e>=1} (hi_e - lo_e)*S_e + hi_0 - lo_0 + 1 (the
+# constant's term only when there is one), when L + W does not pass 2^64;
+# floor(lo_0/d) mod 2^64 is a long division in 32-bit digits
+# (`_const_floor`).  floor(d R / 2^64) is monotone in R, so r is decided
+# when both ends give the same one, and r = 0 when L + W <= q or L > q,
+# q = floor((2^64 - 1) / d), which leaves about d times fewer pairs open.
+# The kernel takes pairs with d < 2^32 and W < 2^62: as S_e <= S_m and
+# S_m >= 1, W <= (w + w_0) S_m, w the sum of the widths hi_e - lo_e over
+# e >= 1 and w_0 the constant's, so it caps k S_m < 2^61 with the scale
+# k = ceil((w + w_0) / 2), which is 1 for one term of width <= 2.  The
+# rest, and the pairs it leaves open, take the exact floor.
 
 _FIX_BITS = 64
 _BLOCK = 4096                      # pairs per kernel block; keeps RSS flat
@@ -292,18 +301,24 @@ _U64_MAX = np.uint64((1 << 64) - 1)
 
 
 def _fast_plan(forms: list) -> list:
-    """Per coordinate form, (m, lo mod 2^64, hi - lo) from the 64-bit
-    bracket (lo, hi) of its one term a t^m, or None when only the exact
-    engine may evaluate it: it has lower-order terms or its literal
-    carries under 64 bits."""
+    """Per coordinate form, (terms, constant, scale k) for `_kernel`, or
+    None when only the exact engine may evaluate it: a literal carries
+    under 64 bits, or its constant's bracket reaches 2^126.  From the
+    64-bit bracket (lo, hi) of each coefficient, terms holds
+    (e, lo mod 2^64, hi - lo) per degree e >= 1, increasing, and constant
+    is (lo >> 64, lo mod 2^64, hi - lo + 1), or None without one."""
     plan = []
     for form in forms:
         pe, rows = form._rows(_FIX_BITS)
-        if len(rows) == 1 and pe == _FIX_BITS:
-            lo, hi, m = rows[0]
-            plan.append((m, lo % (1 << _FIX_BITS), hi - lo))
-        else:
+        terms = sorted((e, lo % (1 << _FIX_BITS), hi - lo)
+                       for lo, hi, e in rows if e)
+        const = next(((lo >> _FIX_BITS, lo % (1 << _FIX_BITS), hi - lo + 1)
+                      for lo, hi, e in rows if not e), None)
+        if pe < _FIX_BITS or const and abs(const[0]) >= 1 << 62:
             plan.append(None)
+            continue
+        width = sum(w for _, _, w in terms) + (const[2] if const else 0)
+        plan.append((terms, const, max((width + 1) // 2, 1)))
     return plan
 
 
@@ -322,15 +337,33 @@ def _mul_hi(n: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a >> _SHIFT32) + (((a & _LOW32) + (b >> _SHIFT32)) >> _SHIFT32)
 
 
-def _kernel(d: np.ndarray, n: np.ndarray, m: int, lo64: int, width: int,
-            zero: bool):
-    """(r, decided mask) for r = floor(a (dn)^m) mod d as int64, or with
-    zero (r == 0, decided mask), for uint64 d < 2^32 and n with
-    S = d^(m-1) n^m < 2^61, given the 64-bit bracket of a as
-    (lo mod 2^64, hi - lo)."""
-    s = n if m == 1 else d ** (m - 1) * n ** m
-    low = s * np.uint64(lo64)                 # wraps: exact mod 2^64
-    high = low + s * np.uint64(width)
+def _const_floor(a: int, b: int, d: np.ndarray) -> np.ndarray:
+    """floor((a 2^64 + b) / d) mod 2^64 for |a| < 2^62, 0 <= b < 2^64 and
+    uint64 0 < d < 2^32, as the long division of (a mod d) 2^64 + b, below
+    d 2^64, in 32-bit digits."""
+    r = (np.int64(a) % d.astype(np.int64)).astype(np.uint64)
+    q, r = np.divmod(r << _SHIFT32 | np.uint64(b >> 32), d)
+    return (q << _SHIFT32) + (r << _SHIFT32 | np.uint64(b & 0xFFFFFFFF)) // d
+
+
+def _kernel(d: np.ndarray, n: np.ndarray, entry: tuple, zero: bool):
+    """(r, decided mask) for r = floor(f(dn)) mod d as int64, or with zero
+    (r == 0, decided mask), for uint64 d < 2^32 and n with
+    k d^(m-1) n^m < 2^61, given the `_fast_plan` entry of f with scale k."""
+    terms, const, _ = entry
+    t = d * n if terms[-1][0] > 1 else None
+    low = None
+    for e, lo64, w in terms:          # low wraps: exact mod 2^64
+        s = n if e == 1 else n * (t if e == 2 else t ** (e - 1))   # S_e
+        if low is None:
+            low, width = s * np.uint64(lo64), s * np.uint64(w)
+        else:
+            low += s * np.uint64(lo64)
+            width += s * np.uint64(w)
+    if const:
+        low += _const_floor(*const[:2], d)
+        width += np.uint64(const[2])
+    high = low + width
     whole = high >= low
     if zero:
         q = _U64_MAX // d
@@ -353,10 +386,10 @@ def _coordinate(plan: list, forms: list, j: int, d: np.ndarray,
         out = np.empty(d.size, dtype=bool if zero else np.int64)
         open_ = np.arange(d.size)
     else:
-        out, decided = _kernel(d, n, *plan[j], zero)
+        out, decided = _kernel(d, n, plan[j], zero)
         open_ = np.flatnonzero(~(decided & fast))
         tally[0] += d.size - open_.size
-        tally[1] += open_.size
+    tally[1] += open_.size
     if open_.size:
         ds = d[open_].tolist()
         ts = [a * b for a, b in zip(ds, n[open_].tolist())]
@@ -421,9 +454,9 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int):
     if workers < 1:
         raise InvalidSpec("workers must be >= 1")
     x = cuts[-1]
-    forms = [coordinate_form(problem, j) for j in range(problem.k)]
-    # the kernel takes n < 2^32 with S = n^(m-1) < 2^61
-    caps = [_s_cap(1, m - 1) for m in problem.ms]
+    plan = _fast_plan([coordinate_form(problem, j) for j in range(problem.k)])
+    # the kernel takes n < 2^32 with k n^(m-1) < 2^61
+    caps = [_s_cap(e[2], m - 1) if e else 0 for e, m in zip(plan, problem.ms)]
     if workers == 1 or x < 4096:
         parts = [_direct_chunk((problem, caps, 1, x, cuts))]
     else:
@@ -438,8 +471,7 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int):
         counts = [a + b for a, b in zip(counts, part)]
         fast += f
         fallbacks += fb
-    return tuple(counts), FloorStats(fast, fallbacks,
-                                     _fast_plan(forms).count(None))
+    return tuple(counts), FloorStats(fast, fallbacks, plan.count(None))
 
 
 def direct_count(problem: ProblemSpec, x: int, *,
@@ -482,7 +514,7 @@ def inner_count(problem: ProblemSpec, d: int, x: int, *,
 
     The n run in blocks of _BLOCK (memory stays flat in x) through
     `_box_hits`: the kernel's zero test decides each pair it can, those
-    with d < 2^32 and d^(m_j-1) n^(m_j) < 2^61, and the certified floor
+    with d < 2^32 and k_j d^(m_j-1) n^(m_j) < 2^61, and the certified floor
     the rest.  _tally, when given, accumulates [box tests decided, exact
     fallbacks].
     """
@@ -499,8 +531,8 @@ def inner_count(problem: ProblemSpec, d: int, x: int, *,
         [coordinate_form(problem, j) for j in range(problem.k)]
     plan = _fast_plan(forms)
     tally = _tally if _tally is not None else [0, 0]
-    caps = [_s_cap(d ** (m - 1), m) if d <= _D_LIMIT else 0
-            for m in problem.ms]
+    caps = [_s_cap(e[2] * d ** (m - 1), m) if e and d <= _D_LIMIT else 0
+            for e, m in zip(plan, problem.ms)]
     cnt = 0
     for lo in range(1, nmax + 1, _BLOCK):
         n = np.arange(lo, min(lo + _BLOCK, nmax + 1), dtype=np.uint64)
@@ -517,7 +549,8 @@ def _large_d_sum(problem: ProblemSpec, plan: list, forms: list,
     total = 0
     for n in range(1, x // (r + 1) + 1):
         top = min(x // n, mu.size - 1)
-        caps = [_s_cap(n ** m, m - 1) for m in problem.ms]
+        caps = [_s_cap(e[2] * n ** m, m - 1) if e else 0
+                for e, m in zip(plan, problem.ms)]
         for lo in range(r + 1, top + 1, _BLOCK):
             sign = mu[lo:min(lo + _BLOCK, top + 1)]
             pos = np.flatnonzero(sign)

@@ -155,6 +155,10 @@ def test_count_and_density_report_engine_counters():
     assert mob["fast_floors"] > 0 and mob["exact_coords"] == 0
     raw = {"command": "density", "alphas": f"{SQRT2},{SQRT3}", "ms": "1,2",
            "lower_2": "1/2", "grid": "100,200,400"}
+    stats = run_config(raw)["meta"]["stats"]
+    assert stats["fast_floors"] > 0 and stats["exact_coords"] == 0
+    # a literal stated to 24 bits keeps its coordinate on the exact engine
+    raw["lower_2"] = "dec:1.41421356:8"
     assert run_config(raw)["meta"]["stats"]["exact_coords"] == 1
 
 

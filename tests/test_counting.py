@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from beattysieve.counting import (
@@ -18,6 +18,7 @@ from beattysieve.counting import (
     CountResult,
     FloorStats,
     ProblemSpec,
+    _const_floor,
     _fast_plan,
     _fit_loglog,
     _kernel,
@@ -516,17 +517,17 @@ def test_s_cap_is_the_largest_value_below_2_61(coeff, power):
 
 
 @st.composite
-def _kernel_pairs(draw):
-    """m and pairs (d, n) the kernel takes: d < 2^32, S = d^(m-1) n^m
-    < 2^61, n at the cap of its d, n = 1 as on the direct route, or any n
-    below the cap.  Small d with S near 2^61 is where L + W wraps and the
-    zero test's threshold q is largest."""
-    m = draw(st.integers(1, 6))
-    top = _s_cap(1, m - 1)
+def _kernel_pairs(draw, m=None, k=1):
+    """m and pairs (d, n) the kernel takes: d < 2^32, k S = k d^(m-1) n^m
+    < 2^61 for the plan's scale k, n at the cap of its d, n = 1 as on the
+    direct route, or any n below the cap.  Small d with S near the cap is
+    where L + W wraps and the zero test's threshold q is largest."""
+    m = draw(st.integers(1, 6)) if m is None else m
+    top = _s_cap(k, m - 1)
     pairs = []
     for _ in range(draw(st.integers(1, 16))):
         d = draw(st.integers(1, 8) | st.just(top) | st.integers(1, top))
-        cap = _s_cap(d ** (m - 1), m)
+        cap = _s_cap(k * d ** (m - 1), m)
         pairs.append((d, draw(st.just(cap) | st.just(1) |
                               st.integers(1, cap))))
     return m, pairs
@@ -546,8 +547,8 @@ def test_kernel_verdicts_match_the_integer_square_root(root, sign, case):
     for a, b in pairs:
         f = math.isqrt(root * (a * b) ** (2 * m))
         want.append((f if sign > 0 else -f - 1) % a)
-    res, decided = _kernel(d, n, *fast, False)
-    zero, zero_decided = _kernel(d, n, *fast, True)
+    res, decided = _kernel(d, n, fast, False)
+    zero, zero_decided = _kernel(d, n, fast, True)
     for i, r in enumerate(want):
         assert not decided[i] or res[i] == r
         assert not zero_decided[i] or zero[i] == (r == 0)
@@ -603,14 +604,15 @@ def test_engine_counters():
     assert pair.stats.fast_floors > 5000
     lower = ProblemSpec((sqrt2(), sqrt3()), (1, 2),
                         lower_terms=(None, ("1/2", sqrt2())))
-    assert direct_count(lower, 5000).stats.exact_coords == 1
-    # stated digits below 64 bits keep the coordinate on the exact engine
+    stats = direct_count(lower, 5000).stats
+    assert stats.exact_coords == 0 and stats.fast_floors > 0
+    # stated digits below 64 bits keep the coordinate on the exact engine,
+    # which counts each of its floors (n = 2..100) as a fallback
     dec = ProblemSpec.unchecked((DecimalLiteral("1.41421356", 8),), (1,))
-    assert direct_count(dec, 100).stats == FloorStats(0, 0, 1)
-    # the Moebius route counts box tests: only the coordinate with
-    # lower-order terms is exact-only, on the survivors of coordinate 0
+    assert direct_count(dec, 100).stats == FloorStats(0, 99, 1)
+    # the Moebius route counts box tests, on the survivors of coordinate 0
     mob = mobius_count(lower, 100).stats
-    assert mob.exact_coords == 1 and mob.fast_floors > 0
+    assert mob.exact_coords == 0 and mob.fast_floors > 0
     pair_mob = mobius_count(ProblemSpec((sqrt2(), sqrt3()), (1, 2)), 5000)
     assert pair_mob.stats.exact_coords == 0
     assert pair_mob.stats.fast_floors > 5000
@@ -637,9 +639,6 @@ def _problems(draw):
     lower = [None]
     for m in ms[1:]:
         coeffs = draw(st.lists(_rationals | _surds, max_size=m))
-        # the constant term is divided by d on the Moebius side: keep it exact
-        if coeffs and not isinstance(coeffs[0], Rational):
-            coeffs[0] = Rational(1, 2)
         lower.append(tuple(coeffs) or None)
     if not draw(st.booleans()):
         lower = ()
@@ -660,6 +659,59 @@ def test_direct_kernel_agrees_with_the_exact_routes(problem, x):
                          for low in problem.lower_terms if low for c in low)
     if surds_only and rational_lower:
         assert direct == brute_count(problem, x)
+
+
+_constants = st.sampled_from([Rational(0, 1), Rational(1, 2), Rational(1, 3),
+                              Rational(-5, 3), sqrt2()])
+
+
+@st.composite
+def _lower_term_cases(draw):
+    """(problem, pairs): a second coordinate a t^m + g(t) for m up to 6,
+    with lower coefficients of either sign, Liouville among them, and a
+    rational or irrational constant, and pairs at the cap of its plan."""
+    m = draw(st.integers(2, 6))
+    lower = [draw(_constants)] + draw(st.lists(
+        _rationals | _surds | _liouville, min_size=1, max_size=m - 1))
+    alpha = draw(_rationals | _surds | _liouville)
+    problem = ProblemSpec.unchecked((sqrt2(), alpha), (1, m),
+                                    (None, tuple(lower)))
+    entry, = _fast_plan([coordinate_form(problem, 1)])
+    return problem, draw(_kernel_pairs(m, entry[2]))[1]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_lower_term_cases())
+# (t^2 + 1)/2 is an integer at odd t: the bracket of the constant 2^63/d
+# must reach above floor(2^63/d) for the residue to be right
+@example(case=(ProblemSpec.unchecked(
+    (sqrt2(), Rational(1, 2)), (1, 2), (None, ("1/2", "0"))),
+    [(3, 1), (5, 3), (7, 1)]))
+def test_kernel_sums_lower_terms_like_the_exact_engine(case):
+    problem, pairs = case
+    form = coordinate_form(problem, 1)
+    entry, = _fast_plan([form])
+    d = np.array([a for a, _ in pairs], dtype=np.uint64)
+    n = np.array([b for _, b in pairs], dtype=np.uint64)
+    want = [f % a for f, (a, _) in
+            zip(form.floors([a * b for a, b in pairs]), pairs)]
+    res, decided = _kernel(d, n, entry, False)
+    zero, zero_decided = _kernel(d, n, entry, True)
+    for i, r in enumerate(want):
+        assert not decided[i] or res[i] == r
+        assert not zero_decided[i] or zero[i] == (r == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(1 - 2**62, 2**62 - 1) | st.sampled_from(
+           [0, -1, 1 - 2**62, 2**62 - 1]),
+       b=st.integers(0, 2**64 - 1),
+       ds=st.lists(st.integers(1, 2**32 - 1) | st.sampled_from(
+           [1, 2, 2**32 - 1]), min_size=1, max_size=16))
+def test_const_floor_is_the_big_integer_quotient(a, b, ds):
+    got = _const_floor(a, b, np.array(ds, dtype=np.uint64))
+    assert got.tolist() == [((a << 64) + b) // d % 2**64 for d in ds]
 
 
 def test_routes_count_a_coordinate_that_lands_on_an_integer():
