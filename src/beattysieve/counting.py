@@ -243,19 +243,18 @@ def mobius_sieve(limit: int) -> np.ndarray:
 # coordinate forms
 
 
-def coordinate_form(problem: ProblemSpec, j: int, d: int = 1,
-                    h: int = 1) -> LinearForm:
-    """h * (a_j d^(m_j-1) n^(m_j) + g_j(dn)/d) as a LinearForm in n.
+def coordinate_form(problem: ProblemSpec, j: int, d: int = 1) -> LinearForm:
+    """a_j d^(m_j-1) n^(m_j) + g_j(dn)/d as a LinearForm in n.
 
-    With d = h = 1 this is a_j t^(m_j) + g_j(t), whose floor the counting
+    With d = 1 this is a_j t^(m_j) + g_j(t), whose floor the counting
     routes take at t = dn; for d > 1 it is the scaled coordinate of the
     point sets and exponential sums.  The constant lower-order
     coefficient is divided by d, so for d > 1 it must be exact.
     """
     m = problem.ms[j]
-    terms = [(problem.alphas[j], h * d ** (m - 1), m)]
+    terms = [(problem.alphas[j], d ** (m - 1), m)]
     lower = problem.lower_terms[j] or ()
-    terms += [(c, h * d ** (e - 1), e) for e, c in enumerate(lower) if e]
+    terms += [(c, d ** (e - 1), e) for e, c in enumerate(lower) if e]
     if lower:
         c0 = lower[0].exact()
         if c0 is None and d > 1:
@@ -263,9 +262,9 @@ def coordinate_form(problem: ProblemSpec, j: int, d: int = 1,
                 "the constant lower-order coefficient must be exact "
                 "(it is divided by the modulus)")
         if c0 is None:
-            terms.append((lower[0], h, 0))
+            terms.append((lower[0], 1, 0))
         elif c0:
-            terms.append((as_spec(c0 / d), h, 0))
+            terms.append((as_spec(c0 / d), 1, 0))
     return LinearForm(terms)
 
 
@@ -507,7 +506,7 @@ def _box_hits(plan: list, forms: list, d: np.ndarray, n: np.ndarray,
 
 
 def inner_count(problem: ProblemSpec, d: int, x: int, *,
-                _forms: Optional[list] = None,
+                _plan: Optional[tuple] = None,
                 _tally: Optional[list] = None) -> int:
     """Count n ≤ x/d whose scaled fractional vector lands in [0, 1/d)^k,
     that is, with floor(a_j (dn)^{m_j} + g_j(dn)) ≡ 0 (mod d) for every j.
@@ -516,7 +515,7 @@ def inner_count(problem: ProblemSpec, d: int, x: int, *,
     `_box_hits`: the kernel's zero test decides each pair it can, those
     with d < 2^32 and k_j d^(m_j-1) n^(m_j) < 2^61, and the certified floor
     the rest.  _tally, when given, accumulates [box tests decided, exact
-    fallbacks].
+    fallbacks]; _plan, when given, is (forms, `_fast_plan(forms)`).
     """
     if d < 1:
         raise InvalidSpec("d must be >= 1")
@@ -527,9 +526,10 @@ def inner_count(problem: ProblemSpec, d: int, x: int, *,
         return 0
     if d == 1:
         return nmax
-    forms = _forms if _forms is not None else \
-        [coordinate_form(problem, j) for j in range(problem.k)]
-    plan = _fast_plan(forms)
+    if _plan is None:
+        forms = [coordinate_form(problem, j) for j in range(problem.k)]
+        _plan = forms, _fast_plan(forms)
+    forms, plan = _plan
     tally = _tally if _tally is not None else [0, 0]
     caps = [_s_cap(e[2] * d ** (m - 1), m) if e and d <= _D_LIMIT else 0
             for e, m in zip(plan, problem.ms)]
@@ -586,8 +586,8 @@ def mobius_count(problem: ProblemSpec, x: int,
     r = math.isqrt(x)
     total = 0
     for d in np.flatnonzero(mu[:r + 1]).tolist():
-        total += int(mu[d]) * inner_count(problem, d, x, _forms=forms,
-                                          _tally=tally)
+        total += int(mu[d]) * inner_count(problem, d, x,
+                                          _plan=(forms, plan), _tally=tally)
     if depth > r:
         total += _large_d_sum(problem, plan, forms, mu, r, x, tally)
     return CountResult(x, total, "mobius", d_cutoff,
@@ -654,9 +654,9 @@ def zeta_int(s: int, bits: int) -> Interval:
         cut *= 2
 
 
-def inv_zeta(s: int, bits: int = 128) -> Fraction:
-    """Midpoint of the reciprocal enclosure 1/zeta(s), error < 2^(1-bits)."""
-    iv = zeta_int(s, bits)
+def inv_zeta(s: int) -> Fraction:
+    """Midpoint of the reciprocal enclosure 1/zeta(s), error < 2^-127."""
+    iv = zeta_int(s, 128)
     return (1 / iv.hi + 1 / iv.lo) / 2
 
 

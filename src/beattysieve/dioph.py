@@ -113,7 +113,8 @@ def _certified_quotients(spec: RealSpec,
         return common if _denominators_reach(common, max_q) else None
 
     form = LinearForm([(spec, 1, 0)])
-    return next(form._decide((1,), 64, "partial quotients", verdict)), False
+    return next(form._decide((1,), lambda _: 64, "partial quotients",
+                             verdict)), False
 
 
 def convergents(spec: RealSpec, max_q: int) -> list[Convergent]:

@@ -378,8 +378,8 @@ def weyl_sum(problem: ProblemSpec, d: int, hvec: Sequence[int],
         raise InvalidSpec("need one frequency per coordinate")
     if not any(hvec):
         raise InvalidSpec("the frequency vector must be nonzero")
-    lf = LinearForm([term for j, h in enumerate(hvec)
-                     for term in coordinate_form(problem, j, d, h).terms])
+    lf = LinearForm([(s, h * c, e) for j, h in enumerate(hvec)
+                     for s, c, e in coordinate_form(problem, j, d).terms])
     phases = [frac for frac, _ in lf.phase_fracs(range(1, N + 1))]
     return WeylSum(_cis_sum(phases), N * _TERM_ERR, N)
 

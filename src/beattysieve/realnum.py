@@ -12,15 +12,16 @@ answers: ``LinearForm`` brackets sum_i spec_i * c_i * t**e_i at integers
 t, and every certified question (floors, fractional-part tests and
 values, phases, nearest-integer distances, partial quotients) is a
 verdict over that bracket.  One loop, ``LinearForm._decide``, takes a
-batch of t and yields one verdict per t; ``floors``, ``frac_units``,
-``phase_fracs`` and ``dist_nearest_ints`` serve the many-t callers, and
-the one-t questions pass a batch of one.  A verdict the bracket leaves
-open doubles the precision of that t alone, from a start of 64 + the bit
-length of the scale, up to the fixed ceiling of DEFAULT_MAX_BITS = 2**20
-bits; a decimal literal stops the doubling at its stated digits.
-Either way PrecisionExhausted names what ran out: the literal and its
-bits, or the ceiling.  Forms whose coefficients are all exact rationals
-are decided exactly.
+batch of t, splits it into runs of equal start precision and yields one
+verdict per t; ``floors``, ``frac_units``, ``phase_fracs`` and
+``dist_nearest_ints`` serve the many-t callers, and the one-t questions
+pass a batch of one.  A verdict the bracket leaves open doubles the
+precision of that t alone, from a start of 64 + the bit length of the
+scale, up to the fixed ceiling of DEFAULT_MAX_BITS = 2**20 bits; a
+decimal literal stops the doubling at its stated digits.  Either way
+PrecisionExhausted names what ran out: the literal and its bits, or the
+ceiling.  Floors and fractional-part verdicts decide a rational value
+(all-exact coefficients, or irrational parts that cancel) exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import groupby
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidSpec, PrecisionExhausted
@@ -128,8 +129,12 @@ class RealSpec:
     __slots__ = ()
 
     def bounds(self, prec: int) -> tuple[int, int]:
-        """Integers (lo, hi), lo <= value*2**prec <= hi, hi - lo <= 2."""
-        raise NotImplementedError
+        """Integers (lo, hi), lo <= value*2**prec <= hi, hi - lo <= 2;
+        by default the floor and ceiling of the exact value's."""
+        v = self.exact()
+        num = v.numerator << prec
+        lo = num // v.denominator
+        return (lo, lo) if lo * v.denominator == num else (lo, lo + 1)
 
     def exact(self) -> Optional[Fraction]:
         """The exact rational value, when the variant has one."""
@@ -160,11 +165,6 @@ class Rational(RealSpec):
             raise InvalidSpec("rational parts must be integers")
         if self.q < 1:
             raise InvalidSpec("rational denominator must be positive")
-
-    def bounds(self, prec: int) -> tuple[int, int]:
-        num = self.p << prec
-        lo = num // self.q
-        return (lo, lo) if lo * self.q == num else (lo, lo + 1)
 
     def exact(self) -> Fraction:
         return Fraction(self.p, self.q)
@@ -223,12 +223,6 @@ class FiniteCF(RealSpec):
         for a in reversed(self.quotients[:-1]):
             value = a + 1 / value
         return value
-
-    def bounds(self, prec: int) -> tuple[int, int]:
-        v = self.exact()
-        num = v.numerator << prec
-        lo = num // v.denominator
-        return (lo, lo) if lo * v.denominator == num else (lo, lo + 1)
 
     def text(self) -> str:
         head, *rest = self.quotients
@@ -505,12 +499,12 @@ class LinearForm:
 
     `_escalate` is the one precision policy: a verdict the bracket leaves
     open doubles the precision, up to DEFAULT_MAX_BITS; once the coarsest
-    literal is at its cap, the failure names it.  A form whose coefficients are
-    all exact rationals is also evaluated exactly (`_value`), because its
-    value can sit exactly on an integer or on a rational threshold, where
-    no bracket decides; so is a form at a t where the irrational parts of
-    its terms cancel (`_rational_value`), as -sqrt3 t^3 + 4 sqrt3 t does
-    at t = 2.
+    literal is at its cap, the failure names it.  A value that is rational
+    can sit exactly on an integer or on a rational threshold, where no
+    bracket decides, so `_decide` hands it to the verdict's exact hook
+    (`_rational_value`): at every t when the coefficients are all exact
+    rationals, and at an open t where the irrational parts of the terms
+    cancel, as -sqrt3 t^3 + 4 sqrt3 t does at t = 2.
     """
 
     def __init__(self, terms: Sequence[tuple]):
@@ -518,13 +512,8 @@ class LinearForm:
         capped = [s for s, _, _ in self.terms if s.max_prec() is not None]
         self._limit = min(capped, key=lambda s: s.max_prec(), default=None)
         self._cap = None if self._limit is None else self._limit.max_prec()
-        values = [s.exact() for s, _, _ in self.terms]
-        if None in values:
-            self._exact = None
-        else:
-            den = math.lcm(*(v.denominator for v in values))
-            self._exact = ([(v.numerator * (den // v.denominator) * c, e)
-                            for v, (_, c, e) in zip(values, self.terms)], den)
+        self._exact = [s.exact() for s, _, _ in self.terms]
+        self._rational = None not in self._exact
         self._cache = {}
 
     # -- the kernel ----------------------------------------------------------
@@ -547,31 +536,28 @@ class LinearForm:
         biggest = max([abs(c) * t ** e for _, c, e in self.terms], default=1)
         return 64 + max(biggest * len(self.terms), 1).bit_length()
 
-    def _value(self, t: int) -> Fraction:
-        """The exact value at t of a form whose coefficients are all exact."""
-        nums, den = self._exact
-        return Fraction(sum(c * t ** e for c, e in nums), den)
-
     def _rational_value(self, t: int) -> Optional[Fraction]:
         """The exact value at t when the irrational parts of the terms
         cancel there, else None.  A surd (a + b sqrt(d))/c counts on the
         basis sqrt(r) of the first radicand r with d r a square, as
         sqrt(d) = isqrt(d r)/r * sqrt(r); any other irrational spec is
         its own basis."""
-        value, irrational = Fraction(0), {}
-        for spec, c, e in self.terms:
+        num, den, irrational = 0, 1, {}
+        for exact, (spec, c, e) in zip(self._exact, self.terms):
             w = c * t ** e
-            if spec.exact() is not None:
-                value += spec.exact() * w
+            if exact is not None:
+                p, q = exact.numerator * w, exact.denominator
             elif isinstance(spec, QuadraticSurd):
                 r = next(r for r in (*irrational, spec.d) if isinstance(r, int)
                          and math.isqrt(r * spec.d) ** 2 == r * spec.d)
-                value += Fraction(spec.a * w, spec.c)
+                p, q = spec.a * w, spec.c
                 irrational[r] = irrational.get(r, 0) + Fraction(
                     spec.b * math.isqrt(spec.d * r) * w, spec.c * r)
             else:
                 irrational[spec] = irrational.get(spec, 0) + w
-        return None if any(irrational.values()) else value
+                continue
+            num, den = num * q + p * den, den * q   # the rational part
+        return None if any(irrational.values()) else Fraction(num, den)
 
     def _escalate(self, t: int, prec: int, need: str) -> int:
         """The precision to try after `prec` left `need` open at t."""
@@ -589,47 +575,49 @@ class LinearForm:
                 f"ceiling", spec=self.terms[0][0], scale=t, n=t, bits=prec)
         return min(2 * prec, DEFAULT_MAX_BITS)
 
-    def _decide(self, ts, prec: int, need: str, verdict, exact=None):
-        """Yield verdict(lo, hi, pe) on the bracket at each t in ts, every
-        t started at prec; a t whose verdict is None is decided by
-        exact(value) when exact is given and the value there is rational,
-        else on its own, as a batch of one at the next precision
-        `_escalate` allows."""
-        pe, rows = self._rows(prec)
-        for t in ts:
-            lo = hi = 0
-            for a, b, e in rows:
-                w = t ** e
-                lo += a * w
-                hi += b * w
-            answer = verdict(lo, hi, pe)
-            if answer is None:
-                value = None if exact is None else self._rational_value(t)
-                answer = exact(value) if value is not None else next(
-                    self._decide((t,), self._escalate(t, prec, need), need,
-                                 verdict))
-            yield answer
+    def _decide(self, ts, start, need: str, verdict, exact=None):
+        """Yield verdict(lo, hi, pe) at each t in ts, lazily, on one
+        bracket per run of equal start(t).  With an exact hook, an all-exact
+        form yields exact(value) at every t with no bracket, and so does an
+        open t whose value is rational; any other open t is decided alone,
+        as a batch of one at the next precision `_escalate` allows."""
+        if exact is not None and self._rational:
+            yield from map(exact, map(self._rational_value, ts))
+            return
+        for prec, run in groupby(ts, start):
+            pe, rows = self._rows(prec)
+            for t in run:
+                lo = hi = 0
+                for a, b, e in rows:
+                    w = t ** e
+                    lo += a * w
+                    hi += b * w
+                answer = verdict(lo, hi, pe)
+                if answer is None:
+                    value = None if exact is None else self._rational_value(t)
+                    if value is not None:
+                        answer = exact(value)
+                    else:
+                        higher = self._escalate(t, prec, need)
+                        answer = next(self._decide((t,), lambda _: higher,
+                                                   need, verdict))
+                yield answer
 
     # -- verdicts ------------------------------------------------------------
 
     def floors(self, ts: Sequence[int]):
         """Certified floor at each t in ts, lazily, every t started at the
         largest t's precision: a floor does not depend on the precision."""
-        if self._exact is not None:
-            return (math.floor(self._value(t)) for t in ts)
-
         def verdict(lo, hi, pe):
             f = lo >> pe
             return f if hi >> pe == f else None
-        return self._decide(ts, self._start(max(ts, default=0)), "floor",
-                            verdict, math.floor)
+        prec = self._start(max(ts, default=0))
+        return self._decide(ts, lambda _: prec, "floor", verdict, math.floor)
 
     def frac_below(self, t: int, num: int, den: int) -> bool:
         """Certified test {value at t} < num/den (False at equality)."""
         def below(value):
             return (value - math.floor(value)) * den < num
-        if self._exact is not None:
-            return below(self._value(t))
 
         def verdict(lo, hi, pe):
             f = lo >> pe
@@ -641,7 +629,7 @@ class LinearForm:
             if (lo - (f << pe)) * den >= num * unit:
                 return False
             return None
-        return next(self._decide((t,), self._start(t), "fractional test",
+        return next(self._decide((t,), self._start, "fractional test",
                                  verdict, below))
 
     def frac_units(self, ts):
@@ -651,17 +639,13 @@ class LinearForm:
         def unit(value):
             value %= 1
             return _unit_float(value.numerator, 0, value.denominator)
-        if self._exact is not None:
-            return (unit(self._value(t)) for t in ts)
 
         def verdict(lo, hi, pe):
             f = lo >> pe
             if hi >> pe == f and hi - lo <= 1 << max(pe - 60, 0):
                 return _unit_float(lo - (f << pe), hi - lo, 1 << pe)
             return None
-        return chain.from_iterable(
-            self._decide(run, prec, "fractional part", verdict, unit)
-            for prec, run in groupby(ts, self._start))
+        return self._decide(ts, self._start, "fractional part", verdict, unit)
 
     def phase_fracs(self, ts):
         """(float in [0,1), error bound valid modulo 1) at each t in ts,
@@ -671,9 +655,8 @@ class LinearForm:
             if hi - lo <= 1 << max(pe - 64, 0):
                 return _unit_float(lo % (1 << pe), hi - lo, 1 << pe)
             return None
-        return chain.from_iterable(
-            self._decide(run, prec, "phase", verdict)
-            for prec, run in groupby(ts, lambda t: max(self._start(t), 68)))
+        return self._decide(ts, lambda t: max(self._start(t), 68), "phase",
+                            verdict)
 
 
 @lru_cache(maxsize=256)
@@ -718,15 +701,13 @@ def floor_scaled(spec: RealSpec, scale: int) -> CertifiedFloor:
                         max(1, pe - sbits - 2))
         return CertifiedFloor(f, cert, scale, pe)
 
-    start = form._start(scale)
-    if form._exact is not None:
+    def exact(value):
         # rounding past the denominator keeps a non-integer value strictly
         # inside its unit interval; a dyadic value is its own certificate
-        exact = form._value(scale)
-        pe = max(start, exact.denominator.bit_length())
-        num, den = exact.numerator << pe, exact.denominator
+        pe = max(form._start(scale), value.denominator.bit_length())
+        num, den = value.numerator << pe, value.denominator
         return verdict(num // den, -(-num // den), pe)
-    return next(form._decide((scale,), start, "floor", verdict))
+    return next(form._decide((scale,), form._start, "floor", verdict, exact))
 
 
 def frac_below(spec: RealSpec, scale: int, bound_num: int,
@@ -788,9 +769,7 @@ def dist_nearest_ints(spec: RealSpec, scales, *, bits: int = 48):
             return None
         return Interval(Fraction(d_lo, unit), Fraction(d_hi, unit), pb)
 
-    return chain.from_iterable(
-        form._decide(run, prec, "nearest-integer distance", verdict)
-        for prec, run in groupby(scales, start))
+    return form._decide(scales, start, "nearest-integer distance", verdict)
 
 
 def dist_nearest_int(spec: RealSpec, scale: int, *,

@@ -355,6 +355,14 @@ def test_linear_form_decides_where_irrational_parts_cancel():
     assert list(form.floors([1, 2, 3])) == [5, 0, -26]
     assert form.frac_below(2, 1, 2)
     assert next(form.frac_units([2]))[0] == 0.0
+    # a capped literal cancels at every t: the rational value decides
+    # before the literal's 24 bits would be escalated past
+    lit = parse_real("dec:1.41421356:8")
+    zero = LinearForm([(lit, 1, 1), (lit, -1, 1)])
+    assert list(zero.floors([5, 7])) == [0, 0]
+    assert next(zero.frac_units([5]))[0] == 0.0
+    half = LinearForm([(lit, 2, 1), (lit, -2, 1), ("1/2", 1, 0)])
+    assert not half.frac_below(5, 1, 2)
 
 
 _LIOU = LiouvilleSeries(2, "poly", Fraction(2), c1=2)
