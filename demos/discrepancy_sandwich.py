@@ -34,8 +34,8 @@ def main() -> int:
     print("== golden ratio: the lowest-discrepancy 1d sequence ==")
     for n in (100, 1000):
         psg = nu_sequence(ProblemSpec((golden_ratio(),), (1,)), 1, n)
-        print(f"  N={n:5d}  D_N = {float(discrepancy_exact_1d(psg)):.6f}"
-              f"   N*D_N = {float(discrepancy_exact_1d(psg)) * n:.3f}")
+        d_n = float(discrepancy_exact_1d(psg))
+        print(f"  N={n:5d}  D_N = {d_n:.6f}   N*D_N = {d_n * n:.3f}")
     print()
 
     print("== dimension 2: ({sqrt2 n}, {sqrt3 n^2}) scaled by d=2 ==")

@@ -68,7 +68,7 @@ from . import __version__
 from .counting import (CountResult, ProblemSpec, dec_str, density_experiment,
                        density_run_csv, density_run_payload, direct_count,
                        mobius_count)
-from .dioph import convergents, convergents_csv, estimate_type, find_window
+from .dioph import _type_from, convergents, convergents_csv, find_window
 from .equidist import (discrepancy_report, discrepancy_report_payload,
                        linear_bound, linear_sum_exact, monotone_check,
                        nu_sequence, quadratic_bound, reciprocal_sum,
@@ -309,7 +309,7 @@ def cmd_dioph(cfg: _Config, workers: int):
     spec = as_spec(alpha)
     convs = convergents(spec, max_q)
     try:
-        est = estimate_type(spec, max_q, mode)
+        est = _type_from(convs, max_q, mode)
         estimate = {"tau_hat": est.tau_hat, "mode": est.mode,
                     "samples": [[q, val] for q, val in est.samples]}
     except InsufficientData as exc:

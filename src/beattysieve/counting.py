@@ -424,10 +424,13 @@ def _coprime_block(plan: list, forms: list, caps: list, n_lo: int,
 
 def _direct_chunk(args):
     """Prefix counts at each cut for the n in [n_lo, n_hi], plus the
-    kernel's [fast floors, exact fallbacks]."""
-    problem, caps, n_lo, n_hi, cuts = args
+    kernel's [fast floors, exact fallbacks] and the exact-only
+    coordinates."""
+    problem, n_lo, n_hi, cuts = args
     forms = [coordinate_form(problem, j) for j in range(problem.k)]
     plan = _fast_plan(forms)
+    # the kernel takes n < 2^32 with k n^(m-1) < 2^61
+    caps = [_s_cap(e[2], m - 1) if e else 0 for e, m in zip(plan, problem.ms)]
     tally = [0, 0]
     counts = [0] * len(cuts)
     i = bisect.bisect_left(cuts, n_lo)
@@ -440,7 +443,7 @@ def _direct_chunk(args):
             i += 1
         total += int(np.count_nonzero(ok))
     counts[i:] = [total] * (len(cuts) - i)
-    return counts, tally
+    return counts, tally, plan.count(None)
 
 
 def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int):
@@ -453,24 +456,21 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int):
     if workers < 1:
         raise InvalidSpec("workers must be >= 1")
     x = cuts[-1]
-    plan = _fast_plan([coordinate_form(problem, j) for j in range(problem.k)])
-    # the kernel takes n < 2^32 with k n^(m-1) < 2^61
-    caps = [_s_cap(e[2], m - 1) if e else 0 for e, m in zip(plan, problem.ms)]
     if workers == 1 or x < 4096:
-        parts = [_direct_chunk((problem, caps, 1, x, cuts))]
+        parts = [_direct_chunk((problem, 1, x, cuts))]
     else:
         edges = [i * x // workers for i in range(workers + 1)]
-        jobs = [(problem, caps, lo + 1, hi, cuts)
+        jobs = [(problem, lo + 1, hi, cuts)
                 for lo, hi in zip(edges, edges[1:]) if hi > lo]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_direct_chunk, jobs))
     counts = [0] * len(cuts)
     fast = fallbacks = 0
-    for part, (f, fb) in parts:
+    for part, (f, fb), _ in parts:
         counts = [a + b for a, b in zip(counts, part)]
         fast += f
         fallbacks += fb
-    return tuple(counts), FloorStats(fast, fallbacks, plan.count(None))
+    return tuple(counts), FloorStats(fast, fallbacks, parts[0][2])
 
 
 def direct_count(problem: ProblemSpec, x: int, *,

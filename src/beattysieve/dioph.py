@@ -195,7 +195,12 @@ def estimate_type(spec: RealSpec, max_q: int, mode: str) -> TypeEstimate:
     """
     if mode not in ("polynomial", "exponential"):
         raise InvalidSpec(f"unknown type-estimation mode {mode!r}")
-    convs = convergents(spec, max_q)
+    return _type_from(convergents(spec, max_q), max_q, mode)
+
+
+def _type_from(convs: Sequence[Convergent], max_q: int,
+               mode: str) -> TypeEstimate:
+    """estimate_type over the ladder convergents(spec, max_q) gave."""
     if len(convs) < 3:
         raise InsufficientData(
             f"need at least 3 convergents below {max_q}, found {len(convs)}")

@@ -8,6 +8,7 @@ fixture digests, and the documented exit codes 0/2/3/4.
 import json
 import os
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,8 @@ from beattysieve.cli import (atomic_write, main, parse_config_text,
                              split_reals)
 from beattysieve.counting import ProblemSpec, direct_count, mobius_count
 from beattysieve.errors import ConfigError
-from beattysieve.realnum import parse_real, sqrt3
+from beattysieve.dioph import estimate_type
+from beattysieve.realnum import LiouvilleSeries, parse_real, sqrt3
 
 from conftest import FIXTURE_DIR
 
@@ -347,6 +349,31 @@ def test_dioph_insufficient_data_reported_not_fatal():
     est = report["results"]["type_estimate"]
     assert "unavailable" in est
     assert [c["q"] for c in report["results"]["convergents"]] == [1, 7]
+
+
+@pytest.mark.parametrize("alpha, max_q, mode", [
+    (SQRT2, 10**6, "polynomial"),
+    (LiouvilleSeries(2, "exp", Fraction(1, 2), c1=2).text(), 10**8,
+     "exponential"),
+], ids=["sqrt2_poly", "liouville_exp"])
+def test_dioph_builds_its_ladder_once(monkeypatch, alpha, max_q, mode):
+    from beattysieve import cli, dioph
+    est = estimate_type(parse_real(alpha), max_q, mode)
+    calls = []
+    original = dioph.convergents
+
+    def counted(spec, q):
+        calls.append(1)
+        return original(spec, q)
+
+    monkeypatch.setattr(dioph, "convergents", counted)
+    monkeypatch.setattr(cli, "convergents", counted)
+    raw = {"command": "dioph", "alpha": alpha, "max_q": str(max_q),
+           "mode": mode}
+    got = run_config(raw)["results"]["type_estimate"]
+    assert len(calls) == 1
+    assert got == {"tau_hat": est.tau_hat, "mode": est.mode,
+                   "samples": [[q, r] for q, r in est.samples]}
 
 
 # ---------------------------------------------------------------------------

@@ -578,6 +578,27 @@ def test_direct_kernel_caps_each_n_not_the_coordinate():
         exact_reference_count(p, 2**13 + 5) == 6812
 
 
+def test_direct_count_builds_each_plan_once(monkeypatch):
+    from beattysieve import counting
+    calls = []
+    original = counting._fast_plan
+
+    def counted(forms):
+        calls.append(1)
+        return original(forms)
+
+    monkeypatch.setattr(counting, "_fast_plan", counted)
+    p = ProblemSpec((sqrt2(), sqrt3(), golden_ratio()), (1, 2, 6))
+    assert direct_count(p, 10**4).stats == FloorStats(14151, 1475, 0)
+    assert len(calls) == 1
+    # a constant past 2^126 keeps the coordinate exact-only; each chunk
+    # reports it from its own plan
+    big = ProblemSpec((sqrt2(), sqrt3()), (1, 2),
+                      lower_terms=(None, (str(2**127),)))
+    assert {direct_count(big, 5000, workers=w).stats for w in (1, 2)} == \
+        {FloorStats(4999, 1960, 1)}
+
+
 @pytest.mark.parametrize("x", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
 def test_counts_at_the_block_edges(x):
     p = ProblemSpec((sqrt2(), sqrt3()), (1, 2))

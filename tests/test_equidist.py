@@ -183,6 +183,74 @@ def test_exact_1d_matches_the_brute_force_on_ties(vals):
     assert discrepancy_exact_1d([Fraction(v) for v in vals[::-1]]) == got
 
 
+def oracle_exact_1d(values) -> Fraction:
+    """The one-pass Fraction loop over every g_i = i - N x_i: the exact
+    1-D discrepancy without the float screen."""
+    vals = sorted(Fraction(v) for v in values)
+    N = len(vals)
+    gaps = (i - N * x for i, x in enumerate(vals, 1))
+    top = bottom = next(gaps)
+    for g in gaps:
+        if g > top:
+            top = g
+        elif g < bottom:
+            bottom = g
+    return (1 + top - bottom) / N
+
+
+def _clustered(center, spread, n, seed):
+    vals = center + spread * np.random.default_rng(seed).random(n)
+    return np.minimum(vals, np.nextafter(1.0, 0.0)).tolist()
+
+
+def _lattice(n, ulps, seed):
+    # (i-1)/N, where every g_i ties, moved up by at most `ulps` ulps each
+    vals = np.arange(n) / n
+    steps = np.random.default_rng(seed).integers(0, ulps + 1, n)
+    return (vals + steps * np.spacing(vals)).tolist()
+
+
+_uniform_sets = st.lists(st.floats(0, 1, exclude_max=True),
+                         min_size=1, max_size=300)
+_clustered_sets = st.builds(
+    _clustered, st.floats(0, 0.99), st.sampled_from([0.0, 1e-9, 1e-3]),
+    st.integers(1, 300), st.integers(0, 2**32 - 1))
+_duplicated_sets = st.builds(
+    lambda pool, picks: [pool[i % len(pool)] for i in picks],
+    st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=5),
+    st.lists(st.integers(0, 4), min_size=1, max_size=300))
+_near_zero_sets = st.lists(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308])
+    | st.floats(0, 1e-300), min_size=1, max_size=300)
+_lattice_sets = st.builds(_lattice, st.integers(1, 300), st.integers(0, 3),
+                          st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vals=_uniform_sets | _clustered_sets | _duplicated_sets
+       | _near_zero_sets | _lattice_sets,
+       form=st.sampled_from(["pointset", "floats", "fractions"]))
+def test_exact_1d_screen_returns_the_exact_loops_fraction(vals, form):
+    want = oracle_exact_1d(vals)
+    if form == "pointset":
+        given_vals = PointSet.synthetic(np.reshape(vals, (-1, 1)), "drawn")
+    elif form == "floats":
+        given_vals = vals[::-1]
+    else:
+        given_vals = [Fraction(v) for v in vals]
+    assert discrepancy_exact_1d(given_vals) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(offsets=st.lists(st.integers(0, 16), min_size=1, max_size=300))
+def test_exact_1d_screen_on_rationals_between_doubles(offsets):
+    # (i - 1 + k_i 2^-56)/N as exact Fractions: the g_i differ below the
+    # resolution of float(x_i), so only the rescore can order them
+    n = len(offsets)
+    vals = [Fraction(i * 2**56 + k, n * 2**56) for i, k in enumerate(offsets)]
+    assert discrepancy_exact_1d(vals) == oracle_exact_1d(vals)
+
+
 def test_exact_1d_accepts_plain_values():
     # [0.25, 0.75+eps) holds both points: deviation 1 - 1/2 exactly
     assert discrepancy_exact_1d([0.25, 0.75]) == Fraction(1, 2)
