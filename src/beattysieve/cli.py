@@ -307,7 +307,8 @@ def cmd_dioph(cfg: _Config, workers: int):
     window_exponent = cfg.float_("window_exponent")
     cfg.finish()
     spec = as_spec(alpha)
-    convs = convergents(spec, max_q)
+    ladder = convergents(spec, max(max_q, window_q or 0))
+    convs = [c for c in ladder if c.q <= max_q]
     try:
         est = _type_from(convs, max_q, mode)
         estimate = {"tau_hat": est.tau_hat, "mode": est.mode,
@@ -330,7 +331,7 @@ def cmd_dioph(cfg: _Config, workers: int):
                               "in poly mode")
         win = find_window(spec, window_q,
                           window_exponent if window_exponent is not None
-                          else 0.5, mode)
+                          else 0.5, mode, ladder=ladder)
         payload["window"] = {"a": win.a, "q": win.q, "Q": win.Q,
                              "lower": win.lower,
                              "satisfied": win.satisfied}

@@ -3,8 +3,8 @@
 N(x) counts n ≤ x whose tuple (n, floor(a_1 n^{m_1} + g_1), ...,
 floor(a_k n^{m_k} + g_k)) has gcd 1.  `direct_count` evaluates the gcd
 per n; `mobius_count` expands the coprimality indicator through the
-Moebius function, reducing each divisor d to a box-occupancy count
-(`inner_count`).  Both routes ask for floor(a t^m + g(t)) mod d at
+Moebius function into box-occupancy counts (`inner_count`), which it sums
+in one pass over n.  Both routes ask for floor(a t^m + g(t)) mod d at
 t = dn, the direct one with d = t and the Moebius one only whether it
 is 0, and both are certified: one 64-bit fixed-point kernel, which sums
 the brackets of every term, decides what it can and the exact engine
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import decimal
+import itertools
 import math
 import time
 import warnings
@@ -126,7 +127,9 @@ class FloorStats:
     """What the counting engine did.
 
     fast_floors: the direct route's (n, j) floors, or the Moebius route's
-    (d, n, j) box tests, decided by the 64-bit fixed-point kernel;
+    box tests, decided by the 64-bit fixed-point kernel; that route decides
+    coordinate 1 once per n, for all its d at once, and tests only the
+    later coordinates per (d, n) pair, so it counts far fewer than x ln x;
     exact_fallbacks: those the kernel left undecided or could not take,
     every one of an exact-only coordinate included, sent to the
     big-integer engine, so the two sum to the floors or tests evaluated;
@@ -182,17 +185,6 @@ class DensityRun:
 # Moebius function tables
 
 
-def _primes_upto(n: int) -> np.ndarray:
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p::p] = False
-    return np.flatnonzero(flags).astype(np.int64)
-
-
 _SIEVE_BLOCK = 1 << 20             # entries sieved at a time
 _SIEVE_BUDGET = 1 << 29            # bytes a Moebius table may take
 
@@ -217,13 +209,10 @@ def _mobius_block(start: int, end: int, primes: np.ndarray) -> np.ndarray:
 
 
 def mobius_sieve(limit: int) -> np.ndarray:
-    """mu(d) for 1 ≤ d ≤ limit as int8, index 0 unused.
-
-    The table takes one byte per entry, and it is filled in blocks of
-    _SIEVE_BLOCK entries, each with 18 bytes per entry of working arrays.
-    Raises ResourceLimit, before allocating, when that exceeds
-    _SIEVE_BUDGET bytes.
-    """
+    """mu(d) for 1 ≤ d ≤ limit as int8, index 0 unused: one byte per
+    entry, filled in blocks of _SIEVE_BLOCK entries with 18 bytes per entry
+    of working arrays.  Raises ResourceLimit, before allocating, when that
+    exceeds _SIEVE_BUDGET bytes."""
     if limit < 1:
         raise InvalidSpec("sieve limit must be >= 1")
     need = limit + 1 + 18 * min(limit, _SIEVE_BLOCK)
@@ -231,7 +220,12 @@ def mobius_sieve(limit: int) -> np.ndarray:
         raise ResourceLimit(
             f"a Moebius table to {limit} needs ~{need} bytes, over the "
             f"budget of {_SIEVE_BUDGET} bytes")
-    primes = _primes_upto(math.isqrt(limit))
+    flags = np.ones(math.isqrt(limit) + 1, dtype=bool)   # primes to sqrt
+    flags[:2] = False
+    for p in range(2, math.isqrt(flags.size - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = False
+    primes = np.flatnonzero(flags)
     out = np.zeros(limit + 1, dtype=np.int8)
     for start in range(1, limit + 1, _SIEVE_BLOCK):
         end = min(start + _SIEVE_BLOCK - 1, limit)
@@ -464,13 +458,9 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int):
                 for lo, hi in zip(edges, edges[1:]) if hi > lo]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_direct_chunk, jobs))
-    counts = [0] * len(cuts)
-    fast = fallbacks = 0
-    for part, (f, fb), _ in parts:
-        counts = [a + b for a, b in zip(counts, part)]
-        fast += f
-        fallbacks += fb
-    return tuple(counts), FloorStats(fast, fallbacks, parts[0][2])
+    counts = tuple(map(sum, zip(*(part[0] for part in parts))))
+    fast, fallbacks = map(sum, zip(*(part[1] for part in parts)))
+    return counts, FloorStats(fast, fallbacks, parts[0][2])
 
 
 def direct_count(problem: ProblemSpec, x: int, *,
@@ -490,106 +480,125 @@ def direct_count(problem: ProblemSpec, x: int, *,
                        time.perf_counter() - start, stats)
 
 
-def _box_hits(plan: list, forms: list, d: np.ndarray, n: np.ndarray,
-              along: np.ndarray, caps: list, tally: list) -> np.ndarray:
+def _box_hits(plan: list, forms: list, ms: tuple, d: np.ndarray,
+              n: np.ndarray, tally: list, first: int = 0) -> np.ndarray:
     """Indices i with floor(a_j t^(m_j) + g_j(t)) ≡ 0 (mod d_i), t = d_i n_i,
-    for every j.  Coordinates run in order, each on the pairs that passed
-    the ones before; the kernel takes the pairs with along ≤ caps[j]."""
+    for every j ≥ first, each coordinate on the pairs that passed the ones
+    before.  The kernel takes the pairs with k t^m < 2^61, which bounds
+    k S = k d^(m-1) n^m and d < 2^32 at one compare per pair."""
     idx = np.arange(n.size)
-    for j, cap in enumerate(caps):
+    for j in range(first, len(ms)):
         if not idx.size:
             break
-        hit = _coordinate(plan, forms, j, d[idx], n[idx], along[idx] <= cap,
-                          True, tally)
-        idx = idx[hit]
+        dj, nj = d[idx], n[idx]
+        fast = None if plan[j] is None else \
+            dj * nj <= _s_cap(plan[j][2], ms[j])
+        idx = idx[_coordinate(plan, forms, j, dj, nj, fast, True, tally)]
     return idx
 
 
-def inner_count(problem: ProblemSpec, d: int, x: int, *,
-                _plan: Optional[tuple] = None,
-                _tally: Optional[list] = None) -> int:
+def inner_count(problem: ProblemSpec, d: int, x: int) -> int:
     """Count n ≤ x/d whose scaled fractional vector lands in [0, 1/d)^k,
-    that is, with floor(a_j (dn)^{m_j} + g_j(dn)) ≡ 0 (mod d) for every j.
-
-    The n run in blocks of _BLOCK (memory stays flat in x) through
-    `_box_hits`: the kernel's zero test decides each pair it can, those
-    with d < 2^32 and k_j d^(m_j-1) n^(m_j) < 2^61, and the certified floor
-    the rest.  _tally, when given, accumulates [box tests decided, exact
-    fallbacks]; _plan, when given, is (forms, `_fast_plan(forms)`).
-    """
-    if d < 1:
-        raise InvalidSpec("d must be >= 1")
-    if x < 1:
-        raise InvalidSpec("x must be >= 1")
+    that is, with floor(a_j (dn)^{m_j} + g_j(dn)) ≡ 0 (mod d) for every j:
+    the d-th term of the sum `mobius_count` evaluates, box by box in
+    blocks of _BLOCK n through `_box_hits`."""
+    if d < 1 or x < 1:
+        raise InvalidSpec("d and x must be >= 1")
     nmax = x // d
-    if nmax == 0:
-        return 0
-    if d == 1:
+    if d == 1 or nmax == 0:
         return nmax
-    if _plan is None:
-        forms = [coordinate_form(problem, j) for j in range(problem.k)]
-        _plan = forms, _fast_plan(forms)
-    forms, plan = _plan
-    tally = _tally if _tally is not None else [0, 0]
-    caps = [_s_cap(e[2] * d ** (m - 1), m) if e and d <= _D_LIMIT else 0
-            for e, m in zip(plan, problem.ms)]
+    forms = [coordinate_form(problem, j) for j in range(problem.k)]
+    plan = _fast_plan(forms)
     cnt = 0
     for lo in range(1, nmax + 1, _BLOCK):
         n = np.arange(lo, min(lo + _BLOCK, nmax + 1), dtype=np.uint64)
-        dd = np.full(n.size, d, dtype=np.uint64)
-        cnt += _box_hits(plan, forms, dd, n, n, caps, tally).size
+        cnt += _box_hits(plan, forms, problem.ms, np.full_like(n, d), n,
+                         [0, 0]).size
     return cnt
 
 
-def _large_d_sum(problem: ProblemSpec, plan: list, forms: list,
-                 mu: np.ndarray, r: int, x: int, tally: list) -> int:
-    """Sum of mu(d) * inner_count(problem, d, x) over r < d < mu.size, as
-    one pass per n ≤ x/(r+1) over the d in (r, x/n], in _BLOCK slices
-    of the mu table."""
-    total = 0
-    for n in range(1, x // (r + 1) + 1):
-        top = min(x // n, mu.size - 1)
-        caps = [_s_cap(e[2] * n ** m, m - 1) if e else 0
-                for e, m in zip(plan, problem.ms)]
-        for lo in range(r + 1, top + 1, _BLOCK):
-            sign = mu[lo:min(lo + _BLOCK, top + 1)]
-            pos = np.flatnonzero(sign)
-            d = pos.astype(np.uint64) + np.uint64(lo)
-            nn = np.full(d.size, n, dtype=np.uint64)
-            hits = _box_hits(plan, forms, d, nn, d, caps, tally)
-            total += int(sign[pos[hits]].sum())
-    return total
+def _linear_ends(plan: list, n: np.ndarray, x: int, cut: int, tally: list):
+    """(a, b) per n: the d ≤ a pass coordinate 1, and the d in (b, top]
+    fail, top = min(x/n, cut).  As m_1 = 1 and coordinate 1 has no
+    lower-order terms, floor(a dn) mod d = floor(d {a n}), 0 exactly for
+    d ≤ D_n = ceil(1/{a n}) - 1, and the kernel's bracket {a n} 2^64 in
+    [L, L + W] (S = n for every d) puts D_n in [floor((2^64 - 1)/(L + W)),
+    floor((2^64 - 1)/L)]; an n it cannot bracket leaves (1, top] open."""
+    a, b = np.ones_like(n), np.minimum(np.uint64(x) // n, np.uint64(cut))
+    if plan[0] is not None:
+        (_, lo64, w), = plan[0][0]
+        low = n * np.uint64(lo64)
+        high = low + n * np.uint64(w)
+        ok = (high >= low) & (n <= (_S_LIMIT - 1) // plan[0][2])
+        a[ok] = np.minimum(_U64_MAX // np.maximum(high[ok], 1), b[ok])
+        ok &= low > 0
+        b[ok] = np.minimum(_U64_MAX // low[ok], b[ok])
+        tally[0] += int(np.count_nonzero(a == b))
+    return a, b
+
+
+def _ragged(first: np.ndarray, last: np.ndarray):
+    """(d, i) over first_i ≤ d ≤ last_i, in slices of ≤ _BLOCK pairs."""
+    size = np.maximum(last.astype(np.int64) - first.astype(np.int64) + 1, 0)
+    cum = np.cumsum(size)
+    for s in range(0, int(cum[-1]), _BLOCK):
+        p = np.arange(s, min(s + _BLOCK, int(cum[-1])))
+        i = np.searchsorted(cum, p, side="right")
+        yield (p - cum[i] + size[i]).astype(np.uint64) + first[i], i
 
 
 def mobius_count(problem: ProblemSpec, x: int,
                  d_cutoff: Optional[int] = None) -> CountResult:
-    """N(x) through the divisor decomposition: sum of mu(d) * inner_count.
+    """N(x) = sum over d of mu(d) * inner_count(problem, d, x), in one
+    pass over n ≤ x in blocks of _BLOCK; with d_cutoff, the sum over
+    d ≤ d_cutoff, which may leave [0, x].
 
-    The (d, n) pairs split at r = isqrt(x), as in Dirichlet's hyperbola
-    method: each d ≤ r is one `inner_count` over n ≤ x/d, and the d > r
-    are swept per n ≤ x/(r+1).  stats counts box tests the way
-    direct_count counts floors.  With no cutoff this is an exact
-    identity with direct_count; with a cutoff it is the truncation of
-    that sum (reported as such, and it may leave the [0, x] range — only
-    the full sum is a genuine count).
-    """
+    Each n has ends a_n ≤ b_n ≤ min(x/n, d_cutoff) on coordinate 1
+    (`_linear_ends`); the exact engine tests the open d in (a_n, b_n].
+    k = 1: an n adds M(a_n), M the Mertens function, and mu(d) per open d
+    that passes.  k ≥ 2: d = 1 adds x, and the squarefree 2 ≤ d ≤ b_n that
+    pass go on to coordinates 2..k in slices of _BLOCK pairs.  The Mertens
+    table grows only to the largest b_n met, and past _SIEVE_BUDGET raises
+    ResourceLimit naming that n."""
     if x < 1:
         raise InvalidSpec("x must be >= 1")
     if d_cutoff is not None and not 1 <= d_cutoff <= x:
         raise InvalidSpec("d_cutoff must lie in [1, x]")
     start = time.perf_counter()
     depth = d_cutoff if d_cutoff is not None else x
-    mu = mobius_sieve(depth)
     forms = [coordinate_form(problem, j) for j in range(problem.k)]
     plan = _fast_plan(forms)
     tally = [0, 0]
-    r = math.isqrt(x)
-    total = 0
-    for d in np.flatnonzero(mu[:r + 1]).tolist():
-        total += int(mu[d]) * inner_count(problem, d, x,
-                                          _plan=(forms, plan), _tally=tally)
-    if depth > r:
-        total += _large_d_sum(problem, plan, forms, mu, r, x, tally)
+    mertens = np.zeros(1, dtype=np.int32)           # M(d) at index d
+    total = x if problem.k > 1 else 0
+    for lo in range(1, x + 1, _BLOCK):
+        n = np.arange(lo, min(lo + _BLOCK, x + 1), dtype=np.uint64)
+        a, b = _linear_ends(plan, n, x, depth, tally)
+        end = int(b.max())
+        if end >= mertens.size:                     # doubling, in budget
+            size = max(end, min(2 * mertens.size, depth, _SIEVE_BUDGET // 8))
+            need = 5 * size + 18 * min(size, _SIEVE_BLOCK)   # int8 + int32
+            if need > _SIEVE_BUDGET:
+                i = b.argmax()
+                raise ResourceLimit(
+                    f"n = {n[i]}, where {{a n}} < 1/{a[i]}, needs the Moebius "
+                    f"table to {end}: ~{need} bytes, over the budget of "
+                    f"{_SIEVE_BUDGET} bytes")
+            mertens = np.cumsum(mobius_sieve(size), dtype=np.int32)
+        if problem.k == 1:
+            total += int(mertens[a].sum(dtype=np.int64))
+        first = a + np.uint64(1) if problem.k == 1 else np.full_like(a, 2)
+        for d, i in _ragged(first, b):
+            mu = mertens[d] - mertens[d - np.uint64(1)]
+            keep = np.flatnonzero(mu)
+            d, nn, passed = d[keep], n[i[keep]], d[keep] <= a[i[keep]]
+            open_ = np.flatnonzero(~passed)     # a plan of None: exact
+            passed[open_] = _coordinate((None,), forms, 0, d[open_],
+                                        nn[open_], None, True, tally)
+            idx = np.flatnonzero(passed)
+            hits = _box_hits(plan, forms, problem.ms, d[idx], nn[idx],
+                             tally, 1)
+            total += int(mu[keep[idx[hits]]].sum(dtype=np.int64))
     return CountResult(x, total, "mobius", d_cutoff,
                        time.perf_counter() - start,
                        FloorStats(tally[0], tally[1], plan.count(None)))
@@ -628,29 +637,20 @@ def zeta_int(s: int, bits: int) -> Interval:
         total += Fraction(1, 2 * cut ** s)
         total += Fraction(1, (s - 1) * cut ** (s - 1))
         prev = None
-        rem = None
-        j = 1
-        while True:
-            two_j = 2 * j
-            rise = 1
-            for i in range(two_j - 1):
-                rise *= s + i
+        for two_j in itertools.count(2, 2):
+            rise = math.prod(range(s, s + two_j - 1))
             term = (_bernoulli(two_j) * rise /
                     math.factorial(two_j) / cut ** (s - 1 + two_j))
             mag = abs(term)
             if prev is not None and mag >= prev:
                 break                      # series turned before tol: grow cut
             if mag < tol:
-                rem = mag
-                break
+                unit = 1 << (bits + 2)
+                lo = Fraction(math.floor((total - mag) * unit), unit)
+                hi = Fraction(-math.floor(-(total + mag) * unit), unit)
+                return Interval(lo, hi, bits)
             total += term
             prev = mag
-            j += 1
-        if rem is not None:
-            unit = 1 << (bits + 2)
-            lo = Fraction(math.floor((total - rem) * unit), unit)
-            hi = Fraction(-math.floor(-(total + rem) * unit), unit)
-            return Interval(lo, hi, bits)
         cut *= 2
 
 

@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (InsufficientData, InvalidSpec, NoConvergent,
                      RationalTerminated)
@@ -155,13 +155,15 @@ def convergents(spec: RealSpec, max_q: int) -> list[Convergent]:
     return out
 
 
-def find_window(spec: RealSpec, Q: Number, varpi: Number,
-                mode: str) -> ApproxWindow:
+def find_window(spec: RealSpec, Q: Number, varpi: Number, mode: str, *,
+                ladder: Optional[Sequence[Convergent]] = None) -> ApproxWindow:
     """Best approximation with q ≤ Q, against the floor Q^varpi or (log Q)^(varpi+1).
 
     The returned window always carries the largest convergent denominator
     ≤ Q; `satisfied` records whether it also clears the floor, so callers
     can observe exactly where the two-sided window starts to exist.
+    ladder, when given, is `convergents(spec, cap)` for some cap ≥ Q,
+    which the window then reads instead of building its own.
     """
     Qf = float(Q)
     if Qf < 2:
@@ -177,7 +179,8 @@ def find_window(spec: RealSpec, Q: Number, varpi: Number,
         lower = math.log(Qf) ** (v + 1)
     else:
         raise InvalidSpec(f"unknown window mode {mode!r}")
-    convs = convergents(spec, math.floor(Qf))
+    convs = (convergents(spec, math.floor(Qf)) if ladder is None
+             else [c for c in ladder if c.q <= Qf])
     if not convs:
         raise NoConvergent(f"no convergent with denominator <= {Qf}")
     best = convs[-1]

@@ -18,7 +18,7 @@ from beattysieve.cli import (atomic_write, main, parse_config_text,
                              split_reals)
 from beattysieve.counting import ProblemSpec, direct_count, mobius_count
 from beattysieve.errors import ConfigError
-from beattysieve.dioph import estimate_type
+from beattysieve.dioph import estimate_type, find_window
 from beattysieve.realnum import LiouvilleSeries, parse_real, sqrt3
 
 from conftest import FIXTURE_DIR
@@ -376,6 +376,33 @@ def test_dioph_builds_its_ladder_once(monkeypatch, alpha, max_q, mode):
                    "samples": [[q, r] for q, r in est.samples]}
 
 
+@pytest.mark.parametrize("window_q, qs", [
+    (100, [1, 2, 5, 12, 29, 70]),
+    (5000, [1, 2, 5, 12, 29, 70]),
+    (30, [1, 2, 5, 12, 29, 70]),
+], ids=["equal_caps", "window_above", "window_below"])
+def test_dioph_window_reads_the_one_ladder(monkeypatch, window_q, qs):
+    from beattysieve import cli, dioph
+    want = find_window(parse_real(SQRT2), window_q, 0.5, "polynomial")
+    calls = []
+    original = dioph.convergents
+
+    def counted(spec, q):
+        calls.append(q)
+        return original(spec, q)
+
+    monkeypatch.setattr(dioph, "convergents", counted)
+    monkeypatch.setattr(cli, "convergents", counted)
+    raw = {"command": "dioph", "alpha": SQRT2, "max_q": "100",
+           "window_q": str(window_q), "window_exponent": "0.5"}
+    res = run_config(raw)["results"]
+    assert calls == [max(100, window_q)]
+    assert [c["q"] for c in res["convergents"]] == qs
+    assert res["window"] == {"a": want.a, "q": want.q, "Q": want.Q,
+                             "lower": want.lower,
+                             "satisfied": want.satisfied}
+
+
 # ---------------------------------------------------------------------------
 # bounds command
 
@@ -538,11 +565,17 @@ def test_main_precision_exhausted_exit_3(tmp_path, capsys):
 
 
 def test_main_resource_limit_exit_4(tmp_path, capsys):
+    # a = 3/4 + 2^-(2^40), so {4a} is below 2^-(2^40) and every d ≤ x/4
+    # passes at n = 4: the Moebius route's table would need 2.5*10^8
+    # entries, which it refuses in the first block
+    liou = LiouvilleSeries(2, "poly", Fraction(40), c1=1).text()
     cfg = write_config(
         tmp_path,
-        f"command=count\nalphas={SQRT2}\nms=1\nx=1000000000\nmethod=mobius\n")
+        f"command=count\nalphas={liou}\nms=1\nx=1000000000\nmethod=mobius\n")
     assert main(["count", "--config", cfg]) == 4
-    assert "resource limit" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "resource limit" in err
+    assert "n = 4," in err and "table to 250000000" in err
 
 
 # a float that is not finite would reach the report as NaN or Infinity,

@@ -290,8 +290,7 @@ def test_mobius_truncation_is_a_partial_sum():
     partial = mobius_count(p, 200, d_cutoff=10).count
     recon = sum(int(mu[d]) * inner_count(p, d, 200) for d in range(1, 11))
     assert partial == recon
-    # isqrt(1000) = 31: the d past the split are swept per n, the rest
-    # are inner_count calls
+    # cutoffs below, at and past isqrt(1000) = 31, and at x
     pair = ProblemSpec((sqrt2(), sqrt3()), (1, 2))
     mu = mobius_sieve(1000)
     inner = [0] + [int(mu[d]) * inner_count(pair, d, 1000)
@@ -301,8 +300,8 @@ def test_mobius_truncation_is_a_partial_sum():
             == sum(inner[:cutoff + 1])
 
 
-# r^2 - 1, r^2 and r^2 + r around the split at isqrt(x); x/d straddles
-# _BLOCK at d = 1 for r = 64, at d = 2 for r = 91 and at d = 3 for r = 111
+# r^2 - 1, r^2 and r^2 + r; at r = 64 they straddle the edge of the first
+# block of n, at _BLOCK = 4096
 @pytest.mark.parametrize("x", [r * r + e for r in (64, 91, 111)
                                for e in (-1, 0, r)])
 def test_mobius_equals_direct_at_the_split_edges(x):
@@ -333,14 +332,21 @@ def test_precision_failure_names_the_literal_cap():
     assert lit.max_prec() == 24
 
 
-@pytest.mark.parametrize("route", [direct_count, mobius_count])
-def test_precision_failure_names_the_coordinate(route):
+# each route names the first undecidable t in its own order: the direct
+# route walks t = n, the Moebius route the pairs (d, n) block by block
+@pytest.mark.parametrize("route, t", [(direct_count, 656),
+                                      (mobius_count, 943)],
+                         ids=["direct_count", "mobius_count"])
+def test_precision_failure_names_the_coordinate(route, t):
     lit = DecimalLiteral("1.41421356", 8)
     p = ProblemSpec.unchecked((sqrt3(), lit), (1, 2))
     with pytest.raises(PrecisionExhausted, match="carries only 24 bits") \
             as info:
         route(p, 10**4)
-    assert (info.value.term, info.value.n, info.value.bits) == (1, 656, 24)
+    assert (info.value.term, info.value.n, info.value.bits) == (1, t, 24)
+    with pytest.raises(PrecisionExhausted) as alone:
+        next(coordinate_form(p, 1).floors([t]))
+    assert alone.value.n == t
 
 
 _THIRD = Rational(1, 3)
@@ -680,6 +686,35 @@ def test_direct_kernel_agrees_with_the_exact_routes(problem, x):
                          for low in problem.lower_terms if low for c in low)
     if surds_only and rational_lower:
         assert direct == brute_count(problem, x)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problem=_problems(), x=st.integers(1, 300), data=st.data())
+def test_truncated_mobius_count_is_the_partial_inner_sum(problem, x, data):
+    cutoff = data.draw(st.integers(1, x))
+    mu = mobius_sieve(cutoff)
+    want = sum(int(mu[d]) * inner_count(problem, d, x)
+               for d in range(1, cutoff + 1))
+    assert mobius_count(problem, x, d_cutoff=cutoff).count == want
+
+
+# base 3 puts a n within the bracket's width of an integer at the multiples
+# of 3^8, where the 64-bit bracket wraps and every d ≤ x/n is open;
+# (1/3)(dn)^2 lands on integers
+@pytest.mark.parametrize("problem, x, cutoff", [
+    (ProblemSpec((LiouvilleSeries(3, "poly", Fraction(3), c1=2),), (1,)),
+     10**5, 40),
+    (_ONE_AND_THIRD, 3000, 300),
+], ids=["wrapped_bracket", "one_and_third"])
+def test_mobius_open_pairs_take_the_exact_engine(problem, x, cutoff):
+    res = mobius_count(problem, x)
+    assert res.stats.exact_fallbacks > 0
+    assert res.count == direct_count(problem, x).count
+    mu = mobius_sieve(cutoff)
+    want = sum(int(mu[d]) * inner_count(problem, d, x)
+               for d in range(1, cutoff + 1))
+    assert mobius_count(problem, x, d_cutoff=cutoff).count == want
 
 
 _constants = st.sampled_from([Rational(0, 1), Rational(1, 2), Rational(1, 3),
