@@ -1,18 +1,18 @@
 """Coprimality counting for floor-of-power sequences, by two exact routes.
 
 N(x) counts n ≤ x whose tuple (n, floor(a_1 n^{m_1} + g_1), ...,
-floor(a_k n^{m_k} + g_k)) has gcd 1.  `direct_count` evaluates the gcd
-per n; `mobius_count` expands the coprimality indicator through the
-Moebius function into box-occupancy counts (`inner_count`), which it sums
-in one pass over n.  Both routes ask for floor(a t^m + g(t)) mod d at
-t = dn, the direct one with d = t and the Moebius one only whether it
-is 0, and both are certified: one 64-bit fixed-point kernel, which sums
-the brackets of every term, decides what it can and the exact engine
-the rest, so with no cutoff they must agree exactly — that identity is
-the strongest self-test in the package.  The module also carries the
-zeta constants the density converges to, the closed-form error
-exponents, and the density experiment harness with its log-log error
-fit.
+floor(a_k n^{m_k} + g_k)) has gcd 1.  `direct_count` tests each n
+against the primes of n, which a block sieve finds; `mobius_count`
+expands the coprimality indicator through the Moebius function into
+box-occupancy counts (`inner_count`), which it sums in one pass over n.
+Both routes ask for floor(a t^m + g(t)) mod d at t = dn, the direct one
+with d = t and the Moebius one only whether it is 0, and both are
+certified: one 64-bit fixed-point kernel, which sums the brackets of
+every term, decides what it can and the exact engine the rest, so with
+no cutoff they must agree exactly — that identity is the strongest
+self-test in the package.  The module also carries the zeta constants
+the density converges to, the closed-form error exponents, and the
+density experiment harness with its log-log error fit.
 """
 
 from __future__ import annotations
@@ -189,6 +189,16 @@ _SIEVE_BLOCK = 1 << 20             # entries sieved at a time
 _SIEVE_BUDGET = 1 << 29            # bytes a Moebius table may take
 
 
+def _root_primes(limit: int) -> np.ndarray:
+    """The primes p ≤ sqrt(limit), increasing, as int64."""
+    flags = np.ones(math.isqrt(limit) + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(flags.size - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = False
+    return np.flatnonzero(flags)
+
+
 def _mobius_block(start: int, end: int, primes: np.ndarray) -> np.ndarray:
     """mu(n) for n in [start, end] as int8, given all primes up to sqrt(end).
 
@@ -220,12 +230,7 @@ def mobius_sieve(limit: int) -> np.ndarray:
         raise ResourceLimit(
             f"a Moebius table to {limit} needs ~{need} bytes, over the "
             f"budget of {_SIEVE_BUDGET} bytes")
-    flags = np.ones(math.isqrt(limit) + 1, dtype=bool)   # primes to sqrt
-    flags[:2] = False
-    for p in range(2, math.isqrt(flags.size - 1) + 1):
-        if flags[p]:
-            flags[p * p::p] = False
-    primes = np.flatnonzero(flags)
+    primes = _root_primes(limit)
     out = np.zeros(limit + 1, dtype=np.int8)
     for start in range(1, limit + 1, _SIEVE_BLOCK):
         end = min(start + _SIEVE_BLOCK - 1, limit)
@@ -395,24 +400,94 @@ def _coordinate(plan: list, forms: list, j: int, d: np.ndarray,
     return out
 
 
-def _coprime_block(plan: list, forms: list, caps: list, n_lo: int,
-                   n_hi: int, tally: list):
+_STRIDED = 8                       # prime powers below it: strided slices
+
+
+def _root_sieve(limit: int) -> tuple:
+    """What `_radical_gcd` sieves with for n ≤ limit: every power q ≤ limit
+    of each prime p ≤ sqrt(limit), as (small, q, p, k).  small lists the
+    (q, p) with q < _STRIDED; the arrays q (int64) and p (float64) hold
+    the rest, the k primes first."""
+    small, primes, powers = [], [], []
+    for p in _root_primes(limit).tolist():
+        q = p
+        while q <= limit:
+            (small if q < _STRIDED else primes if q == p else powers).append(
+                (q, p))
+            q *= p
+    rest = np.array(primes + powers, dtype=np.int64).reshape(-1, 2)
+    return small, rest[:, 0], rest[:, 1].astype(np.float64), len(primes)
+
+
+def _radical_gcd(n_lo: int, r: np.ndarray, sieve: tuple) -> np.ndarray:
+    """rad(gcd(n, r_n)), the product of the primes dividing both, at each
+    n = n_lo + i of a block, as float64, given 0 ≤ r_n < 2^53 as float64
+    and the `_root_sieve` of a limit below 2^53 and at least the last n.
+
+    Each power q = p^i of the sieve multiplies smooth by p at the n it
+    divides: by strided slices for q < _STRIDED, and for the rest in one
+    pass over the block's (position, q) pairs.  So smooth(n) is the part
+    of n built from the primes ≤ sqrt(limit), and n / smooth(n) is 1 or
+    the one prime factor of n above sqrt(limit), as two such primes
+    would exceed the limit.  Each prime p | n is tested once: p | r_n.
+
+    The arithmetic is exact.  Every n, r_n, p, partial product (a
+    divisor of n) and quotient here is an integer below 2^53, so float64
+    holds it, and IEEE division rounds correctly: n / smooth(n) is exact,
+    and p | r iff the rounded r/p is an integer.  For if p does not
+    divide r, r/p lies at least 1/p from every integer, while rounding
+    moves it by at most half an ulp, at most 2^-53 r/p < 1/p.
+    """
+    small, q, p, k = sieve
+    size = r.size
+    smooth, g = np.ones(size), np.ones(size)
+    for qs, ps in small:
+        at = slice(-n_lo % qs, None, qs)
+        smooth[at] *= ps
+        if qs == ps:
+            v = r[at] / ps
+            g[at] *= np.where(v == np.floor(v), ps, 1.0)
+    off = -n_lo % q                     # the first multiple of each q
+    cnt = (size - 1 - off) // q + 1     # and how many the block holds
+    rank = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    pos = np.repeat(off, cnt) + rank * np.repeat(q, cnt)
+    pp = np.repeat(p, cnt)
+    np.multiply.at(smooth, pos, pp)
+    top = cnt[:k].sum()                 # the pairs of the primes
+    pos, pp = pos[:top], pp[:top]
+    v = r[pos] / pp
+    hit = np.flatnonzero(v == np.floor(v))
+    np.multiply.at(g, pos[hit], pp[hit])
+    big = np.arange(n_lo, n_lo + size, dtype=np.float64) / smooth
+    v = r / big
+    return np.where(v == np.floor(v), g * big, g)
+
+
+def _coprime_block(plan: list, forms: list, caps: list, sieve: tuple,
+                   n_lo: int, n_hi: int, tally: list):
     """Boolean mask of n in [n_lo, n_hi] with gcd(n, floor terms) = 1.
 
-    Coordinates run in order, each only on the n whose running gcd is
-    still above 1, as the pairs (d, n) = (n, 1); the kernel takes the
-    n ≤ caps[j].  tally accumulates [kernel verdicts, exact fallbacks].
+    Coordinate 1 runs on every n ≥ 2 as the pairs (d, n) = (n, 1), and
+    the sieve turns its residues r_n into g = rad(gcd(n, r_n)).
+    Coordinates 2..k run in order, each only on the n whose g is still
+    above 1, as g = gcd(g, r_j): a prime of n divides every floor term
+    iff it divides the last g.  The kernel takes the n ≤ caps[j].  tally
+    accumulates [kernel verdicts, exact fallbacks].
     """
     n = np.arange(n_lo, n_hi + 1, dtype=np.uint64)
-    g = n.astype(np.int64)
-    for j, cap in enumerate(caps):
+    r = np.zeros(n.size)
+    one = int(n_lo == 1)                 # gcd(1, ...) = 1: not evaluated
+    t = n[one:]
+    r[one:] = _coordinate(plan, forms, 0, t, np.ones_like(t), t <= caps[0],
+                          False, tally)
+    g = _radical_gcd(n_lo, r, sieve).astype(np.int64)
+    for j in range(1, len(caps)):
         idx = np.flatnonzero(g > 1)
         if not idx.size:
             break
         t = n[idx]
-        res = _coordinate(plan, forms, j, t, np.ones_like(t), t <= cap,
-                          False, tally)
-        g[idx] = np.gcd(g[idx], res)
+        g[idx] = np.gcd(g[idx], _coordinate(
+            plan, forms, j, t, np.ones_like(t), t <= caps[j], False, tally))
     return g == 1
 
 
@@ -425,13 +500,14 @@ def _direct_chunk(args):
     plan = _fast_plan(forms)
     # the kernel takes n < 2^32 with k n^(m-1) < 2^61
     caps = [_s_cap(e[2], m - 1) if e else 0 for e, m in zip(plan, problem.ms)]
+    sieve = _root_sieve(n_hi)
     tally = [0, 0]
     counts = [0] * len(cuts)
     i = bisect.bisect_left(cuts, n_lo)
     total = 0
     for b_lo in range(n_lo, n_hi + 1, _BLOCK):
         b_hi = min(b_lo + _BLOCK - 1, n_hi)
-        ok = _coprime_block(plan, forms, caps, b_lo, b_hi, tally)
+        ok = _coprime_block(plan, forms, caps, sieve, b_lo, b_hi, tally)
         while i < len(cuts) and cuts[i] <= b_hi:
             counts[i] = total + int(np.count_nonzero(ok[:cuts[i] - b_lo + 1]))
             i += 1
@@ -445,11 +521,14 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int):
 
     The range splits into `workers` contiguous chunks, each counted
     independently; chunk results are summed in chunk order.  Counts are
-    exact integers, so they are identical for every worker count.
+    exact integers, so they are identical for every worker count.  The
+    sieve holds n in float64, so cuts[-1] must be below 2^53.
     """
     if workers < 1:
         raise InvalidSpec("workers must be >= 1")
     x = cuts[-1]
+    if x >= 1 << 53:
+        raise InvalidSpec("the direct route counts to x < 2^53")
     if workers == 1 or x < 4096:
         parts = [_direct_chunk((problem, 1, x, cuts))]
     else:
@@ -465,11 +544,13 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int):
 
 def direct_count(problem: ProblemSpec, x: int, *,
                  workers: int = 1) -> CountResult:
-    """Count n ≤ x with gcd(n, floor terms) = 1, term by term.
+    """Count n ≤ x < 2^53 with gcd(n, floor terms) = 1, term by term.
 
     Floors come from the 64-bit kernel where its bracket decides them and
-    from the certified big-integer engine otherwise.  The count is the
-    one-point case of the density sweep, so it is identical for every
+    from the certified big-integer engine otherwise.  A block sieve keeps
+    the primes of n that divide the first floor term, and the later
+    terms are tested only against those (`_coprime_block`).  The count is
+    the one-point case of the density sweep, so it is identical for every
     worker count.
     """
     if x < 1:
@@ -610,10 +691,14 @@ def mobius_count(problem: ProblemSpec, x: int,
 
 @lru_cache(maxsize=None)
 def _bernoulli(m: int) -> Fraction:
-    if m == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for k in range(m):
+    """B_m, with B_1 = -1/2, from sum_{k ≤ m} C(m+1, k) B_k = 0: the odd
+    B_k past B_1 are 0, so the sum runs over k = 0, 1 and the even k."""
+    if m < 2:
+        return Fraction(1) if m == 0 else Fraction(-1, 2)
+    if m % 2:
+        return Fraction(0)
+    acc = 1 - Fraction(m + 1, 2)
+    for k in range(2, m, 2):
         acc += math.comb(m + 1, k) * _bernoulli(k)
     return -acc / (m + 1)
 

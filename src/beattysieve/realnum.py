@@ -515,6 +515,7 @@ class LinearForm:
         self._exact = [s.exact() for s, _, _ in self.terms]
         self._rational = None not in self._exact
         self._cache = {}
+        self._band = (1, 0, 0)          # no t yet: see _start
 
     # -- the kernel ----------------------------------------------------------
 
@@ -533,8 +534,19 @@ class LinearForm:
         return hit
 
     def _start(self, t: int) -> int:
+        """64 bits past the size of len(terms) times the largest |c| t^e,
+        cached on the band of t ≥ 0 where it holds: it grows with t, and
+        stays while every len(terms) |c| t^e < 2^(start - 64)."""
+        lo, hi, start = self._band
+        if lo <= t <= hi:
+            return start
         biggest = max([abs(c) * t ** e for _, c, e in self.terms], default=1)
-        return 64 + max(biggest * len(self.terms), 1).bit_length()
+        start = 64 + max(biggest * len(self.terms), 1).bit_length()
+        room = ((1 << start - 64) - 1) // max(len(self.terms), 1)
+        self._band = (t, min((_iroot(room // abs(c), e)
+                              for _, c, e in self.terms if c and e),
+                             default=math.inf), start)
+        return start
 
     def _rational_value(self, t: int) -> Optional[Fraction]:
         """The exact value at t when the irrational parts of the terms

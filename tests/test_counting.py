@@ -1,6 +1,8 @@
 """Coprimality counting: the two exact routes, sieves, zeta, exponents."""
 
+import functools
 import math
+import random
 import re
 import tracemalloc
 import warnings
@@ -18,11 +20,14 @@ from beattysieve.counting import (
     CountResult,
     FloorStats,
     ProblemSpec,
+    _bernoulli,
     _const_floor,
     _fast_plan,
     _fit_loglog,
     _kernel,
     _mul_hi,
+    _radical_gcd,
+    _root_sieve,
     _s_cap,
     coordinate_form,
     dec_str,
@@ -198,6 +203,45 @@ def test_sieve_budget_guard():
     assert any(n > 10**9 for n in numbers)  # the bytes the table needs
 
 
+# --- the direct route's prime sieve ---------------------------------------------
+
+
+def _radical(v: int) -> int:
+    return math.prod(sympy.primefactors(v))
+
+
+# blocks at 1, across p^2 for p near the sieve's root, across powers of 2
+# and 3, past 2^32 and past 10^12; the sieve's limit is at or past the
+# last n
+@settings(max_examples=120, deadline=None)
+@given(n_lo=st.integers(1, 10**6) | st.sampled_from(
+           [1, 2, 1021**2 - 150, 997**2 - 3, 2**20 - 100, 3**13 - 40,
+            2**32 - 60, 10**12 - 40]),
+       size=st.integers(1, 300), extra=st.integers(0, 1000),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_lo=1, size=_BLOCK, extra=0, seed=0)
+def test_radical_gcd_matches_math_gcd(n_lo, size, extra, seed):
+    # each residue r < n is 0, free, or a multiple of the largest prime
+    # factor of n (the cofactor above the root when there is one) or of
+    # its smallest
+    rng = random.Random(seed)
+    ns = range(n_lo, n_lo + size)
+    rs = []
+    for n in ns:
+        primes = sympy.primefactors(n) or [1]
+        p = rng.choice([primes[0], primes[-1]])
+        rs.append(rng.choice([0, rng.randrange(n), p * rng.randrange(n // p)]))
+    got = _radical_gcd(n_lo, np.array(rs, dtype=np.float64),
+                       _root_sieve(ns[-1] + extra))
+    assert got.tolist() == [_radical(math.gcd(n, r)) for n, r in zip(ns, rs)]
+
+
+def test_direct_route_counts_below_2_53():
+    # the sieve holds n in float64
+    with pytest.raises(InvalidSpec, match="2\\^53"):
+        direct_count(ProblemSpec((sqrt2(),), (1,)), 2**53)
+
+
 # --- zeta --------------------------------------------------------------------------
 
 
@@ -214,6 +258,15 @@ def test_inv_zeta_worked_values():
     assert abs(float(inv_zeta(2)) - 0.6079271018540267) < 1e-15
     assert abs(float(inv_zeta(3)) - 0.8319073725807077) < 1e-15
     assert abs(float(inv_zeta(4)) - 0.9239384029215902) < 1e-15
+
+
+def test_bernoulli_matches_the_full_recurrence():
+    @functools.lru_cache(maxsize=None)
+    def full(m):                       # every k < m, odd ones included
+        if m == 0:
+            return Fraction(1)
+        return -sum(math.comb(m + 1, k) * full(k) for k in range(m)) / (m + 1)
+    assert [_bernoulli(m) for m in range(81)] == [full(m) for m in range(81)]
 
 
 def test_zeta_rejects_bad_arguments():

@@ -1,6 +1,7 @@
 """Certified real arithmetic: enclosures, floors, fractional parts."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -530,3 +531,24 @@ def test_floor_frac_and_distance_agree_with_mpmath(spec, scale, den, data):
         lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
         hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
         assert lo <= dist <= hi
+
+
+def _start_formula(form, t):
+    biggest = max([abs(c) * t ** e for _, c, e in form.terms], default=1)
+    return 64 + max(biggest * len(form.terms), 1).bit_length()
+
+
+@pytest.mark.parametrize("terms", [
+    [(sqrt2(), 1, 1)],
+    [(sqrt2(), 3, 2), (sqrt3(), -7, 1), (golden_ratio(), 5, 0)],
+    [(sqrt2(), -1, 5), (Rational(-2, 3), 10**20, 1), (sqrt3(), -2, 0)],
+    [(sqrt3(), 0, 3), (sqrt2(), -9, 0)],          # constant in t
+])
+def test_banded_start_matches_the_formula(terms):
+    # _start caches the band of t where the start is constant; it must
+    # give the formula's value on increasing, shuffled and huge t
+    rng = random.Random(7)
+    ts = list(range(3000)) + sorted(rng.randrange(10**300) for _ in range(100))
+    form = LinearForm(terms)
+    for t in ts + rng.sample(ts, len(ts)) + ts:
+        assert form._start(t) == _start_formula(form, t)
