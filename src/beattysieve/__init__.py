@@ -19,7 +19,7 @@ from .dioph import (ApproxWindow, Convergent, TypeEstimate, convergents,
                     convergents_csv, estimate_type, find_window)
 from .equidist import (BoxLower, DiscrepancyReport, LinearSumCheck,
                        PointSet, QuadraticBoundReport, ReciprocalSumReport,
-                       SumStats, WeylBoundReport, WeylSum,
+                       ScreenStats, SumStats, WeylBoundReport, WeylSum,
                        discrepancy_box_lower,
                        discrepancy_exact_1d, discrepancy_report,
                        discrepancy_report_payload, et_koksma_upper,

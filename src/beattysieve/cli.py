@@ -227,8 +227,8 @@ def build_problem(cfg: _Config) -> ProblemSpec:
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (payload dict, csv text or None), and the
-# counting commands and the reciprocal-distance sums append their counters
-# for the meta block
+# counting commands, the point sets, the Weyl sums and the
+# reciprocal-distance sums append their counters for the meta block
 
 
 def _count_payload(res: CountResult) -> dict:
@@ -277,7 +277,7 @@ def cmd_discrepancy(cfg: _Config, workers: int):
     payload = discrepancy_report_payload(report)
     payload["provenance"] = ps.provenance
     payload["coord_error"] = ps.coord_error
-    return payload, weyl_terms_csv(report)
+    return payload, weyl_terms_csv(report), asdict(ps.stats)
 
 
 def cmd_weyl(cfg: _Config, workers: int):
@@ -294,7 +294,7 @@ def cmd_weyl(cfg: _Config, workers: int):
     csv = "d,N,h,real,imag,magnitude,error_bound\n" \
           f"{d},{res.N},{' '.join(map(str, hvec))},{res.value.real!r}," \
           f"{res.value.imag!r},{abs(res.value)!r},{res.error_bound!r}\n"
-    return payload, csv
+    return payload, csv, asdict(res.stats)
 
 
 def cmd_dioph(cfg: _Config, workers: int):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateFit, InsufficientData, InvalidSpec, \
     PrecisionExhausted, ResourceLimit
-from .realnum import Interval, LinearForm, _iroot, as_spec
+from .realnum import Interval, LinearForm, _SHIFT32, _iroot, _mul_hi, as_spec
 
 ExactLike = Union[int, Fraction, str]
 
@@ -291,8 +291,12 @@ def coordinate_form(problem: ProblemSpec, j: int, d: int = 1) -> LinearForm:
 
 _FIX_BITS = 64
 _BLOCK = 4096                      # pairs per kernel block; keeps RSS flat
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+# Blocks per worker below which a direct sweep runs in-process: starting
+# the pool costs about as much as 40 blocks.  For the (sqrt2, sqrt3) pair
+# with workers=2 on a 2-vCPU host (best of 9), x = 250,000 took
+# 0.023-0.033 s serial against 0.035-0.036 s pooled, and x = 400,000
+# 0.054-0.058 s against 0.047-0.050 s.
+_POOL_BLOCKS = 48
 _S_LIMIT = 1 << 61
 _D_LIMIT = (1 << 32) - 1
 _U64_MAX = np.uint64((1 << 64) - 1)
@@ -326,13 +330,6 @@ def _s_cap(coeff: int, power: int) -> int:
     if power == 0:
         return _D_LIMIT if room else 0
     return min(_iroot(room, power), _D_LIMIT)
-
-
-def _mul_hi(n: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """floor(n * v / 2^64) exactly, for uint64 n < 2^32 and any uint64 v."""
-    a = n * (v >> _SHIFT32)
-    b = n * (v & _LOW32)
-    return (a >> _SHIFT32) + (((a & _LOW32) + (b >> _SHIFT32)) >> _SHIFT32)
 
 
 def _const_floor(a: int, b: int, d: np.ndarray) -> np.ndarray:
@@ -520,16 +517,18 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int):
     """Exact counts at every cut (increasing) from one sweep to cuts[-1].
 
     The range splits into `workers` contiguous chunks, each counted
-    independently; chunk results are summed in chunk order.  Counts are
-    exact integers, so they are identical for every worker count.  The
-    sieve holds n in float64, so cuts[-1] must be below 2^53.
+    independently; chunk results are summed in chunk order.  A sweep of
+    fewer than _POOL_BLOCKS blocks per worker runs as one chunk in this
+    process, which is faster than starting the pool.  Counts are exact
+    integers, so they are identical for every worker count.  The sieve
+    holds n in float64, so cuts[-1] must be below 2^53.
     """
     if workers < 1:
         raise InvalidSpec("workers must be >= 1")
     x = cuts[-1]
     if x >= 1 << 53:
         raise InvalidSpec("the direct route counts to x < 2^53")
-    if workers == 1 or x < 4096:
+    if workers == 1 or x // (_BLOCK * workers) < _POOL_BLOCKS:
         parts = [_direct_chunk((problem, 1, x, cuts))]
     else:
         edges = [i * x // workers for i in range(workers + 1)]

@@ -24,8 +24,8 @@ import numpy as np
 from .counting import ProblemSpec, _as_exact, coordinate_form, dec_str
 from .dioph import convergents
 from .errors import InvalidSpec, NoConvergent, ResourceLimit
-from .realnum import (LinearForm, SpecLike, as_spec, dist_nearest_int,
-                      dist_nearest_ints)
+from .realnum import (LinearForm, SpecLike, _check_ends, _distance_ends,
+                      as_spec, dist_nearest_int)
 
 # np.longdouble is 80-bit extended (or binary128) on the supported
 # platforms; phases pass through it so per-term rounding stays far below
@@ -46,6 +46,16 @@ def _cis_sum(phases: Sequence[float]) -> complex:
 # point sets
 
 
+@dataclass(frozen=True)
+class ScreenStats:
+    """What the 64-bit screen of `LinearForm.frac_units` and `phase_fracs`
+    did: screened values it decided, open values it left to the
+    big-integer verdict loop."""
+
+    screened: int = 0
+    open: int = 0
+
+
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """N points in [0,1)^dim with a stated coordinate error radius.
@@ -54,13 +64,14 @@ class PointSet:
     double-precision coordinates; coord_error bounds the distance from
     each stored coordinate to the real it represents, so a reported value
     transfers to the true sequence up to boundary crossings within that
-    radius.
+    radius.  stats counts how the coordinates were computed.
     """
 
     dim: int
     points: np.ndarray
     provenance: dict
     coord_error: float = 2.0 ** -52
+    stats: ScreenStats = ScreenStats()
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.points, dtype=np.float64)
@@ -92,7 +103,11 @@ def nu_sequence(problem: ProblemSpec, d: int, N: int) -> PointSet:
 
     Point n has coordinates {a_j d^{m_j-1} n^{m_j} + g_j(dn)/d}; each is
     floor-certified and stored as a double within 2^-60 + one ulp of the
-    true value.
+    true value.  Each coordinate is one `frac_units` batch over n <= N,
+    which returns the whole column at once: its 64-bit screen gives the
+    correctly rounded double of each bracket where the bracket's ends
+    round alike, and the rest take the big-integer loop.  stats counts
+    the two.
     """
     if d < 1:
         raise InvalidSpec("d must be >= 1")
@@ -101,13 +116,13 @@ def nu_sequence(problem: ProblemSpec, d: int, N: int) -> PointSet:
     forms = [coordinate_form(problem, j, d) for j in range(problem.k)]
     pts = np.empty((N, problem.k), dtype=np.float64)
     err = 2.0 ** -52
+    tally = [0, 0]
     for j, form in enumerate(forms):
-        for i, (frac, e) in enumerate(form.frac_units(range(1, N + 1))):
-            pts[i, j] = frac
-            err = max(err, e)
+        pts[:, j], errs = form.frac_units(range(1, N + 1), tally)
+        err = float(errs.max(initial=err))
     return PointSet(problem.k, pts,
                     {"kind": "scaled_fracs", "problem": problem.describe(),
-                     "d": d, "N": N}, err)
+                     "d": d, "N": N}, err, ScreenStats(*tally))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +383,7 @@ class WeylSum:
     value: complex
     error_bound: float
     N: int
+    stats: ScreenStats = ScreenStats()
 
     def __abs__(self) -> float:
         return abs(self.value)
@@ -381,7 +397,9 @@ def weyl_sum(problem: ProblemSpec, d: int, hvec: Sequence[int],
     the scaled fractional-part vector modulo 1, so this is the Fourier
     coefficient of the corresponding point set.  Phases are certified to
     2^-64, evaluated in extended precision, and the accumulated
-    rounding is covered by error_bound = N * 2^-50.
+    rounding is covered by error_bound = N * 2^-50.  The phases come as
+    one `phase_fracs` array over n <= N, its 64-bit screen deciding most
+    of them; stats counts what it decided and what it left open.
     """
     if d < 1:
         raise InvalidSpec("d must be >= 1")
@@ -394,8 +412,9 @@ def weyl_sum(problem: ProblemSpec, d: int, hvec: Sequence[int],
         raise InvalidSpec("the frequency vector must be nonzero")
     lf = LinearForm([(s, h * c, e) for j, h in enumerate(hvec)
                      for s, c, e in coordinate_form(problem, j, d).terms])
-    phases = [frac for frac, _ in lf.phase_fracs(range(1, N + 1))]
-    return WeylSum(_cis_sum(phases), N * _TERM_ERR, N)
+    tally = [0, 0]
+    phases, _ = lf.phase_fracs(range(1, N + 1), tally)
+    return WeylSum(_cis_sum(phases), N * _TERM_ERR, N, ScreenStats(*tally))
 
 
 @dataclass(frozen=True)
@@ -441,14 +460,15 @@ def _denominator(spec, q: Optional[int], cap: int, cap_name: str) -> int:
     return q
 
 
-def _phases_for_poly(spec, m: int, h: int, N: int, lower_poly) -> list:
+def _phases_for_poly(spec, m: int, h: int, N: int,
+                     lower_poly) -> np.ndarray:
     """Phases {h a n^m + g(n)} for n <= N, g = sum_e lower_poly[e] n^e."""
     lower_poly = tuple(lower_poly)
     if len(lower_poly) > m:
         raise InvalidSpec("lower polynomial degree must stay below m")
     lf = LinearForm([(spec, h, m)] + [(c, 1, e)
                                       for e, c in enumerate(lower_poly)])
-    return [frac for frac, _ in lf.phase_fracs(range(1, N + 1))]
+    return lf.phase_fracs(range(1, N + 1))[0]
 
 
 def weyl_bound_report(spec: SpecLike, m: int, h: int, N: int,
@@ -582,18 +602,22 @@ def _exact_floats(rows) -> tuple:
     return [float(x) for x in exact], read, True
 
 
-def _capped_inverse(dist: Fraction, N: int) -> tuple:
-    """min(N, 1/dist) as (numerator, denominator); N when dist = 0."""
-    num, den = dist.numerator, dist.denominator
-    return (den, num) if den < N * num else (N, 1)
+def _capped_inverse(dist: int, unit: int, N: int) -> tuple:
+    """min(N, unit/dist) as (numerator, denominator); N when dist = 0."""
+    return (unit, dist) if unit < N * dist else (N, 1)
 
 
 def _distance_rows(spec, scales, N: int, bits: int):
     """A rows() for _exact_floats: (min(N, 1/d_hi), min(N, 1/d_lo)) over
     the certified enclosure [d_lo, d_hi] of ||value * s|| at each scale s,
-    from one batch of distance verdicts."""
-    return lambda: ((_capped_inverse(dist.hi, N), _capped_inverse(dist.lo, N))
-                    for dist in dist_nearest_ints(spec, scales, bits=bits))
+    from one batch of distance verdicts.  It reads the enclosure's integer
+    ends over 2^pe, with Interval's checks, and no Interval: the terms
+    _exact_floats takes, floor(num 2^128 / den) and its remainder's sign,
+    and the comparison with N are the same for the unreduced fraction."""
+    def row(d_lo, d_hi, unit, pb):
+        _check_ends(d_lo, d_hi, unit, pb)
+        return _capped_inverse(d_hi, unit, N), _capped_inverse(d_lo, unit, N)
+    return lambda: (row(*ends) for ends in _distance_ends(spec, scales, bits))
 
 
 @dataclass(frozen=True)

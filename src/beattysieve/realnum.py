@@ -22,6 +22,18 @@ decimal literal stops the doubling at its stated digits.  Either way
 PrecisionExhausted names what ran out: the literal and its bits, or the
 ceiling.  Floors and fractional-part verdicts decide a rational value
 (all-exact coefficients, or irrational parts that cancel) exactly.
+
+``frac_units`` and ``phase_fracs`` return whole batches at once, as
+float64 arrays of values and error bounds, not lazily.  Before
+``_decide``, a 64-bit fixed-point screen (``_screen``) decides them on
+each run of equal start precision 64 + s, s <= 64, at the t with every
+t^e < 2^32: splitting each coefficient's bracket end mod 2^(64+s) as
+F1 2^s + F0 gives the fractional part times 2^64 within [L, L + rows)
+in wrapping uint64 arithmetic (a sum of F1 t^e and of the high words of
+t^e F0 2^(64-s)), and the width of the bracket exactly.  Rounding to a
+double is monotone, so where L and L + rows round to the same double it
+is the correctly rounded fraction that the big-integer verdict returns,
+bit for bit.  Only the t the screen leaves open take ``_decide``.
 """
 
 from __future__ import annotations
@@ -33,6 +45,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import InvalidSpec, PrecisionExhausted
 
@@ -63,6 +77,18 @@ def _ceil_div(a: int, b: int) -> int:
 # interval certificates
 
 
+def _check_ends(a: int, b: int, den: int, bits: int) -> None:
+    """Interval's order and width checks on the ends a/den and b/den over
+    one dyadic denominator: a <= b, bits >= 1 and
+    b - a <= 2**(1-bits) * max(den, |a|)."""
+    if a > b:
+        raise InvalidSpec("interval endpoints out of order")
+    if bits < 1:
+        raise InvalidSpec("precision_bits must be >= 1")
+    if (b - a) << (bits - 1) > max(den, abs(a)):
+        raise InvalidSpec("interval wider than its stated precision")
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed dyadic interval [lo, hi] certified to contain a real value.
@@ -80,17 +106,10 @@ class Interval:
             d = end.denominator
             if d & (d - 1):
                 raise InvalidSpec(f"interval endpoint {end} is not dyadic")
-        if self.lo > self.hi:
-            raise InvalidSpec("interval endpoints out of order")
-        if self.precision_bits < 1:
-            raise InvalidSpec("precision_bits must be >= 1")
-        # hi - lo <= 2**(1-p) * max(1, |lo|), over the common dyadic
-        # denominator of the two endpoints
         den = max(self.lo.denominator, self.hi.denominator)
-        a = self.lo.numerator * (den // self.lo.denominator)
-        b = self.hi.numerator * (den // self.hi.denominator)
-        if (b - a) << (self.precision_bits - 1) > max(den, abs(a)):
-            raise InvalidSpec("interval wider than its stated precision")
+        _check_ends(self.lo.numerator * (den // self.lo.denominator),
+                    self.hi.numerator * (den // self.hi.denominator), den,
+                    self.precision_bits)
 
     @property
     def width(self) -> Fraction:
@@ -475,6 +494,18 @@ def as_spec(value: SpecLike) -> RealSpec:
 # the certified-evaluation kernel
 
 
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SCREEN_T = (1 << 32) - 1       # the screen takes t with every t^e <= this
+
+
+def _mul_hi(n: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """floor(n * v / 2^64) exactly, for uint64 n < 2^32 and any uint64 v."""
+    a = n * (v >> _SHIFT32)
+    b = n * (v & _LOW32)
+    return (a >> _SHIFT32) + (((a & _LOW32) + (b >> _SHIFT32)) >> _SHIFT32)
+
+
 def _unit_float(r: int, width: int, unit: int):
     """(r / unit as a float below 1, width / unit + 2**-52): a fractional
     part in [0, 1) known to within `width` units, and its error bound."""
@@ -482,6 +513,66 @@ def _unit_float(r: int, width: int, unit: int):
     if frac >= 1.0:                # float rounding of (unit-1)/unit
         frac = math.nextafter(1.0, 0.0)
     return frac, width / unit + 2.0 ** -52
+
+
+def _frac_unit(lo: int, hi: int, pe: int):
+    """The fractional-part verdict: the floor pinned and the bracket no
+    wider than 2^-60."""
+    f = lo >> pe
+    if hi >> pe == f and hi - lo <= 1 << max(pe - 60, 0):
+        return _unit_float(lo - (f << pe), hi - lo, 1 << pe)
+    return None
+
+
+def _exact_unit(value: Fraction):
+    """The fractional-part verdict on an exact value."""
+    value %= 1
+    return _unit_float(value.numerator, 0, value.denominator)
+
+
+def _phase_frac(lo: int, hi: int, pe: int):
+    """The phase verdict: the bracket no wider than 2^-64, mod 1."""
+    if hi - lo <= 1 << max(pe - 64, 0):
+        return _unit_float(lo % (1 << pe), hi - lo, 1 << pe)
+    return None
+
+
+def _screen(t: np.ndarray, rows: tuple, pe: int, floor: bool):
+    """(decided mask, fracs, errs) of `_frac_unit` (floor) or `_phase_frac`
+    at uint64 t with every t^e <= _SCREEN_T, over the rows of one
+    precision pe = 64 + s, 0 <= s <= 64, whose widths b - a sum below
+    2^32; where decided, fracs and errs are the verdict's floats bit for
+    bit.
+
+    With r = lo mod 2^pe, lo = sum a t^e, each a mod 2^pe splits as
+    F1 2^s + F0, F0 < 2^s, so r / 2^s is sum F1 t^e + sum F0 t^e / 2^s
+    mod 2^64, and floor(F0 t^e / 2^s) is `_mul_hi(t^e, F0 2^(64-s))`.
+    Each floor loses under 1, so with L the wrapping uint64 sum of
+    F1 t^e and those floors, r / 2^s lies in [L, L + rows) when
+    L + rows does not wrap.  Rounding to a double is monotone, so when
+    float(L) == float(L + rows) that double times 2^-64 is r / 2^pe
+    correctly rounded, which is what `_unit_float` takes; it is left open
+    at 2^64, where `_unit_float` clamps.  The width w = hi - lo =
+    sum (b - a) t^e is exact in uint64 and gives the width test and the
+    error float(w) 2^-pe + 2^-52.  For a floor, r + w < 2^s (L + rows +
+    floor(w / 2^s) + 1), so L + rows + floor(w / 2^s) not wrapping
+    certifies hi >> pe == lo >> pe."""
+    s = pe - 64
+    low = np.zeros(t.size, dtype=np.uint64)
+    w = np.zeros(t.size, dtype=np.uint64)
+    for a, b, e in rows:
+        te = t ** e
+        f = a % (1 << pe)
+        low += np.uint64(f >> s) * te + _mul_hi(
+            te, np.uint64((f & ((1 << s) - 1)) << (64 - s)))
+        w += np.uint64(b - a) * te
+    high = low + np.uint64(len(rows))
+    flo = low.astype(np.float64)
+    ok = (high >= low) & (flo == high.astype(np.float64)) & (flo < 2.0 ** 64)
+    ok &= w <= np.uint64(min(1 << (s + 4 if floor else s), (1 << 64) - 1))
+    if floor:
+        ok &= high + (w >> np.uint64(s)) >= high
+    return ok, flo * 2.0 ** -64, w.astype(np.float64) * 2.0 ** -pe + 2.0 ** -52
 
 
 class LinearForm:
@@ -644,31 +735,67 @@ class LinearForm:
         return next(self._decide((t,), self._start, "fractional test",
                                  verdict, below))
 
-    def frac_units(self, ts):
-        """Floor-certified fractional part at each t in ts, lazily, as
-        (float in [0,1), error bound), the bracket no wider than 2^-60 and
-        started at _start(t), so no float depends on the other t."""
-        def unit(value):
-            value %= 1
-            return _unit_float(value.numerator, 0, value.denominator)
+    def _phase_start(self, t: int) -> int:
+        return max(self._start(t), 68)
 
-        def verdict(lo, hi, pe):
-            f = lo >> pe
-            if hi >> pe == f and hi - lo <= 1 << max(pe - 60, 0):
-                return _unit_float(lo - (f << pe), hi - lo, 1 << pe)
-            return None
-        return self._decide(ts, self._start, "fractional part", verdict, unit)
+    def frac_units(self, ts, tally: Optional[list] = None):
+        """Floor-certified fractional parts at the t in ts, as float64
+        arrays (fracs in [0, 1), error bounds), the bracket no wider than
+        2^-60 and started at _start(t), so no float depends on the other
+        t.  tally accumulates [screened, open], as in `_batch`."""
+        return self._batch(ts, self._start, "fractional part", _frac_unit,
+                           _exact_unit, True, tally)
 
-    def phase_fracs(self, ts):
-        """(float in [0,1), error bound valid modulo 1) at each t in ts,
-        lazily: the fractional part for phases, with no floor certificate,
-        the bracket no wider than 2^-64 and started at max(_start(t), 68)."""
-        def verdict(lo, hi, pe):
-            if hi - lo <= 1 << max(pe - 64, 0):
-                return _unit_float(lo % (1 << pe), hi - lo, 1 << pe)
-            return None
-        return self._decide(ts, lambda t: max(self._start(t), 68), "phase",
-                            verdict)
+    def phase_fracs(self, ts, tally: Optional[list] = None):
+        """Phases at the t in ts, as float64 arrays (fracs in [0, 1), error
+        bounds valid modulo 1): fractional parts with no floor
+        certificate, the bracket no wider than 2^-64 and started at
+        max(_start(t), 68).  tally is as in `_batch`."""
+        return self._batch(ts, self._phase_start, "phase", _phase_frac,
+                           None, False, tally)
+
+    def _batch(self, ts, start, need: str, verdict, exact, floor: bool,
+               tally):
+        """(fracs, errs) arrays of a (float, error) verdict at each t in
+        ts.  On each run of equal start(t), a function of _start(t),
+        `_screen` decides the t with t^e <= _SCREEN_T in 64-bit fixed
+        point (with the floor test when floor is set), and the t it
+        leaves open go through `_decide` as one batch with the same
+        start, so every float is the one `_decide` gives.  A form that
+        `_decide` evaluates exactly is left to it.  tally, when given,
+        accumulates [t the screen decided, t left open]."""
+        ts = list(ts)
+        fracs, errs = np.empty(len(ts)), np.empty(len(ts))
+        done = np.zeros(len(ts), dtype=bool)
+        if exact is None or not self._rational:
+            top = max([e for _, _, e in self.terms] + [1])
+            limit = _iroot(_SCREEN_T, top)
+            t = np.array([v if 0 <= v <= limit else -1 for v in ts],
+                         dtype=np.int64)
+            order = np.argsort(t, kind="stable")
+            t = t[order]
+            i = int(np.searchsorted(t, 0))
+            while i < t.size:
+                prec = start(int(t[i]))
+                # the run is _start's band, from its least t
+                j = int(np.searchsorted(t, min(self._band[1], limit),
+                                        "right"))
+                pe, rows = self._rows(prec)
+                width = sum(b - a for a, b, _ in rows)
+                if 64 <= pe <= 128 and width < 1 << 32:
+                    ok, f, e = _screen(t[i:j].astype(np.uint64), rows, pe,
+                                       floor)
+                    idx = order[i:j][ok]
+                    fracs[idx], errs[idx], done[idx] = f[ok], e[ok], True
+                i = j
+        open_ = np.flatnonzero(~done)
+        if tally is not None:
+            tally[0] += len(ts) - open_.size
+            tally[1] += open_.size
+        if open_.size:
+            fracs[open_], errs[open_] = zip(*self._decide(
+                [ts[i] for i in open_.tolist()], start, need, verdict, exact))
+        return fracs, errs
 
 
 @lru_cache(maxsize=256)
@@ -750,6 +877,15 @@ def dist_nearest_ints(spec: RealSpec, scales, *, bits: int = 48):
     precision_bits) rather than refusing outright; it only raises when
     the digits certify nothing at all.
     """
+    return (Interval(Fraction(d_lo, unit), Fraction(d_hi, unit), pb)
+            for d_lo, d_hi, unit, pb in _distance_ends(spec, scales, bits))
+
+
+def _distance_ends(spec: RealSpec, scales, bits: int):
+    """The enclosures of dist_nearest_ints as integer ends, lazily:
+    (d_lo, d_hi, 2^pe, precision bits) with d_lo/2^pe <= ||value * s||
+    <= d_hi/2^pe, unchecked until an Interval or `_check_ends` takes
+    them."""
     form = _unit_form(spec)
     cap = form._cap
 
@@ -779,7 +915,7 @@ def dist_nearest_ints(spec: RealSpec, scales, *, bits: int = 48):
             min(bits, pe + 1 - (hi - lo).bit_length())
         if pb < 1:
             return None
-        return Interval(Fraction(d_lo, unit), Fraction(d_hi, unit), pb)
+        return d_lo, d_hi, unit, pb
 
     return form._decide(scales, start, "nearest-integer distance", verdict)
 

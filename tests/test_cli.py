@@ -464,6 +464,24 @@ def test_bounds_sums_report_their_counters():
     assert b"distance_verdicts" not in payload_bytes(report)
 
 
+def test_point_sets_and_weyl_sums_report_the_screen():
+    disc = {"command": "discrepancy", "alphas": f"{SQRT2},{SQRT3}",
+            "ms": "1,2", "d": "3", "n": "2000", "h": "4"}
+    report = run_config(disc)
+    stats = report["meta"]["stats"]
+    assert set(stats) == {"screened", "open"}
+    assert stats["screened"] + stats["open"] == 2 * 2000
+    assert stats["open"] < 0.01 * 2 * 2000
+    assert b"screened" not in payload_bytes(report)
+    weyl = {"command": "weyl", "alphas": f"{SQRT2},{SQRT3}", "ms": "1,2",
+            "d": "3", "n": "2000", "h": "1,1"}
+    report = run_config(weyl)
+    stats = report["meta"]["stats"]
+    assert stats["screened"] + stats["open"] == 2000
+    assert stats["open"] < 0.01 * 2000
+    assert b"screened" not in payload_bytes(report)
+
+
 def test_bounds_reciprocal_worked_value():
     raw = {"command": "bounds", "bound": "reciprocal", "alpha": SQRT2,
            "k": "2", "n": "10"}

@@ -25,7 +25,6 @@ from beattysieve.counting import (
     _fast_plan,
     _fit_loglog,
     _kernel,
-    _mul_hi,
     _radical_gcd,
     _root_sieve,
     _s_cap,
@@ -58,6 +57,7 @@ from beattysieve.realnum import (
     LiouvilleSeries,
     QuadraticSurd,
     Rational,
+    _mul_hi,
     floor_scaled,
     frac_below,
     golden_ratio,
@@ -309,7 +309,9 @@ def test_direct_matches_independent_float_route():
         assert direct_count(p, 300).count == brute_count(p, 300)
 
 
-def test_worker_counts_are_identical():
+def test_worker_counts_are_identical(monkeypatch):
+    from beattysieve import counting
+    monkeypatch.setattr(counting, "_POOL_BLOCKS", 0)    # pool every sweep
     p = ProblemSpec((sqrt2(),), (1,))
     counts = {direct_count(p, 20000, workers=w).count for w in (1, 4, 16)}
     assert counts == {12153}
@@ -415,7 +417,7 @@ _ONE_AND_THIRD = ProblemSpec.unchecked((1, _THIRD), (1, 2))
     (lambda: frac_below(_THIRD, 3, 1, 2), True),
     (lambda: next(LinearForm([(_THIRD, 1, 1)]).floors([3])), 1),
     (lambda: LinearForm([(_THIRD, 1, 1)]).frac_below(3, 1, 2), True),
-    (lambda: next(LinearForm([(_THIRD, 1, 1)]).frac_units([3])),
+    (lambda: tuple(a[0] for a in LinearForm([(_THIRD, 1, 1)]).frac_units([3])),
      (0.0, 2.0 ** -52)),
     (lambda: inner_count(_ONE_AND_THIRD, 3, 30), 10),
     (lambda: frac_inner_count(_ONE_AND_THIRD, 3, 30), 10),
@@ -436,8 +438,8 @@ _LIT = DecimalLiteral("1.41421356", 8)     # 24 bits; undecided at 5741
     lambda: frac_below(_LIT, 5741, 1, 2),
     lambda: next(LinearForm([(_LIT, 1, 1)]).floors([5741])),
     lambda: LinearForm([(_LIT, 1, 1)]).frac_below(5741, 1, 2),
-    lambda: next(LinearForm([(_LIT, 1, 1)]).frac_units([5741])),
-    lambda: next(LinearForm([(_LIT, 1, 1)]).phase_fracs([5741])),
+    lambda: LinearForm([(_LIT, 1, 1)]).frac_units([5741]),
+    lambda: LinearForm([(_LIT, 1, 1)]).phase_fracs([5741]),
     lambda: convergents(_LIT, 10**9),
     lambda: direct_count(ProblemSpec.unchecked((_LIT,), (1,)), 10**4),
     lambda: mobius_count(ProblemSpec.unchecked((_LIT,), (1,)), 10**4),
@@ -652,6 +654,7 @@ def test_direct_count_builds_each_plan_once(monkeypatch):
     assert len(calls) == 1
     # a constant past 2^126 keeps the coordinate exact-only; each chunk
     # reports it from its own plan
+    monkeypatch.setattr(counting, "_POOL_BLOCKS", 0)
     big = ProblemSpec((sqrt2(), sqrt3()), (1, 2),
                       lower_terms=(None, (str(2**127),)))
     assert {direct_count(big, 5000, workers=w).stats for w in (1, 2)} == \
@@ -664,7 +667,9 @@ def test_counts_at_the_block_edges(x):
     assert direct_count(p, x).count == exact_reference_count(p, x)
 
 
-def test_density_sweep_prefix_counts_at_the_block_edges():
+def test_density_sweep_prefix_counts_at_the_block_edges(monkeypatch):
+    from beattysieve import counting
+    monkeypatch.setattr(counting, "_POOL_BLOCKS", 0)
     p = ProblemSpec((golden_ratio(), sqrt2()), (1, 3))
     grid = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5)
     want = tuple(direct_count(p, x).count for x in grid)
@@ -672,10 +677,43 @@ def test_density_sweep_prefix_counts_at_the_block_edges():
         assert density_experiment(p, grid, workers=workers).counts == want
 
 
-def test_workers_and_early_exit_give_identical_counts():
+def test_workers_and_early_exit_give_identical_counts(monkeypatch):
+    from beattysieve import counting
+    monkeypatch.setattr(counting, "_POOL_BLOCKS", 0)
     p = ProblemSpec((sqrt2(), sqrt3(), golden_ratio()), (1, 2, 4))
     counts = {direct_count(p, 9000, workers=w).count for w in (1, 2, 4)}
     assert counts == {exact_reference_count(p, 9000)}
+
+
+def test_pool_starts_by_block_count(monkeypatch):
+    from beattysieve import counting
+    started = []
+
+    class InProcess:
+        """Records the pool's size and maps in this process."""
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", InProcess)
+    p = ProblemSpec((sqrt2(), sqrt3()), (1, 2))
+    edge = counting._POOL_BLOCKS * _BLOCK * 2   # x // (_BLOCK * 2) reaches it
+    serial = {x: direct_count(p, x) for x in (edge - 1, edge)}
+    assert started == []
+    assert direct_count(p, edge - 1, workers=2).count == \
+        serial[edge - 1].count
+    assert started == []
+    pooled = direct_count(p, edge, workers=2)
+    assert started == [2]
+    assert (pooled.count, pooled.stats) == (serial[edge].count,
+                                            serial[edge].stats)
 
 
 def test_engine_counters():

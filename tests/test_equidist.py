@@ -22,6 +22,7 @@ from beattysieve.dioph import convergents
 from beattysieve.equidist import (
     _BOX_BUDGET,
     DiscrepancyReport,
+    _distance_rows,
     _exact_floats,
     _float_up,
     _phases_for_poly,
@@ -45,7 +46,8 @@ from beattysieve.equidist import (
     weyl_terms_csv,
 )
 from beattysieve.errors import InvalidSpec, ResourceLimit
-from beattysieve.realnum import Rational, golden_ratio, sqrt2, sqrt3
+from beattysieve.realnum import (Rational, dist_nearest_ints, golden_ratio,
+                                 parse_real, sqrt2, sqrt3)
 
 from conftest import brute_extreme_discrepancy_1d
 
@@ -687,6 +689,55 @@ def test_reciprocal_and_quadratic_sums_are_pinned(text):
     assert (rep.exact_sum, rep.enclosure) == (mid, (lo, hi))
     quad = quadratic_bound(text, 1, 1, 2000)
     assert (quad.rhs, quad.ratio_sq) == (rhs, ratio_sq)
+
+
+def _interval_rows(spec, scales, N, bits):
+    """The distance rows read from reduced Interval ends, as Fractions."""
+    def capped(dist):
+        return Fraction(N) if dist == 0 else min(Fraction(N), 1 / dist)
+    return [(capped(iv.hi), capped(iv.lo))
+            for iv in dist_nearest_ints(spec, scales, bits=bits)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=st.sampled_from([sqrt2(), golden_ratio(), Rational(22, 7),
+                             parse_real(_SUM_SPECS[4])]),
+       scales=st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=20),
+       N=st.integers(1, 10 ** 5), bits=st.sampled_from([48, 60]))
+def test_distance_rows_equal_the_interval_route(spec, scales, N, bits):
+    rows = _distance_rows(spec, scales, N, bits)
+    got = [tuple(Fraction(*term) for term in row) for row in rows()]
+    assert got == _interval_rows(spec, scales, N, bits)
+    # the sums read the same terms as the reduced fractions
+    def reduced():
+        return [tuple((t.numerator, t.denominator) for t in row)
+                for row in _interval_rows(spec, scales, N, bits)]
+    assert _exact_floats(rows) == _exact_floats(reduced)
+
+
+def test_distance_rows_at_distance_zero_and_at_the_cap():
+    # ||22/7 * 7|| = 0 reads N; ||22/7|| = 1/7, within 2^-48, caps at
+    # N = 5 but not at 100
+    spec = Rational(22, 7)
+    rows = _distance_rows(spec, [7, 1], 5, 48)
+    got = [tuple(Fraction(*t) for t in row) for row in rows()]
+    assert got == [(5, 5), (5, 5)] == _interval_rows(spec, [7, 1], 5, 48)
+    rows = _distance_rows(spec, [7, 1], 100, 48)
+    got = [tuple(Fraction(*t) for t in row) for row in rows()]
+    assert got == _interval_rows(spec, [7, 1], 100, 48)
+    assert got[0] == (100, 100)
+    assert all(abs(end - 7) < Fraction(1, 2 ** 40) for end in got[1])
+
+
+def test_distance_rows_keep_the_interval_checks(monkeypatch):
+    from beattysieve import equidist
+    for ends, message in [((3, 2, 1 << 64, 8), "out of order"),
+                          ((0, 1 << 60, 1 << 64, 8), "wider than"),
+                          ((0, 1, 1 << 64, 0), "precision_bits")]:
+        monkeypatch.setattr(equidist, "_distance_ends",
+                            lambda spec, scales, bits, e=ends: iter([e]))
+        with pytest.raises(InvalidSpec, match=message):
+            list(_distance_rows(sqrt2(), [1], 10, 48)())
 
 
 # nonnegative rationals whose denominators are not powers of two, so no

@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beattysieve.errors import InvalidSpec, PrecisionExhausted
 from beattysieve.realnum import (
+    _SCREEN_T,
     DEFAULT_MAX_BITS,
     DecimalLiteral,
     FiniteCF,
@@ -19,6 +21,11 @@ from beattysieve.realnum import (
     LiouvilleSeries,
     QuadraticSurd,
     Rational,
+    _exact_unit,
+    _frac_unit,
+    _iroot,
+    _phase_frac,
+    _screen,
     as_spec,
     dist_nearest_int,
     dist_nearest_ints,
@@ -355,13 +362,13 @@ def test_linear_form_decides_where_irrational_parts_cancel():
     form = LinearForm([(sqrt3(), -1, 3), (QuadraticSurd(0, 1, 12, 1), 2, 1)])
     assert list(form.floors([1, 2, 3])) == [5, 0, -26]
     assert form.frac_below(2, 1, 2)
-    assert next(form.frac_units([2]))[0] == 0.0
+    assert form.frac_units([2])[0][0] == 0.0
     # a capped literal cancels at every t: the rational value decides
     # before the literal's 24 bits would be escalated past
     lit = parse_real("dec:1.41421356:8")
     zero = LinearForm([(lit, 1, 1), (lit, -1, 1)])
     assert list(zero.floors([5, 7])) == [0, 0]
-    assert next(zero.frac_units([5]))[0] == 0.0
+    assert zero.frac_units([5])[0][0] == 0.0
     half = LinearForm([(lit, 2, 1), (lit, -2, 1), ("1/2", 1, 0)])
     assert not half.frac_below(5, 1, 2)
 
@@ -396,10 +403,103 @@ def test_batch_verdicts_equal_one_element_calls(pick, ts):
     floors = list(form.floors(ts))
     assert floors == [next(form.floors([t])) for t in ts]
     assert floors == [int(mpmath.floor(value(t))) for t in ts]
-    assert list(form.frac_units(ts)) == [next(form.frac_units([t]))
-                                         for t in ts]
-    assert list(form.phase_fracs(ts)) == [next(form.phase_fracs([t]))
-                                          for t in ts]
+    for batch in (form.frac_units, form.phase_fracs):
+        fracs, errs = batch(ts)
+        assert list(zip(fracs.tolist(), errs.tolist())) == [
+            tuple(a[0] for a in batch([t])) for t in ts]
+
+
+def _per_t(form, batch, ts):
+    """The verdict loop alone, one t at a time: the oracle of the screen."""
+    if batch == "frac_units":
+        args = form._start, "fractional part", _frac_unit, _exact_unit
+    else:
+        args = form._phase_start, "phase", _phase_frac
+    pairs = [next(form._decide([t], *args)) for t in ts]
+    return (np.array([f for f, _ in pairs], dtype=np.float64),
+            np.array([e for _, e in pairs], dtype=np.float64))
+
+
+_SCREEN_SPECS = [sqrt2(), QuadraticSurd(1, -3, 7, 2), golden_ratio(),
+                 FiniteCF((1, 2, 3, 4)), _LIOU, Rational(-5, 3),
+                 Rational(0, 1)]
+
+
+@st.composite
+def _screened_batches(draw):
+    """A form of 1-3 terms (any spec, multiplier -9..9 including 0,
+    exponent 0..3, so constants and lower-order terms) and a shuffled
+    batch of t at _start's band edges, near the screen's limit on t^e
+    and past it."""
+    terms = draw(st.lists(st.tuples(st.sampled_from(_SCREEN_SPECS),
+                                    st.integers(-9, 9), st.integers(0, 3)),
+                          min_size=1, max_size=3))
+    form = LinearForm(terms)
+    limit = _iroot(_SCREEN_T, max([e for _, _, e in terms] + [1]))
+    near = st.integers(-3, 3).map(lambda k: max(limit + k, 0))
+    edge = st.integers(0, limit.bit_length()).flatmap(
+        lambda b: st.integers(max(2 ** b - 2, 0), 2 ** b + 1))
+    ts = draw(st.lists(st.one_of(near, edge, st.integers(0, 300)),
+                       min_size=1, max_size=40))
+    return form, draw(st.permutations(ts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_screened_batches(), batch=st.sampled_from(["frac_units",
+                                                        "phase_fracs"]))
+def test_screen_equals_the_per_t_loop_bit_for_bit(case, batch):
+    form, ts = case
+    tally = [0, 0]
+    fracs, errs = getattr(form, batch)(ts, tally)
+    want_fracs, want_errs = _per_t(form, batch, ts)
+    assert fracs.tobytes() == want_fracs.tobytes()
+    assert errs.tobytes() == want_errs.tobytes()
+    assert sum(tally) == len(ts)
+
+
+def test_screen_decides_nearly_every_t():
+    form = LinearForm([(sqrt2(), 3, 2), (sqrt3(), -1, 1), ("1/3", 1, 0)])
+    ts = range(1, 20001)
+    for batch in ("frac_units", "phase_fracs"):
+        tally = [0, 0]
+        fracs, errs = getattr(form, batch)(ts, tally)
+        assert tally[0] + tally[1] == 20000 and tally[1] < 200
+        want_fracs, want_errs = _per_t(form, batch, ts)
+        assert fracs.tobytes() == want_fracs.tobytes()
+        assert errs.tobytes() == want_errs.tobytes()
+
+
+def test_screen_leaves_open_what_it_cannot_certify():
+    t = np.array([1], dtype=np.uint64)
+    # float(L) == 2^64, where _unit_float clamps to the double below 1
+    top = (1 << 68) - (1 << 8)
+    assert not _screen(t, ((top, top, 0),), 68, False)[0][0]
+    # L + rows wraps past 2^64: the value may sit on either side of an
+    # integer
+    assert not _screen(t, (((1 << 64) - 1, 1 << 64, 1),), 64, True)[0][0]
+    # L and L + rows round to different doubles (the ulp at 2^63 is 2048)
+    half = (1 << 63) + 1024
+    assert not _screen(t, ((half, half + 1, 1),), 64, False)[0][0]
+    assert _screen(t, ((half - 1, half, 1),), 64, False)[0][0]
+    # the phase's width test: 2^-64 at most
+    assert not _screen(t, ((5, 7, 1),), 64, False)[0][0]
+    # through the form, each of them goes to the per-t loop
+    clamp = LinearForm([(Fraction((1 << 60) - 1, 1 << 60), 1, 0),
+                        (sqrt2(), 0, 1)])
+    tally = [0, 0]
+    fracs, _ = clamp.phase_fracs([1, 2], tally)
+    assert tally == [0, 2]
+    assert fracs.tolist() == [math.nextafter(1.0, 0.0)] * 2
+
+
+def test_exact_forms_keep_their_exact_fractional_parts():
+    form = LinearForm([(Rational(1, 3), 1, 2), (Rational(2, 3), 1, 1)])
+    tally = [0, 0]
+    fracs, errs = form.frac_units(range(1, 50), tally)
+    assert tally == [0, 49]
+    assert errs.tolist() == [2.0 ** -52] * 49
+    assert fracs.tolist() == [float(Fraction(t * (t + 2), 3) % 1)
+                              for t in range(1, 50)]
 
 
 # scales of 1 to 40 bits, in any order and with repeats, so a batch
@@ -426,7 +526,7 @@ def test_batch_distances_refuse_a_nonpositive_scale():
 def test_frac_unit_stays_in_unit_interval():
     form = LinearForm([(sqrt2(), 1, 1)])
     for n in range(1, 2000):
-        frac, err = next(form.frac_units([n]))
+        (frac,), (err,) = form.frac_units([n])
         assert 0.0 <= frac < 1.0
         assert err >= 0
         assert abs(frac - (n * math.sqrt(2)) % 1.0) < 1e-9 + err
@@ -436,7 +536,7 @@ def test_phase_frac_boundary_clamp():
     # a rational form can land exactly on the wrap point; the reported
     # float must still sit strictly below 1.
     form = LinearForm([(Fraction((1 << 60) - 1, 1 << 60), 1, 0)])
-    frac, _ = next(form.phase_fracs([1]))
+    (frac,), _ = form.phase_fracs([1])
     assert 0.0 <= frac < 1.0
 
 
