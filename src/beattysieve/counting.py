@@ -4,15 +4,16 @@ N(x) counts n ≤ x whose tuple (n, floor(a_1 n^{m_1} + g_1), ...,
 floor(a_k n^{m_k} + g_k)) has gcd 1.  `direct_count` tests each n
 against the primes of n, which a block sieve finds; `mobius_count`
 expands the coprimality indicator through the Moebius function into
-box-occupancy counts (`inner_count`), which it sums in one pass over n.
-Both routes ask for floor(a t^m + g(t)) mod d at t = dn, the direct one
-with d = t and the Moebius one only whether it is 0, and both are
-certified: one 64-bit fixed-point kernel, which sums the brackets of
-every term, decides what it can and the exact engine the rest, so with
-no cutoff they must agree exactly — that identity is the strongest
-self-test in the package.  The module also carries the zeta constants
-the density converges to, the closed-form error exponents, and the
-density experiment harness with its log-log error fit.
+box-occupancy counts (`inner_count`), which it sums in one pass over n:
+the d that pass coordinate 1 at n are [1, top_n], and exact floors
+bisect to top_n where the kernel's bracket leaves it open.  Both routes
+ask for floor(a t^m + g(t)) mod d at t = dn, the direct one with d = t
+and the Moebius one only whether it is 0, and both are certified: one
+64-bit fixed-point kernel, which sums the brackets of every term,
+decides what it can and the exact engine the rest, so with no cutoff
+they must agree exactly — that identity is the strongest self-test in
+the package.  The module also carries the zeta constants, the error
+exponents in closed form and the density experiment with its fit.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ class FloorStats:
     box tests, decided by the 64-bit fixed-point kernel; that route decides
     coordinate 1 once per n, for all its d at once, and tests only the
     later coordinates per (d, n) pair, so it counts far fewer than x ln x;
-    exact_fallbacks: those the kernel left undecided or could not take,
-    every one of an exact-only coordinate included, sent to the
-    big-integer engine, so the two sum to the floors or tests evaluated;
+    exact_fallbacks: the big-integer engine's floors, those the kernel left
+    undecided or could not take, every one of an exact-only coordinate,
+    and the bisection's, about log2(x/n) at an n the kernel leaves open;
     exact_coords: coordinates that only the big-integer engine evaluates.
     """
 
@@ -347,14 +348,10 @@ def _kernel(d: np.ndarray, n: np.ndarray, entry: tuple, zero: bool):
     k d^(m-1) n^m < 2^61, given the `_fast_plan` entry of f with scale k."""
     terms, const, _ = entry
     t = d * n if terms[-1][0] > 1 else None
-    low = None
+    low = width = 0
     for e, lo64, w in terms:          # low wraps: exact mod 2^64
         s = n if e == 1 else n * (t if e == 2 else t ** (e - 1))   # S_e
-        if low is None:
-            low, width = s * np.uint64(lo64), s * np.uint64(w)
-        else:
-            low += s * np.uint64(lo64)
-            width += s * np.uint64(w)
+        low, width = low + s * np.uint64(lo64), width + s * np.uint64(w)
     if const:
         low += _const_floor(*const[:2], d)
         width += np.uint64(const[2])
@@ -374,10 +371,10 @@ def _coordinate(plan: list, forms: list, j: int, d: np.ndarray,
                 n: np.ndarray, fast: np.ndarray, zero: bool,
                 tally: list) -> np.ndarray:
     """floor(a_j t^(m_j) + g_j(t)) mod d at t = dn per pair, or with zero
-    whether it is 0: the kernel takes the pairs in the mask fast when
-    coordinate j has a plan, and the exact floor the rest and the pairs it
-    leaves open.  tally accumulates [kernel verdicts, exact fallbacks]."""
-    if plan[j] is None:
+    whether it is 0: the exact floor takes every pair when fast is None or
+    coordinate j has no plan, else the pairs outside the mask fast and
+    those the kernel leaves open; tally adds [kernel verdicts, fallbacks]."""
+    if plan[j] is None or fast is None:
         out = np.empty(d.size, dtype=bool if zero else np.int64)
         open_ = np.arange(d.size)
     else:
@@ -571,8 +568,7 @@ def _box_hits(plan: list, forms: list, ms: tuple, d: np.ndarray,
         if not idx.size:
             break
         dj, nj = d[idx], n[idx]
-        fast = None if plan[j] is None else \
-            dj * nj <= _s_cap(plan[j][2], ms[j])
+        fast = plan[j] and dj * nj <= _s_cap(plan[j][2], ms[j])
         idx = idx[_coordinate(plan, forms, j, dj, nj, fast, True, tally)]
     return idx
 
@@ -597,13 +593,14 @@ def inner_count(problem: ProblemSpec, d: int, x: int) -> int:
     return cnt
 
 
-def _linear_ends(plan: list, n: np.ndarray, x: int, cut: int, tally: list):
-    """(a, b) per n: the d ≤ a pass coordinate 1, and the d in (b, top]
-    fail, top = min(x/n, cut).  As m_1 = 1 and coordinate 1 has no
-    lower-order terms, floor(a dn) mod d = floor(d {a n}), 0 exactly for
-    d ≤ D_n = ceil(1/{a n}) - 1, and the kernel's bracket {a n} 2^64 in
-    [L, L + W] (S = n for every d) puts D_n in [floor((2^64 - 1)/(L + W)),
-    floor((2^64 - 1)/L)]; an n it cannot bracket leaves (1, top] open."""
+def _linear_tops(plan: list, forms: list, n: np.ndarray, x: int, cut: int,
+                 tally: list) -> np.ndarray:
+    """top_n = min(D_n, x/n, cut) per n, the last d passing coordinate 1:
+    as m_1 = 1 and coordinate 1 has no lower-order terms, floor(a dn) mod
+    d = floor(d {a n}), 0 exactly for d ≤ D_n = ceil(1/{a n}) - 1.  The
+    kernel's bracket {a n} 2^64 in [L, L + W] (S = n) puts top_n in [a, b]
+    = [floor((2^64 - 1)/(L + W)), floor((2^64 - 1)/L)], capped, or [1, x/n]
+    if it has none; exact floors bisect an open (a, b], log2(b - a) deep."""
     a, b = np.ones_like(n), np.minimum(np.uint64(x) // n, np.uint64(cut))
     if plan[0] is not None:
         (_, lo64, w), = plan[0][0]
@@ -614,17 +611,23 @@ def _linear_ends(plan: list, n: np.ndarray, x: int, cut: int, tally: list):
         ok &= low > 0
         b[ok] = np.minimum(_U64_MAX // low[ok], b[ok])
         tally[0] += int(np.count_nonzero(a == b))
-    return a, b
+    i = np.flatnonzero(a < b)
+    while i.size:                       # a passes, b + 1 fails
+        mid = (a[i] + b[i] + np.uint64(1)) // np.uint64(2)
+        hit = _coordinate(plan, forms, 0, mid, n[i], None, True, tally)
+        a[i[hit]], b[i[~hit]] = mid[hit], mid[~hit] - np.uint64(1)
+        i = i[a[i] < b[i]]
+    return a
 
 
-def _ragged(first: np.ndarray, last: np.ndarray):
-    """(d, i) over first_i ≤ d ≤ last_i, in slices of ≤ _BLOCK pairs."""
-    size = np.maximum(last.astype(np.int64) - first.astype(np.int64) + 1, 0)
+def _ragged(last: np.ndarray):
+    """(d, i) over 2 ≤ d ≤ last_i, in slices of ≤ _BLOCK pairs."""
+    size = np.maximum(last.astype(np.int64) - 1, 0)
     cum = np.cumsum(size)
     for s in range(0, int(cum[-1]), _BLOCK):
         p = np.arange(s, min(s + _BLOCK, int(cum[-1])))
         i = np.searchsorted(cum, p, side="right")
-        yield (p - cum[i] + size[i]).astype(np.uint64) + first[i], i
+        yield (p - cum[i] + size[i] + 2).astype(np.uint64), i
 
 
 def mobius_count(problem: ProblemSpec, x: int,
@@ -633,13 +636,13 @@ def mobius_count(problem: ProblemSpec, x: int,
     pass over n ≤ x in blocks of _BLOCK; with d_cutoff, the sum over
     d ≤ d_cutoff, which may leave [0, x].
 
-    Each n has ends a_n ≤ b_n ≤ min(x/n, d_cutoff) on coordinate 1
-    (`_linear_ends`); the exact engine tests the open d in (a_n, b_n].
-    k = 1: an n adds M(a_n), M the Mertens function, and mu(d) per open d
-    that passes.  k ≥ 2: d = 1 adds x, and the squarefree 2 ≤ d ≤ b_n that
-    pass go on to coordinates 2..k in slices of _BLOCK pairs.  The Mertens
-    table grows only to the largest b_n met, and past _SIEVE_BUDGET raises
-    ResourceLimit naming that n."""
+    The d that pass coordinate 1 at n are [1, top_n], top_n =
+    min(D_n, x/n, d_cutoff), which the kernel's bracket gives or exact
+    floors bisect to (`_linear_tops`).  k = 1: an n adds M(top_n), M the
+    Mertens function.  k ≥ 2: d = 1 adds x, and the squarefree
+    2 ≤ d ≤ top_n go on to coordinates 2..k in slices of _BLOCK pairs.
+    The Mertens table grows only to the largest top_n met, and past
+    _SIEVE_BUDGET raises ResourceLimit naming that n."""
     if x < 1:
         raise InvalidSpec("x must be >= 1")
     if d_cutoff is not None and not 1 <= d_cutoff <= x:
@@ -653,32 +656,26 @@ def mobius_count(problem: ProblemSpec, x: int,
     total = x if problem.k > 1 else 0
     for lo in range(1, x + 1, _BLOCK):
         n = np.arange(lo, min(lo + _BLOCK, x + 1), dtype=np.uint64)
-        a, b = _linear_ends(plan, n, x, depth, tally)
-        end = int(b.max())
+        top = _linear_tops(plan, forms, n, x, depth, tally)
+        end = int(top.max())
         if end >= mertens.size:                     # doubling, in budget
             size = max(end, min(2 * mertens.size, depth, _SIEVE_BUDGET // 8))
             need = 5 * size + 18 * min(size, _SIEVE_BLOCK)   # int8 + int32
             if need > _SIEVE_BUDGET:
-                i = b.argmax()
                 raise ResourceLimit(
-                    f"n = {n[i]}, where {{a n}} < 1/{a[i]}, needs the Moebius "
-                    f"table to {end}: ~{need} bytes, over the budget of "
-                    f"{_SIEVE_BUDGET} bytes")
+                    f"n = {n[top.argmax()]}, where {{a n}} < 1/{end}, needs "
+                    f"the Moebius table to {end}: ~{need} bytes, over the "
+                    f"budget of {_SIEVE_BUDGET} bytes")
             mertens = np.cumsum(mobius_sieve(size), dtype=np.int32)
         if problem.k == 1:
-            total += int(mertens[a].sum(dtype=np.int64))
-        first = a + np.uint64(1) if problem.k == 1 else np.full_like(a, 2)
-        for d, i in _ragged(first, b):
+            total += int(mertens[top].sum(dtype=np.int64))
+            continue
+        for d, i in _ragged(top):
             mu = mertens[d] - mertens[d - np.uint64(1)]
             keep = np.flatnonzero(mu)
-            d, nn, passed = d[keep], n[i[keep]], d[keep] <= a[i[keep]]
-            open_ = np.flatnonzero(~passed)     # a plan of None: exact
-            passed[open_] = _coordinate((None,), forms, 0, d[open_],
-                                        nn[open_], None, True, tally)
-            idx = np.flatnonzero(passed)
-            hits = _box_hits(plan, forms, problem.ms, d[idx], nn[idx],
+            hits = _box_hits(plan, forms, problem.ms, d[keep], n[i[keep]],
                              tally, 1)
-            total += int(mu[keep[idx[hits]]].sum(dtype=np.int64))
+            total += int(mu[keep[hits]].sum(dtype=np.int64))
     return CountResult(x, total, "mobius", d_cutoff,
                        time.perf_counter() - start,
                        FloorStats(tally[0], tally[1], plan.count(None)))

@@ -27,10 +27,19 @@ from .errors import InvalidSpec, NoConvergent, ResourceLimit
 from .realnum import (LinearForm, SpecLike, _check_ends, _distance_ends,
                       as_spec, dist_nearest_int)
 
-# np.longdouble is 80-bit extended (or binary128) on the supported
-# platforms; phases pass through it so per-term rounding stays far below
-# the advertised 2^-50 budget.  If it degrades to binary64 the budget
-# widens honestly.
+# _TERM_ERR bounds how far each term of `_cis_sum` moves its sum, so N
+# _TERM_ERR bounds the sum's error; e(t) is 1-Lipschitz in t = 2 pi phi.
+# A `phase_fracs` double is within 2^-53 + 2^-64 of its phase mod 1
+# (2^-54 + 2^-64 but at the clamp below 1), which moves t by 0.786 2^-50.
+# With np.longdouble 80-bit extended (unit roundoff 2^-64): 2 pi and the
+# product each err by under 2^-61, cosl and sinl by an ulp, 2^-64 each,
+# and numpy's pairwise sum, which rounds each term at most log2(N) + 18
+# times, by (log2 N + 18) 2^-64 per term in modulus (Minkowski): under
+# 0.006 2^-50 in all for N < 2^60.  Rounding the two long-double sums to
+# float64 errs by 2^-53 of each component, so 2^-53 N = 0.125 N 2^-50 in
+# modulus.  That is 0.92 2^-50 per term.  In binary64, in units of 2^-53:
+# 6.3 (phase), 8 (2 pi within an ulp), 4 (product), 1.5 (cos, sin) and
+# log2(N) + 18 (sum), exact conversions, so 2^-47 = 64 for N <= 2^26.
 _LD_OK = np.finfo(np.longdouble).nmant > 52
 _TERM_ERR = 2.0 ** -50 if _LD_OK else 2.0 ** -47
 _TWO_PI_LD = 2 * np.arccos(np.longdouble(-1.0))
@@ -278,13 +287,8 @@ class DiscrepancyReport:
 
 def _half_lattice(k: int, H: int):
     """One representative of each +-h pair, 0 < max|h_j| <= H."""
-    for h in product(range(-H, H + 1), repeat=k):
-        for c in h:
-            if c > 0:
-                yield h
-                break
-            if c < 0:
-                break
+    return (h for h in product(range(-H, H + 1), repeat=k)
+            if next((c for c in h if c), 0) > 0)
 
 
 _U = Fraction(1, 1 << 53)          # unit roundoff of a double
@@ -355,9 +359,7 @@ def et_koksma_upper(ps: PointSet, H: int) -> DiscrepancyReport:
         phases = pts @ np.asarray(h, dtype=np.float64)
         s = np.exp(2j * math.pi * phases).sum()
         mag = abs(complex(s))
-        r = 1
-        for c in h:
-            r *= max(abs(c), 1)
+        r = math.prod(max(abs(c), 1) for c in h)
         terms.append((h, mag, r))
         parts.append((mag + err) / r)
     total = Fraction(math.fsum(parts)) / (1 - _U) ** 3
@@ -395,9 +397,10 @@ def weyl_sum(problem: ProblemSpec, d: int, hvec: Sequence[int],
 
     Because the h_j are integers the phase equals the pairing of h with
     the scaled fractional-part vector modulo 1, so this is the Fourier
-    coefficient of the corresponding point set.  Phases are certified to
-    2^-64, evaluated in extended precision, and the accumulated
-    rounding is covered by error_bound = N * 2^-50.  The phases come as
+    coefficient of the corresponding point set.  Each phase double lies
+    within 2^-53 + 2^-64 of the true phase mod 1, and error_bound =
+    N * _TERM_ERR (2^-50, derived there) covers it and the extended-
+    precision cis and sums.  The phases come as
     one `phase_fracs` array over n <= N, its 64-bit screen deciding most
     of them; stats counts what it decided and what it left open.
     """

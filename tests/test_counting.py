@@ -25,6 +25,7 @@ from beattysieve.counting import (
     _fast_plan,
     _fit_loglog,
     _kernel,
+    _linear_tops,
     _radical_gcd,
     _root_sieve,
     _s_cap,
@@ -442,7 +443,8 @@ _LIT = DecimalLiteral("1.41421356", 8)     # 24 bits; undecided at 5741
     lambda: LinearForm([(_LIT, 1, 1)]).phase_fracs([5741]),
     lambda: convergents(_LIT, 10**9),
     lambda: direct_count(ProblemSpec.unchecked((_LIT,), (1,)), 10**4),
-    lambda: mobius_count(ProblemSpec.unchecked((_LIT,), (1,)), 10**4),
+    lambda: mobius_count(ProblemSpec.unchecked((sqrt3(), _LIT), (1, 2)),
+                         10**4),
     lambda: linear_sum_exact(_LIT, 1, 5741),
 ], ids=["floor_scaled", "frac_below", "form.floor", "form.frac_below",
         "form.frac_unit", "form.phase_frac", "convergents", "direct_count",
@@ -806,6 +808,76 @@ def test_mobius_open_pairs_take_the_exact_engine(problem, x, cutoff):
     want = sum(int(mu[d]) * inner_count(problem, d, x)
                for d in range(1, cutoff + 1))
     assert mobius_count(problem, x, d_cutoff=cutoff).count == want
+
+
+def _exact_floor(alpha, t: int) -> int:
+    """floor(alpha t) in integer and Fraction arithmetic, asserted to be the
+    same for every value a literal admits and across a Liouville tail."""
+    if isinstance(alpha, QuadraticSurd):
+        r = math.isqrt(alpha.b * alpha.b * alpha.d * t * t)   # irrational
+        return (alpha.a * t + (r if alpha.b > 0 else -r - 1)) // alpha.c
+    if isinstance(alpha, Rational):
+        return math.floor(alpha.exact() * t)
+    if isinstance(alpha, DecimalLiteral):
+        delta = Fraction(1, 10 ** alpha.stated_precision)
+        lo, hi = Fraction(alpha.digits) - delta, Fraction(alpha.digits) + delta
+    else:
+        exps = alpha.schedule(3000)    # the rest sums below base^-exps[-1]
+        lo = sum(Fraction(1, alpha.base ** c) for c in exps)
+        hi = lo + Fraction(1, alpha.base ** exps[-1])
+    assert math.floor(lo * t) == math.floor(hi * t)
+    return math.floor(lo * t)
+
+
+def _brute_top(alpha, n: int, x: int, cut: int) -> int:
+    """max{d <= min(x/n, cut) : floor(alpha dn) = 0 mod d}, by scanning."""
+    return next(d for d in range(min(x // n, cut), 0, -1)
+                if _exact_floor(alpha, d * n) % d == 0)
+
+
+_linear_alphas = st.sampled_from([
+    sqrt2(), QuadraticSurd(0, -1, 2, 1), QuadraticSurd(-3, -2, 7, 5),
+    Rational(1, 3), Rational(-5, 3), Rational(2, 1), Rational(0, 1),
+    LiouvilleSeries(3, "poly", Fraction(3), c1=2),
+    DecimalLiteral("1.41421356237309504880", 20),              # 64 bits
+    DecimalLiteral("-0.7071067811865475244008443621", 28)]) | _surds
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(alpha=_linear_alphas, edge=st.integers(0, 3),
+       offset=st.integers(-24, 24), size=st.integers(1, 24),
+       reach=st.integers(1, 1500), cut=st.none() | st.integers(1, 1500))
+@example(alpha=LiouvilleSeries(3, "poly", Fraction(3), c1=2), edge=1,
+         offset=2465, size=8, reach=1500, cut=None)  # its bracket wraps at 3^8
+@example(alpha=Rational(10**20 - 1, 3 * 10**20), edge=0, offset=0, size=4,
+         reach=10, cut=None)       # {a} just below 1/3: D_1 = 3, the top end
+def test_linear_tops_are_the_last_passing_d(alpha, edge, offset, size, reach,
+                                            cut):
+    lo = max(1, edge * _BLOCK + offset)            # n across a block edge
+    n = np.arange(lo, lo + size, dtype=np.uint64)
+    x = max(lo * reach, lo + size - 1)             # x/n up to reach
+    cut = x if cut is None else min(cut, x)
+    forms = [coordinate_form(ProblemSpec.unchecked((alpha,), (1,)), 0)]
+    got = _linear_tops(_fast_plan(forms), forms, n, x, cut, [0, 0])
+    assert got.tolist() == [_brute_top(alpha, m, x, cut) for m in n.tolist()]
+
+
+def test_mobius_counts_a_literal_whose_probed_floors_decide():
+    # the bisection's floors, about log2(x/n) per open n, are the same for
+    # every value the 24-bit literal admits, so all of them count as sqrt 2
+    lit = mobius_count(ProblemSpec.unchecked((_LIT,), (1,)), 10**4)
+    assert lit.count == mobius_count(ProblemSpec((sqrt2(),), (1,)),
+                                     10**4).count == 6079
+
+
+def test_mobius_bisects_an_exact_coordinate():
+    # every 64-bit bracket of 1/3 at a multiple of 3 wraps, and each such n
+    # bisects (1, x/n] instead of testing every squarefree d in it
+    p = ProblemSpec.unchecked((_THIRD,), (1,))
+    res = mobius_count(p, 10**5)
+    assert res.count == direct_count(p, 10**5).count
+    assert 0 < res.stats.exact_fallbacks < 10**5
 
 
 _constants = st.sampled_from([Rational(0, 1), Rational(1, 2), Rational(1, 3),
