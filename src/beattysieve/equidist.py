@@ -27,19 +27,21 @@ from .errors import InvalidSpec, NoConvergent, ResourceLimit
 from .realnum import (LinearForm, SpecLike, _check_ends, _distance_ends,
                       as_spec, dist_nearest_int)
 
-# _TERM_ERR bounds how far each term of `_cis_sum` moves its sum, so N
-# _TERM_ERR bounds the sum's error; e(t) is 1-Lipschitz in t = 2 pi phi.
-# A `phase_fracs` double is within 2^-53 + 2^-64 of its phase mod 1
-# (2^-54 + 2^-64 but at the clamp below 1), which moves t by 0.786 2^-50.
-# With np.longdouble 80-bit extended (unit roundoff 2^-64): 2 pi and the
-# product each err by under 2^-61, cosl and sinl by an ulp, 2^-64 each,
-# and numpy's pairwise sum, which rounds each term at most log2(N) + 18
-# times, by (log2 N + 18) 2^-64 per term in modulus (Minkowski): under
-# 0.006 2^-50 in all for N < 2^60.  Rounding the two long-double sums to
-# float64 errs by 2^-53 of each component, so 2^-53 N = 0.125 N 2^-50 in
-# modulus.  That is 0.92 2^-50 per term.  In binary64, in units of 2^-53:
-# 6.3 (phase), 8 (2 pi within an ulp), 4 (product), 1.5 (cos, sin) and
-# log2(N) + 18 (sum), exact conversions, so 2^-47 = 64 for N <= 2^26.
+# _TERM_ERR bounds how far each term moves `_cis_sum`'s sum and its abs(),
+# so N _TERM_ERR bounds the error of either; e(t) is 1-Lipschitz in
+# t = 2 pi phi.  A `phase_fracs` double is within 2^-54 + 2^-64 of its
+# phase mod 1 (one that rounds to 1 is 0): 0.393 2^-50 in t.  In
+# np.longdouble 80-bit extended (unit roundoff 2^-64), 2 pi and the product
+# each err by under 2^-61, cosl and sinl by an ulp, and numpy's pairwise
+# sum, which rounds each term at most log2(N) + 18 times, by (log2 N + 18)
+# 2^-64 per term in modulus (Minkowski): under 0.006 2^-50 for N < 2^60.
+# Rounding the two sums to float64 adds 2^-53 per component, 0.125 2^-50
+# per term in modulus, and abs (hypot, within an ulp) 2^-52 N, 0.25 2^-50
+# per term: 0.393 + 0.006 + 0.125 + 0.25 = 0.78 2^-50.  In binary64, in
+# units of 2^-53: 3.2 (phase), 8 (2 pi), 4 (product), 1.5 (cos, sin),
+# log2(N) + 18 (sum) and 2 (hypot), so 2^-47 = 64 for N <= 2^26.  Every
+# spec's bracket is at most 2 units wide, so `linear_sum_exact`'s phases
+# are as close: its 2 pi phase_err term is redundant, kept to hold sum_error.
 _LD_OK = np.finfo(np.longdouble).nmant > 52
 _TERM_ERR = 2.0 ** -50 if _LD_OK else 2.0 ** -47
 _TWO_PI_LD = 2 * np.arccos(np.longdouble(-1.0))
@@ -398,9 +400,9 @@ def weyl_sum(problem: ProblemSpec, d: int, hvec: Sequence[int],
     Because the h_j are integers the phase equals the pairing of h with
     the scaled fractional-part vector modulo 1, so this is the Fourier
     coefficient of the corresponding point set.  Each phase double lies
-    within 2^-53 + 2^-64 of the true phase mod 1, and error_bound =
-    N * _TERM_ERR (2^-50, derived there) covers it and the extended-
-    precision cis and sums.  The phases come as
+    within 2^-54 + 2^-64 of the true phase mod 1, and error_bound =
+    N * _TERM_ERR (2^-50, derived there) covers it, the extended-
+    precision cis and sums and abs().  The phases come as
     one `phase_fracs` array over n <= N, its 64-bit screen deciding most
     of them; stats counts what it decided and what it left open.
     """

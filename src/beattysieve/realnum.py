@@ -531,9 +531,11 @@ def _exact_unit(value: Fraction):
 
 
 def _phase_frac(lo: int, hi: int, pe: int):
-    """The phase verdict: the bracket no wider than 2^-64, mod 1."""
+    """The phase verdict: the bracket no wider than 2^-64, mod 1 (a
+    double that rounds to 1 is 0, within 2^-54 of the phase mod 1)."""
     if hi - lo <= 1 << max(pe - 64, 0):
-        return _unit_float(lo % (1 << pe), hi - lo, 1 << pe)
+        unit = 1 << pe
+        return lo % unit / unit % 1.0, (hi - lo) / unit + 2.0 ** -52
     return None
 
 
@@ -551,12 +553,12 @@ def _screen(t: np.ndarray, rows: tuple, pe: int, floor: bool):
     F1 t^e and those floors, r / 2^s lies in [L, L + rows) when
     L + rows does not wrap.  Rounding to a double is monotone, so when
     float(L) == float(L + rows) that double times 2^-64 is r / 2^pe
-    correctly rounded, which is what `_unit_float` takes; it is left open
-    at 2^64, where `_unit_float` clamps.  The width w = hi - lo =
-    sum (b - a) t^e is exact in uint64 and gives the width test and the
-    error float(w) 2^-pe + 2^-52.  For a floor, r + w < 2^s (L + rows +
-    floor(w / 2^s) + 1), so L + rows + floor(w / 2^s) not wrapping
-    certifies hi >> pe == lo >> pe."""
+    correctly rounded, which both verdicts take; it is left open at 2^64,
+    where `_unit_float` clamps and `_phase_frac` wraps.  The width w =
+    hi - lo = sum (b - a) t^e is exact in uint64 and gives the width test
+    and the error float(w) 2^-pe + 2^-52.  For a floor, r + w < 2^s
+    (L + rows + floor(w / 2^s) + 1), so L + rows + floor(w / 2^s) not
+    wrapping certifies hi >> pe == lo >> pe."""
     s = pe - 64
     low = np.zeros(t.size, dtype=np.uint64)
     w = np.zeros(t.size, dtype=np.uint64)

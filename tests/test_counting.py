@@ -1,6 +1,5 @@
 """Coprimality counting: the two exact routes, sieves, zeta, exponents."""
 
-import functools
 import math
 import random
 import re
@@ -20,7 +19,7 @@ from beattysieve.counting import (
     CountResult,
     FloorStats,
     ProblemSpec,
-    _bernoulli,
+    _borwein,
     _const_floor,
     _fast_plan,
     _fit_loglog,
@@ -261,13 +260,36 @@ def test_inv_zeta_worked_values():
     assert abs(float(inv_zeta(4)) - 0.9239384029215902) < 1e-15
 
 
-def test_bernoulli_matches_the_full_recurrence():
-    @functools.lru_cache(maxsize=None)
-    def full(m):                       # every k < m, odd ones included
-        if m == 0:
-            return Fraction(1)
-        return -sum(math.comb(m + 1, k) * full(k) for k in range(m)) / (m + 1)
-    assert [_bernoulli(m) for m in range(81)] == [full(m) for m in range(81)]
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40), st.integers(8, 2048))
+@example(2, 8)
+@example(40, 2048)
+def test_zeta_encloses_mpmath_at_every_precision(s, bits):
+    iv = zeta_int(s, bits)
+    with mpmath.workprec(bits + 64):
+        man, exp = mpmath.zeta(s).man_exp
+    assert iv.lo <= man * Fraction(2) ** exp <= iv.hi
+    assert iv.width <= Fraction(1, 1 << bits)
+
+
+@pytest.mark.parametrize("s", [2, 3, 10])
+def test_borwein_error_stays_under_the_stated_bound(s):
+    with mpmath.workprec(300):
+        want = mpmath.zeta(s)
+        for n in range(1, 21):
+            got = _borwein(s, n)
+            err = abs(want - mpmath.mpf(got.numerator) / got.denominator)
+            assert err <= 4 * (mpmath.mpf(5) / 29) ** n
+            if s == n == 10:
+                # a bound with a 1/Gamma(s) factor would claim 1.2e-13 here
+                gamma_bound = 2 / ((3 + mpmath.sqrt(8)) ** n * mpmath.gamma(s)
+                                   * (1 - mpmath.mpf(2) ** (1 - s)))
+                assert gamma_bound < 1e-12 < 1e-8 < err
+
+
+def test_inv_zeta_renders_the_fixture_targets(density_goldens):
+    for entry in density_goldens.values():
+        assert dec_str(inv_zeta(len(entry["ms"]) + 1), 30) == entry["target"]
 
 
 def test_zeta_rejects_bad_arguments():
@@ -878,6 +900,13 @@ def test_mobius_bisects_an_exact_coordinate():
     res = mobius_count(p, 10**5)
     assert res.count == direct_count(p, 10**5).count
     assert 0 < res.stats.exact_fallbacks < 10**5
+
+
+def test_mobius_probes_the_cap_first_where_the_bracket_wraps():
+    # {n/3} = 0 at the 33,333 multiples of 3, so one floor at the cap
+    # settles each; bisecting from the midpoint took 53,253 floors in all
+    p = ProblemSpec.unchecked((_THIRD,), (1,))
+    assert mobius_count(p, 10**5).stats.exact_fallbacks < 30_000
 
 
 _constants = st.sampled_from([Rational(0, 1), Rational(1, 2), Rational(1, 3),

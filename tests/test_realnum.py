@@ -471,7 +471,8 @@ def test_screen_decides_nearly_every_t():
 
 def test_screen_leaves_open_what_it_cannot_certify():
     t = np.array([1], dtype=np.uint64)
-    # float(L) == 2^64, where _unit_float clamps to the double below 1
+    # float(L) == 2^64, where _unit_float clamps to the double below 1 and
+    # _phase_frac wraps to 0
     top = (1 << 68) - (1 << 8)
     assert not _screen(t, ((top, top, 0),), 68, False)[0][0]
     # L + rows wraps past 2^64: the value may sit on either side of an
@@ -489,7 +490,7 @@ def test_screen_leaves_open_what_it_cannot_certify():
     tally = [0, 0]
     fracs, _ = clamp.phase_fracs([1, 2], tally)
     assert tally == [0, 2]
-    assert fracs.tolist() == [math.nextafter(1.0, 0.0)] * 2
+    assert fracs.tolist() == [0.0] * 2
 
 
 def test_exact_forms_keep_their_exact_fractional_parts():
