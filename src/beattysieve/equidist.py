@@ -41,7 +41,7 @@ from .realnum import (LinearForm, SpecLike, _check_ends, _distance_ends,
 # units of 2^-53: 3.2 (phase), 8 (2 pi), 4 (product), 1.5 (cos, sin),
 # log2(N) + 18 (sum) and 2 (hypot), so 2^-47 = 64 for N <= 2^26.  Every
 # spec's bracket is at most 2 units wide, so `linear_sum_exact`'s phases
-# are as close: its 2 pi phase_err term is redundant, kept to hold sum_error.
+# are as close, and N _TERM_ERR is its whole sum_error.
 _LD_OK = np.finfo(np.longdouble).nmant > 52
 _TERM_ERR = 2.0 ** -50 if _LD_OK else 2.0 ** -47
 _TWO_PI_LD = 2 * np.arccos(np.longdouble(-1.0))
@@ -201,7 +201,8 @@ class BoxLower:
     boxes_checked: int
 
 
-_BUDGET = 4_000_000             # most frequency pairs et_koksma_upper sums
+_BUDGET = 4_000_000             # et_koksma_upper's most +-h pairs
+_TABLE_CELLS = 1 << 15          # its complex table entries per block
 _BOX_BUDGET = 2_000_000_000     # most critical-grid boxes a box sweep scores
 
 
@@ -312,24 +313,43 @@ def _sum_error(N: int, k: int, H: int) -> float:
     """A bound on |mag - |S_h|| for each float mag that et_koksma_upper
     computes from S_h = sum_n e(<h, x_n>) over the stored doubles x_n.
 
-    With u = 2^-53, L = sum_j |h_j| <= kH and gamma_n = n u / (1 - n u)
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1):
-      * the dot product pts @ h, in any order, is within gamma_k L of
-        <h, x_n>, since every |x_nj| < 1;
-      * the angle is one rounded product of that phase with 2*math.pi,
-        which lies within 2^-51 = 4u of 2 pi, so it is within
-        6.2832 (u + gamma_k)(1 + gamma_k) L + 4u L <= 7 (k + 2) u L of
-        2 pi <h, x_n>; e^{it} is 1-Lipschitz in t, so each term moves
-        by as much;
-      * np.exp(it) takes cos t and sin t from libm, within two ulps
-        (2^-52) each, which is 3u in modulus;
-      * summing the N terms, each of modulus <= 1 + 3u, in any order,
-        errs by at most gamma_(N-1) sqrt(2) N (1 + 3u) <= 2 N gamma_(N-1);
-      * abs() is hypot, within one ulp: at most 2u |s| <= 3u N.
-    In all, N u (7 (k + 2) kH + 6) + 2 N gamma_(N-1), rounded up.
+    With u = 2^-53, gamma_n = n u / (1 - n u) (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §3.1) and w = e(x), 0 <= x < 1:
+      * t = 2*math.pi * x rounds once, 2*math.pi is within 4u of 2 pi,
+        and libm's cos t and sin t are within two ulps (2^-52) each, so
+        z = np.exp(it) has |z - w| <= 11u + 3u and |z| <= 1 + 3u;
+      * T[h] = T[h-1] z is within sqrt(2) gamma_2 <= 3u relative (Higham,
+        Lemma 3.5): e_h = |T[h] - w^h| <= (1 + 3u)^2 e_(h-1) + 17u + 9u^2
+        gives e_h <= 18 u h for h <= 2^40; conj T[h] is exact;
+      * a row entry q_n takes max(k - 2, 0) products, each within 3u
+        relative (by 1, exact), so q_n r_n, r_n the last coordinate's, is
+        within e^y - 1 of e(<h, x_n>), |q_n r_n| <= e^y, for y = u (18 kH
+        + 3 max(k - 2, 0)); under _BUDGET kH <= 4 10^6, e^y - 1 <= 1.001 y;
+      * the contraction and the block sum, in any order, fused or not,
+        make the real and the imaginary part real dot products of 2N
+        terms, each within gamma_(2N) sum_n |q_n r_n| (Higham, (3.5));
+      * abs() is hypot, within one ulp: 2u |s| <= 2u N e^y (1 + 2 gamma).
+    In all, N (1.001 y + 2.1 u) + 1.5 N gamma_(2N)
+    <= N u k (19 H + 4) + 2 N gamma_(2N), rounded up.
     """
-    gamma = (N - 1) * _U / (1 - (N - 1) * _U)
-    return _float_up(N * _U * (7 * (k + 2) * k * H + 6) + 2 * N * gamma)
+    gamma = 2 * N * _U / (1 - 2 * N * _U)
+    return _float_up(N * _U * k * (19 * H + 4) + 2 * N * gamma)
+
+
+def _block_sums(x: np.ndarray, H: int) -> np.ndarray:
+    """sum_n e(<(p, h), x_n>) over a block, rows p over the prefixes of
+    coordinates 1..k-1 from 0 up, columns over the last one's h = -H..H:
+    _half_lattice's order past p = 0, h <= 0.  Table row H + h is e(h x_j):
+    np.exp at h = 1, products above, conjugates below.  np.einsum, as a
+    BLAS matmul leaves a second thread spinning for ~0.1 s of CPU."""
+    tables = np.ones((x.shape[1], 2 * H + 1, len(x)), dtype=np.complex128)
+    tables[:, H + 1] = np.exp(2j * math.pi * x.T)
+    for h in range(H + 2, 2 * H + 1):
+        np.multiply(tables[:, h - 1], tables[:, H + 1], out=tables[:, h])
+    np.conjugate(tables[:, H + 1:], out=tables[:, H - 1::-1])
+    rows = reduce(lambda r, t: (r[:, None] * t).reshape(-1, len(x)),
+                  tables[:-1], np.ones((1, len(x)), dtype=np.complex128))
+    return np.einsum("pn,hn->ph", rows[len(rows) // 2:], tables[-1])
 
 
 def et_koksma_upper(ps: PointSet, H: int) -> DiscrepancyReport:
@@ -340,7 +360,8 @@ def et_koksma_upper(ps: PointSet, H: int) -> DiscrepancyReport:
 
     Opposite frequencies have conjugate sums, so one representative per
     pair is evaluated and counted twice; weyl_terms records (h, |S_h|,
-    r(h)) for each.  Each float |S_h| carries _sum_error; the terms are
+    r(h)) for each, S_h as sum_n prod_j e(x_nj)^(h_j) (_block_sums).
+    Each float |S_h| carries _sum_error; the terms are
     nonnegative and rounded twice, and math.fsum once, so dividing their
     sum by (1 - u)^3 covers that, and the result is rounded up.
     """
@@ -350,17 +371,18 @@ def et_koksma_upper(ps: PointSet, H: int) -> DiscrepancyReport:
     if N < 1:
         raise InvalidSpec("need at least one point")
     k = ps.dim
-    if (2 * H + 1) ** k - 1 > 2 * _BUDGET:
-        raise ResourceLimit(
-            f"frequency lattice (2*{H}+1)^{k} exceeds the budget")
+    count = (2 * H + 1) ** k - 1
+    if count > 2 * _BUDGET:
+        raise ResourceLimit(f"{count} frequencies in [-{H}, {H}]^{k} "
+                            f"exceed the budget of {2 * _BUDGET}")
     err = _sum_error(N, k, H)
-    pts = ps.points
-    parts = []
-    terms = []
-    for h in _half_lattice(k, H):
-        phases = pts @ np.asarray(h, dtype=np.float64)
-        s = np.exp(2j * math.pi * phases).sum()
-        mag = abs(complex(s))
+    width = 2 * H + 1               # table rows per coordinate
+    block = max(1, _TABLE_CELLS // (width ** (k - 1) + k * width))
+    sums = sum(_block_sums(ps.points[i:i + block], H)
+               for i in range(0, N, block))
+    parts, terms = [], []
+    for h, mag in zip(_half_lattice(k, H),
+                      np.abs(sums.ravel()[H + 1:]).tolist()):
         r = math.prod(max(abs(c), 1) for c in h)
         terms.append((h, mag, r))
         parts.append((mag + err) / r)
@@ -544,14 +566,13 @@ def linear_sum_exact(spec: SpecLike, h: int, N: int) -> LinearSumCheck:
     lo, hi = spec.bounds(prec)
     unit = 1 << prec
     step = (h * ((lo + hi) // 2)) % unit
-    phase_err = (abs(h) * (hi - lo + 1)) / unit * N
     acc = 0
     phases = []
     for _ in range(N):
         acc = (acc + step) % unit
         phases.append(acc / unit)
     s = _cis_sum(phases)
-    sum_error = N * _TERM_ERR + 2 * math.pi * phase_err
+    sum_error = N * _TERM_ERR
     dist = dist_nearest_int(spec, abs(h), bits=64)
     if dist.hi == 0:
         cap = Fraction(N)

@@ -21,10 +21,13 @@ from beattysieve.counting import ProblemSpec
 from beattysieve.dioph import convergents
 from beattysieve.equidist import (
     _BOX_BUDGET,
+    _BUDGET,
+    _TABLE_CELLS,
     DiscrepancyReport,
     _distance_rows,
     _exact_floats,
     _float_up,
+    _half_lattice,
     _phases_for_poly,
     _sum_error,
     PointSet,
@@ -378,8 +381,11 @@ def test_et_upper_dimension_two_defaults():
 def test_et_upper_budget_guard():
     # (2 * 2000 + 1)^2 - 1 frequencies pass the 8e6 limit
     ps = PointSet.synthetic([[0.1, 0.2]], "tiny")
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit) as exc:
         et_koksma_upper(ps, 2000)
+    numbers = [int(s) for s in re.findall(r"\d+", str(exc.value))]
+    assert 4001 ** 2 - 1 in numbers         # the nonzero frequencies
+    assert 2 * _BUDGET in numbers
 
 
 def test_et_upper_validates_h():
@@ -436,6 +442,14 @@ def test_discrepancy_report_json_round_trip():
     assert "C" not in blob
 
 
+def _oracle_magnitude(ps, h):
+    """|S_h| as a 120-bit sum over the stored doubles."""
+    return abs(mpmath.fsum(
+        mpmath.expjpi(2 * mpmath.fsum(c * mpmath.mpf(x)
+                                      for c, x in zip(h, p)))
+        for p in ps.points.tolist()))
+
+
 def test_sum_error_covers_the_float_weyl_terms():
     # |S_h| through float64 against a 120-bit sum over the same doubles
     ps = nu_sequence(ProblemSpec((sqrt2(), sqrt3()), (1, 2)), 3, 2000)
@@ -443,10 +457,14 @@ def test_sum_error_covers_the_float_weyl_terms():
     err = _sum_error(ps.N, 2, H)
     mags = {h: mag for h, mag, _ in et_koksma_upper(ps, H).weyl_terms}
     for h in ((0, 1), (1, -1), (7, 13), (20, -20), (20, 20)):
-        exact = abs(mpmath.fsum(
-            mpmath.expjpi(2 * (h[0] * mpmath.mpf(x) + h[1] * mpmath.mpf(y)))
-            for x, y in ps.points.tolist()))
-        assert abs(mags[h] - exact) <= err
+        assert abs(mags[h] - _oracle_magnitude(ps, h)) <= err
+    assert err < 1e-8
+    # k = 1: the highest powers of the repeated multiplication
+    ps = nu_sequence(ProblemSpec((sqrt2(),), (1,)), 1, 3000)
+    err = _sum_error(ps.N, 1, H)
+    mags = {h: mag for h, mag, _ in et_koksma_upper(ps, H).weyl_terms}
+    for h in ((1,), (19,), (20,)):
+        assert abs(mags[h] - _oracle_magnitude(ps, h)) <= err
     assert err < 1e-8
 
 
@@ -488,6 +506,49 @@ def test_et_upper_bounds_the_exact_discrepancy_in_dimension_one(ps, H):
 def test_et_upper_bounds_the_box_discrepancy_in_dimension_two(ps, H):
     box = discrepancy_box_lower(ps)
     assert box.value <= et_koksma_upper(ps, H).et_upper
+
+
+@settings(max_examples=60, deadline=None)
+@given(ps=_drawn_points(3, 12), H=st.integers(1, 4))
+def test_et_upper_bounds_the_box_discrepancy_in_dimension_three(ps, H):
+    box = discrepancy_box_lower(ps)
+    assert box.value <= et_koksma_upper(ps, H).et_upper
+
+
+def test_discrepancy_report_sandwich_in_dimension_three():
+    p = ProblemSpec((sqrt2(), sqrt3(), golden_ratio()), (1, 2, 3))
+    ps = nu_sequence(p, 3, 200)
+    rep = discrepancy_report(ps, 4)
+    assert len(rep.weyl_terms) == (9 ** 3 - 1) // 2
+    assert 0 < rep.box_lower <= rep.et_upper
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3), H=st.integers(1, 6))
+def test_weyl_terms_lie_within_the_rounding_budget(data, k, H):
+    # every float |S_h| against a 120-bit sum over the same doubles, in
+    # _half_lattice order
+    ps = data.draw(_drawn_points(k, 60))
+    terms = et_koksma_upper(ps, H).weyl_terms
+    assert [h for h, _, _ in terms] == list(_half_lattice(k, H))
+    err = _sum_error(ps.N, k, H)
+    for h, mag, _ in terms:
+        assert abs(mag - _oracle_magnitude(ps, h)) <= err
+
+
+@pytest.mark.parametrize("k, N", [(1, 20000), (2, 2000)])
+def test_et_upper_memory_stays_with_its_block_tables(k, N):
+    # the per-block tables hold _TABLE_CELLS complex entries, whatever N;
+    # the weyl_terms and the rest stay within 200 KB above them
+    ps = PointSet.synthetic(np.random.default_rng(k).random((N, k)), "mem")
+    H = 20
+    tracemalloc.start()
+    try:
+        et_koksma_upper(ps, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * _TABLE_CELLS + 200_000
 
 
 # --- Weyl sums -----------------------------------------------------------------------------
