@@ -13,8 +13,8 @@ inequalities as measurable formulas.
 from .counting import (CountResult, DensityRun, FloorStats, ProblemSpec,
                        coordinate_form, dec_str, density_experiment,
                        density_run_csv, density_run_payload, direct_count,
-                       inner_count, inv_zeta, mobius_count, mobius_sieve,
-                       theoretical_gamma, theoretical_gamma_star, zeta_int)
+                       inv_zeta, mobius_count, mobius_sieve, theoretical_gamma,
+                       theoretical_gamma_star, zeta_int)
 from .dioph import (ApproxWindow, Convergent, TypeEstimate, convergents,
                     convergents_csv, estimate_type, find_window)
 from .equidist import (BoxLower, DiscrepancyReport, LinearSumCheck,
@@ -33,9 +33,8 @@ from .errors import (BeattySieveError, ConfigError, DegenerateFit,
 from .realnum import (DEFAULT_MAX_BITS, CertifiedFloor, DecimalLiteral,
                       FiniteCF, Interval, LinearForm, LiouvilleSeries,
                       QuadraticSurd, Rational, RealSpec, as_spec,
-                      dist_nearest_int, dist_nearest_ints, eval_enclosure,
-                      floor_scaled, frac_below, golden_ratio, parse_real,
-                      sqrt2, sqrt3)
+                      dist_nearest_ints, eval_enclosure, floor_scaled,
+                      golden_ratio, parse_real, sqrt2, sqrt3)
 
 __version__ = "0.1.0"
 

@@ -4,9 +4,10 @@ N(x) counts n ≤ x whose tuple (n, floor(a_1 n^{m_1} + g_1), ...,
 floor(a_k n^{m_k} + g_k)) has gcd 1.  `direct_count` tests each n
 against the primes of n, which a block sieve finds; `mobius_count`
 expands the coprimality indicator through the Moebius function into
-box-occupancy counts (`inner_count`), which it sums in one pass over n:
-the d that pass coordinate 1 at n are [1, top_n], and exact floors
-bisect to top_n where the kernel's bracket leaves it open.  Both routes
+box-occupancy counts, the n ≤ x/d with every floor term at t = dn
+divisible by d, which it sums in one pass over n: the d that pass
+coordinate 1 at n are [1, top_n], and exact floors bisect to top_n
+where the kernel's bracket leaves it open.  Both routes
 ask for floor(a t^m + g(t)) mod d at t = dn, the direct one with d = t
 and the Moebius one only whether it is 0, and both are certified: one
 64-bit fixed-point kernel, which sums the brackets of every term,
@@ -545,40 +546,21 @@ def direct_count(problem: ProblemSpec, x: int, *,
                        time.perf_counter() - start, stats)
 
 
-def _box_hits(plan: list, forms: list, ms: tuple, d: np.ndarray,
-              n: np.ndarray, tally: list, first: int = 0) -> np.ndarray:
+def _box_hits(plan: list, forms: list, caps: list, d: np.ndarray,
+              n: np.ndarray, tally: list) -> np.ndarray:
     """Indices i with floor(a_j t^(m_j) + g_j(t)) ≡ 0 (mod d_i), t = d_i n_i,
-    for every j ≥ first, each coordinate on the pairs that passed the ones
-    before.  The kernel takes the pairs with k t^m < 2^61, which bounds
-    k S = k d^(m-1) n^m and d < 2^32 at one compare per pair."""
+    for every coordinate j ≥ 2, each on the pairs that passed the ones
+    before.  The kernel takes the pairs with t ≤ caps[j] = _s_cap(k, m_j),
+    so k S = k d^(m-1) n^m ≤ k t^m < 2^61 and d ≤ t < 2^32, at one
+    compare per pair."""
     idx = np.arange(n.size)
-    for j in range(first, len(ms)):
+    for j in range(1, len(caps)):
         if not idx.size:
             break
         dj, nj = d[idx], n[idx]
-        fast = plan[j] and dj * nj <= _s_cap(plan[j][2], ms[j])
-        idx = idx[_coordinate(plan, forms, j, dj, nj, fast, True, tally)]
+        idx = idx[_coordinate(plan, forms, j, dj, nj, dj * nj <= caps[j],
+                              True, tally)]
     return idx
-
-
-def inner_count(problem: ProblemSpec, d: int, x: int) -> int:
-    """Count n ≤ x/d whose scaled fractional vector lands in [0, 1/d)^k,
-    that is, with floor(a_j (dn)^{m_j} + g_j(dn)) ≡ 0 (mod d) for every j:
-    the d-th term of the sum `mobius_count` evaluates, box by box in
-    blocks of _BLOCK n through `_box_hits`."""
-    if d < 1 or x < 1:
-        raise InvalidSpec("d and x must be >= 1")
-    nmax = x // d
-    if d == 1 or nmax == 0:
-        return nmax
-    forms = [coordinate_form(problem, j) for j in range(problem.k)]
-    plan = _fast_plan(forms)
-    cnt = 0
-    for lo in range(1, nmax + 1, _BLOCK):
-        n = np.arange(lo, min(lo + _BLOCK, nmax + 1), dtype=np.uint64)
-        cnt += _box_hits(plan, forms, problem.ms, np.full_like(n, d), n,
-                         [0, 0]).size
-    return cnt
 
 
 def _linear_tops(plan: list, forms: list, n: np.ndarray, x: int, cut: int,
@@ -626,9 +608,10 @@ def _ragged(last: np.ndarray):
 
 def mobius_count(problem: ProblemSpec, x: int,
                  d_cutoff: Optional[int] = None) -> CountResult:
-    """N(x) = sum over d of mu(d) * inner_count(problem, d, x), in one
-    pass over n ≤ x in blocks of _BLOCK; with d_cutoff, the sum over
-    d ≤ d_cutoff, which may leave [0, x].
+    """N(x) = sum over d of mu(d) times the number of n ≤ x/d whose scaled
+    fractional vector lands in [0, 1/d)^k, that is, with every floor term
+    at t = dn divisible by d, in one pass over n ≤ x in blocks of _BLOCK;
+    with d_cutoff, the sum over d ≤ d_cutoff, which may leave [0, x].
 
     The d that pass coordinate 1 at n are [1, top_n], top_n =
     min(D_n, x/n, d_cutoff), which the kernel's bracket gives or exact
@@ -645,6 +628,7 @@ def mobius_count(problem: ProblemSpec, x: int,
     depth = d_cutoff if d_cutoff is not None else x
     forms = [coordinate_form(problem, j) for j in range(problem.k)]
     plan = _fast_plan(forms)
+    caps = [_s_cap(e[2], m) if e else 0 for e, m in zip(plan, problem.ms)]
     tally = [0, 0]
     mertens = np.zeros(1, dtype=np.int32)           # M(d) at index d
     total = x if problem.k > 1 else 0
@@ -667,8 +651,7 @@ def mobius_count(problem: ProblemSpec, x: int,
         for d, i in _ragged(top):
             mu = mertens[d] - mertens[d - np.uint64(1)]
             keep = np.flatnonzero(mu)
-            hits = _box_hits(plan, forms, problem.ms, d[keep], n[i[keep]],
-                             tally, 1)
+            hits = _box_hits(plan, forms, caps, d[keep], n[i[keep]], tally)
             total += int(mu[keep[hits]].sum(dtype=np.int64))
     return CountResult(x, total, "mobius", d_cutoff,
                        time.perf_counter() - start,

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import (InsufficientData, InvalidSpec, NoConvergent,
                      RationalTerminated)
-from .realnum import Interval, LinearForm, RealSpec, dist_nearest_int
+from .realnum import Interval, LinearForm, RealSpec, dist_nearest_ints
 
 Number = Union[int, float, Fraction]
 
@@ -146,7 +146,7 @@ def convergents(spec: RealSpec, max_q: int) -> list[Convergent]:
     out = []
     for i, (p, q) in enumerate(pairs):
         bits = max(48, 2 * q.bit_length() + 8)
-        quality = dist_nearest_int(spec, q, bits=bits)
+        quality = next(dist_nearest_ints(spec, (q,), bits=bits))
         out.append(Convergent(i, p, q, quality))
     if terminated and not _denominators_reach(terms, max_q):
         warnings.warn(f"expansion of {spec.text()} terminates at denominator "

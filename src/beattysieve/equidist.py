@@ -25,7 +25,7 @@ from .counting import ProblemSpec, _as_exact, coordinate_form, dec_str
 from .dioph import convergents
 from .errors import InvalidSpec, NoConvergent, ResourceLimit
 from .realnum import (LinearForm, SpecLike, _check_ends, _distance_ends,
-                      as_spec, dist_nearest_int)
+                      as_spec, dist_nearest_ints)
 
 # _TERM_ERR bounds how far each term moves `_cis_sum`'s sum and its abs(),
 # so N _TERM_ERR bounds the error of either; e(t) is 1-Lipschitz in
@@ -573,7 +573,7 @@ def linear_sum_exact(spec: SpecLike, h: int, N: int) -> LinearSumCheck:
         phases.append(acc / unit)
     s = _cis_sum(phases)
     sum_error = N * _TERM_ERR
-    dist = dist_nearest_int(spec, abs(h), bits=64)
+    dist = next(dist_nearest_ints(spec, (abs(h),), bits=64))
     if dist.hi == 0:
         cap = Fraction(N)
     else:

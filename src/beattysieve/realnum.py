@@ -9,15 +9,15 @@ dyadic interval certificate or raises; nothing is silently rounded.
 The workhorse primitive is ``spec.bounds(prec)``: integers (lo, hi) with
 lo <= value * 2**prec <= hi and hi - lo <= 2.  One kernel turns it into
 answers: ``LinearForm`` brackets sum_i spec_i * c_i * t**e_i at integers
-t, and every certified question (floors, fractional-part tests and
-values, phases, nearest-integer distances, partial quotients) is a
-verdict over that bracket.  One loop, ``LinearForm._decide``, takes a
-batch of t, splits it into runs of equal start precision and yields one
-verdict per t; ``floors``, ``frac_units``, ``phase_fracs`` and
-``dist_nearest_ints`` serve the many-t callers, and the one-t questions
-pass a batch of one.  A verdict the bracket leaves open doubles the
-precision of that t alone, from a start of 64 + the bit length of the
-scale, up to the fixed ceiling of DEFAULT_MAX_BITS = 2**20 bits; a
+t, and every certified question (floors, fractional parts, phases,
+nearest-integer distances, partial quotients) is a verdict over that
+bracket.  One loop, ``LinearForm._decide``, takes a batch of t, splits
+it into runs of equal start precision and yields one verdict per t;
+``floors``, ``frac_units``, ``phase_fracs`` and ``dist_nearest_ints``
+pass it a batch of t, and ``floor_scaled``, which returns a
+certificate, a batch of one.  A verdict the bracket leaves open doubles
+the precision of that t alone, from a start of 64 + the bit length of
+the scale, up to the fixed ceiling of DEFAULT_MAX_BITS = 2**20 bits; a
 decimal literal stops the doubling at its stated digits.  Either way
 PrecisionExhausted names what ran out: the literal and its bits, or the
 ceiling.  Floors and fractional-part verdicts decide a rational value
@@ -719,24 +719,6 @@ class LinearForm:
         prec = self._start(max(ts, default=0))
         return self._decide(ts, lambda _: prec, "floor", verdict, math.floor)
 
-    def frac_below(self, t: int, num: int, den: int) -> bool:
-        """Certified test {value at t} < num/den (False at equality)."""
-        def below(value):
-            return (value - math.floor(value)) * den < num
-
-        def verdict(lo, hi, pe):
-            f = lo >> pe
-            if hi >> pe != f:
-                return None
-            unit = 1 << pe
-            if (hi - (f << pe)) * den < num * unit:
-                return True
-            if (lo - (f << pe)) * den >= num * unit:
-                return False
-            return None
-        return next(self._decide((t,), self._start, "fractional test",
-                                 verdict, below))
-
     def _phase_start(self, t: int) -> int:
         return max(self._start(t), 68)
 
@@ -802,12 +784,12 @@ class LinearForm:
 
 @lru_cache(maxsize=256)
 def _unit_form(spec: RealSpec) -> LinearForm:
-    """The one-term form spec * t, shared by the single-number verdicts."""
+    """The one-term form spec * t of floor_scaled and dist_nearest_ints."""
     return LinearForm([(spec, 1, 1)])
 
 
 # ---------------------------------------------------------------------------
-# single-number verdicts
+# verdicts on spec * scale
 
 
 def eval_enclosure(spec: RealSpec, bits: int) -> Interval:
@@ -851,29 +833,13 @@ def floor_scaled(spec: RealSpec, scale: int) -> CertifiedFloor:
     return next(form._decide((scale,), form._start, "floor", verdict, exact))
 
 
-def frac_below(spec: RealSpec, scale: int, bound_num: int,
-               bound_den: int) -> bool:
-    """Certified test  {value * scale} < bound_num / bound_den.
-
-    Strict inequality, so equality is False (decided exactly for exact
-    rationals).  For irrational variants the fractional part can never
-    equal the rational bound, so only a literal's stated digits or the
-    precision ceiling can stop the test.
-    """
-    if scale < 1:
-        raise ValueError("scale must be a positive integer")
-    if not (0 < Fraction(bound_num, bound_den) <= 1):
-        raise ValueError("bound must lie in (0, 1]")
-    return _unit_form(spec).frac_below(scale, bound_num, bound_den)
-
-
 def dist_nearest_ints(spec: RealSpec, scales, *, bits: int = 48):
     """Enclosures of ||value * s|| (distance to the nearest integer) for
     each positive integer s in scales, lazily.
 
     Each s starts at the precision max(64 + its bit length, bits + its
     bit length + 2), by splitting the scales into runs of equal start, so
-    every Interval is the one dist_nearest_int returns for s alone.  A
+    every Interval is the one a batch of s alone returns.  A
     stated-precision representation that cannot reach `bits` returns the
     tightest interval its digits certify (visible through the interval's
     precision_bits) rather than refusing outright; it only raises when
@@ -920,9 +886,3 @@ def _distance_ends(spec: RealSpec, scales, bits: int):
         return d_lo, d_hi, unit, pb
 
     return form._decide(scales, start, "nearest-integer distance", verdict)
-
-
-def dist_nearest_int(spec: RealSpec, scale: int, *,
-                     bits: int = 48) -> Interval:
-    """Enclosure of ||value * scale||: dist_nearest_ints on one scale."""
-    return next(dist_nearest_ints(spec, (scale,), bits=bits))

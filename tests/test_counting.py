@@ -34,7 +34,6 @@ from beattysieve.counting import (
     density_run_csv,
     density_run_payload,
     direct_count,
-    inner_count,
     inv_zeta,
     mobius_count,
     mobius_sieve,
@@ -59,7 +58,6 @@ from beattysieve.realnum import (
     Rational,
     _mul_hi,
     floor_scaled,
-    frac_below,
     golden_ratio,
     sqrt2,
     sqrt3,
@@ -104,13 +102,15 @@ def exact_reference_count(problem: ProblemSpec, x: int) -> int:
     return total
 
 
-def frac_inner_count(problem: ProblemSpec, d: int, x: int) -> int:
-    """inner_count's box count tested the other way round: n <= x/d with
-    {a_j d^(m_j-1) n^(m_j) + g_j(dn)/d} < 1/d for every j, each test a
-    certified kernel verdict on the scaled coordinate form."""
-    forms = [coordinate_form(problem, j, d) for j in range(problem.k)]
-    return sum(1 for n in range(1, x // d + 1)
-               if all(form.frac_below(n, 1, d) for form in forms))
+def box_counts(problem: ProblemSpec, x: int, cutoff: int) -> list:
+    """The Moebius route's box counts from certified floors alone, sharing
+    none of its kernel: entry d <= cutoff counts n <= x/d with d dividing
+    floor(a_j (dn)^(m_j) + g_j(dn)) for every j; entry 0 is 0."""
+    floors = [[0, *coordinate_form(problem, j).floors(range(1, x + 1))]
+              for j in range(problem.k)]
+    return [0] + [sum(all(f[t] % d == 0 for f in floors)
+                      for t in range(d, x + 1, d))
+                  for d in range(1, cutoff + 1)]
 
 
 # --- problem validation --------------------------------------------------------
@@ -340,39 +340,22 @@ def test_worker_counts_are_identical(monkeypatch):
     assert counts == {12153}
 
 
-def test_inner_count_worked_value_both_forms():
-    p = ProblemSpec((sqrt2(),), (1,))
-    # multiples of 2 with 2 | floor(sqrt2 n), n <= 10: n in {2, 8, 10}
-    assert inner_count(p, 2, 10) == 3
-    assert frac_inner_count(p, 2, 10) == 3
-
-
-def test_inner_count_forms_agree_widely():
-    p = ProblemSpec((sqrt2(), sqrt3()), (1, 2))
-    for d in (2, 3, 5, 7, 11):
-        assert inner_count(p, d, 500) == frac_inner_count(p, d, 500)
-
-
-def test_inner_count_edges():
-    p = ProblemSpec((sqrt2(),), (1,))
-    assert inner_count(p, 1, 17) == 17
-    assert inner_count(p, 19, 17) == 0
-
-
 def test_mobius_truncation_is_a_partial_sum():
     p = ProblemSpec((sqrt2(),), (1,))
     full = mobius_count(p, 200)
     trunc = mobius_count(p, 200, d_cutoff=200)
     assert full.count == trunc.count
+    # t = 2n <= 10 with 2 | floor(sqrt2 t): t in {2, 6, 10}
+    assert box_counts(p, 10, 2)[2] == 3
     mu = mobius_sieve(200)
     partial = mobius_count(p, 200, d_cutoff=10).count
-    recon = sum(int(mu[d]) * inner_count(p, d, 200) for d in range(1, 11))
+    inner = box_counts(p, 200, 10)
+    recon = sum(int(mu[d]) * inner[d] for d in range(1, 11))
     assert partial == recon
     # cutoffs below, at and past isqrt(1000) = 31, and at x
     pair = ProblemSpec((sqrt2(), sqrt3()), (1, 2))
     mu = mobius_sieve(1000)
-    inner = [0] + [int(mu[d]) * inner_count(pair, d, 1000)
-                   for d in range(1, 1001)]
+    inner = [int(m) * c for m, c in zip(mu, box_counts(pair, 1000, 1000))]
     for cutoff in (30, 31, 32, 100, 1000):
         assert mobius_count(pair, 1000, d_cutoff=cutoff).count \
             == sum(inner[:cutoff + 1])
@@ -437,18 +420,14 @@ _ONE_AND_THIRD = ProblemSpec.unchecked((1, _THIRD), (1, 2))
     (lambda: floor_scaled(_THIRD, 3).value, 1),
     (lambda: (floor_scaled(_THIRD, 3).certificate.lo,
               floor_scaled(_THIRD, 3).certificate.hi), (1, 1)),
-    (lambda: frac_below(_THIRD, 3, 1, 2), True),
     (lambda: next(LinearForm([(_THIRD, 1, 1)]).floors([3])), 1),
-    (lambda: LinearForm([(_THIRD, 1, 1)]).frac_below(3, 1, 2), True),
     (lambda: tuple(a[0] for a in LinearForm([(_THIRD, 1, 1)]).frac_units([3])),
      (0.0, 2.0 ** -52)),
-    (lambda: inner_count(_ONE_AND_THIRD, 3, 30), 10),
-    (lambda: frac_inner_count(_ONE_AND_THIRD, 3, 30), 10),
+    (lambda: box_counts(_ONE_AND_THIRD, 30, 3)[3], 10),
     (lambda: nu_sequence(ProblemSpec.unchecked((_THIRD,), (1,)), 1, 3)
      .points[:, 0].tolist(), [1 / 3, 2 / 3, 0.0]),
-], ids=["floor_scaled", "certificate", "frac_below", "form.floor",
-        "form.frac_below", "form.frac_unit", "inner_count",
-        "frac_inner_count", "nu_sequence"])
+], ids=["floor_scaled", "certificate", "form.floor", "form.frac_unit",
+        "box_count", "nu_sequence"])
 def test_exact_rationals_landing_on_an_integer(verdict, want):
     assert verdict() == want
 
@@ -458,9 +437,7 @@ _LIT = DecimalLiteral("1.41421356", 8)     # 24 bits; undecided at 5741
 
 @pytest.mark.parametrize("verdict", [
     lambda: floor_scaled(_LIT, 5741),
-    lambda: frac_below(_LIT, 5741, 1, 2),
     lambda: next(LinearForm([(_LIT, 1, 1)]).floors([5741])),
-    lambda: LinearForm([(_LIT, 1, 1)]).frac_below(5741, 1, 2),
     lambda: LinearForm([(_LIT, 1, 1)]).frac_units([5741]),
     lambda: LinearForm([(_LIT, 1, 1)]).phase_fracs([5741]),
     lambda: convergents(_LIT, 10**9),
@@ -468,9 +445,8 @@ _LIT = DecimalLiteral("1.41421356", 8)     # 24 bits; undecided at 5741
     lambda: mobius_count(ProblemSpec.unchecked((sqrt3(), _LIT), (1, 2)),
                          10**4),
     lambda: linear_sum_exact(_LIT, 1, 5741),
-], ids=["floor_scaled", "frac_below", "form.floor", "form.frac_below",
-        "form.frac_unit", "form.phase_frac", "convergents", "direct_count",
-        "mobius_count", "linear_sum_exact"])
+], ids=["floor_scaled", "form.floor", "form.frac_unit", "form.phase_frac",
+        "convergents", "direct_count", "mobius_count", "linear_sum_exact"])
 def test_failures_name_the_limiting_literal(verdict):
     with pytest.raises(PrecisionExhausted,
                        match=r"dec:1\.41421356:8 carries only 24 bits") \
@@ -809,8 +785,8 @@ def test_direct_kernel_agrees_with_the_exact_routes(problem, x):
 def test_truncated_mobius_count_is_the_partial_inner_sum(problem, x, data):
     cutoff = data.draw(st.integers(1, x))
     mu = mobius_sieve(cutoff)
-    want = sum(int(mu[d]) * inner_count(problem, d, x)
-               for d in range(1, cutoff + 1))
+    inner = box_counts(problem, x, cutoff)
+    want = sum(int(mu[d]) * inner[d] for d in range(1, cutoff + 1))
     assert mobius_count(problem, x, d_cutoff=cutoff).count == want
 
 
@@ -827,8 +803,8 @@ def test_mobius_open_pairs_take_the_exact_engine(problem, x, cutoff):
     assert res.stats.exact_fallbacks > 0
     assert res.count == direct_count(problem, x).count
     mu = mobius_sieve(cutoff)
-    want = sum(int(mu[d]) * inner_count(problem, d, x)
-               for d in range(1, cutoff + 1))
+    inner = box_counts(problem, x, cutoff)
+    want = sum(int(mu[d]) * inner[d] for d in range(1, cutoff + 1))
     assert mobius_count(problem, x, d_cutoff=cutoff).count == want
 
 

@@ -27,11 +27,9 @@ from beattysieve.realnum import (
     _phase_frac,
     _screen,
     as_spec,
-    dist_nearest_int,
     dist_nearest_ints,
     eval_enclosure,
     floor_scaled,
-    frac_below,
     golden_ratio,
     parse_real,
     sqrt2,
@@ -247,18 +245,12 @@ def test_floor_certificate_pins_value():
     assert fl.certificate.lo > 140 and fl.certificate.hi < 141
 
 
-# --- fractional-part predicates ------------------------------------------------
-
-
-def test_frac_below_exact_threshold():
-    # {sqrt2 * 5} = 0.07106...; below 1/10 but not below 1/20
-    assert frac_below(sqrt2(), 5, 1, 10)
-    assert not frac_below(sqrt2(), 5, 1, 20)
+# --- nearest-integer distances -------------------------------------------------
 
 
 def test_dist_nearest_int_worked_value():
     # ||3 sqrt 2|| = |4.2426 - 4| = 0.2426...
-    iv = dist_nearest_int(sqrt2(), 3)
+    iv, = dist_nearest_ints(sqrt2(), (3,))
     true = mp_fraction(3 * mpmath.sqrt(2) - 4)
     assert iv.lo <= true <= iv.hi
     assert abs(float(iv.midpoint()) - float(true)) < 1e-12
@@ -361,7 +353,6 @@ def test_linear_form_decides_where_irrational_parts_cancel():
     # shares the basis sqrt3, and no bracket decides a floor at 0
     form = LinearForm([(sqrt3(), -1, 3), (QuadraticSurd(0, 1, 12, 1), 2, 1)])
     assert list(form.floors([1, 2, 3])) == [5, 0, -26]
-    assert form.frac_below(2, 1, 2)
     assert form.frac_units([2])[0][0] == 0.0
     # a capped literal cancels at every t: the rational value decides
     # before the literal's 24 bits would be escalated past
@@ -370,7 +361,7 @@ def test_linear_form_decides_where_irrational_parts_cancel():
     assert list(zero.floors([5, 7])) == [0, 0]
     assert zero.frac_units([5])[0][0] == 0.0
     half = LinearForm([(lit, 2, 1), (lit, -2, 1), ("1/2", 1, 0)])
-    assert not half.frac_below(5, 1, 2)
+    assert half.frac_units([5])[0][0] == 0.5
 
 
 _LIOU = LiouvilleSeries(2, "poly", Fraction(2), c1=2)
@@ -515,14 +506,15 @@ _dist_scales = st.lists(
        bits=st.sampled_from([48, 60, 64]), scales=_dist_scales)
 def test_batch_distances_equal_one_element_calls(spec, bits, scales):
     batch = list(dist_nearest_ints(spec, scales, bits=bits))
-    assert batch == [dist_nearest_int(spec, s, bits=bits) for s in scales]
+    assert batch == [next(dist_nearest_ints(spec, (s,), bits=bits))
+                     for s in scales]
 
 
 def test_batch_distances_refuse_a_nonpositive_scale():
     with pytest.raises(ValueError):
         list(dist_nearest_ints(sqrt2(), [3, 0]))
     with pytest.raises(ValueError):
-        dist_nearest_int(sqrt2(), 0)
+        list(dist_nearest_ints(sqrt2(), [0]))
 
 def test_frac_unit_stays_in_unit_interval():
     form = LinearForm([(sqrt2(), 1, 1)])
@@ -539,12 +531,6 @@ def test_phase_frac_boundary_clamp():
     form = LinearForm([(Fraction((1 << 60) - 1, 1 << 60), 1, 0)])
     (frac,), _ = form.phase_fracs([1])
     assert 0.0 <= frac < 1.0
-
-
-def test_frac_below_via_linear_form():
-    form = LinearForm([(sqrt2(), 1, 1)])
-    assert form.frac_below(5, 1, 10)
-    assert not form.frac_below(5, 1, 20)
 
 
 # --- property suites ----------------------------------------------------------------
@@ -617,18 +603,15 @@ def test_enclosure_contains_the_mpmath_value(spec, bits):
 
 
 @settings(max_examples=150, deadline=None)
-@given(spec=_surds, scale=st.integers(1, 2**40), den=st.integers(1, 1000),
-       data=st.data())
-def test_floor_frac_and_distance_agree_with_mpmath(spec, scale, den, data):
-    num = data.draw(st.integers(1, den))
+@given(spec=_surds, scale=st.integers(1, 2**40))
+def test_floor_frac_and_distance_agree_with_mpmath(spec, scale):
     with mpmath.workprec(400):
         x = _mp_value(spec) * scale
         fl = int(mpmath.floor(x))
         frac = x - fl
         dist = min(frac, 1 - frac)
         assert floor_scaled(spec, scale).value == fl
-        assert frac_below(spec, scale, num, den) == (frac < mpmath.mpf(num) / den)
-        iv = dist_nearest_int(spec, scale)
+        iv, = dist_nearest_ints(spec, (scale,))
         lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
         hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
         assert lo <= dist <= hi
