@@ -23,7 +23,7 @@ def main() -> int:
     print(f"  ... {len(rows)} convergents total\n")
 
     print("== best approximation with denominator in (Q^varpi, Q] ==")
-    w = find_window(sqrt2(), 10**3, Fraction(1, 2), "polynomial")
+    w = find_window(rows, 10**3, Fraction(1, 2), "polynomial")
     print(f"  Q = 10^3: picked a/q = {w.a}/{w.q}, window ({w.lower:.2f}, "
           f"{w.Q:.0f}], satisfied = {w.satisfied}\n")
 
@@ -34,13 +34,13 @@ def main() -> int:
         ("liouville tau=2", LiouvilleSeries(2, "poly", Fraction(2), c1=2),
          10**6),
     ):
-        est = estimate_type(spec, max_q, "polynomial")
+        est = estimate_type(convergents(spec, max_q), max_q, "polynomial")
         print(f"  {name:16s} tau_hat = {est.tau_hat:.6f}  "
               f"from {len(est.samples)} convergents")
 
     print("\n== the same idea in exponential mode ==")
     liou = LiouvilleSeries(2, "exp", Fraction(1, 2), c1=2)
-    est = estimate_type(liou, 10**8, "exponential")
+    est = estimate_type(convergents(liou, 10**8), 10**8, "exponential")
     print(f"  theta_hat = {est.tau_hat:.6f}")
 
     print("\n== CSV of the sqrt(2) ladder (first lines) ==")

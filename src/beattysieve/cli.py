@@ -68,7 +68,7 @@ from . import __version__
 from .counting import (CountResult, ProblemSpec, dec_str, density_experiment,
                        density_run_csv, density_run_payload, direct_count,
                        mobius_count)
-from .dioph import _type_from, convergents, convergents_csv, find_window
+from .dioph import convergents, convergents_csv, estimate_type, find_window
 from .equidist import (discrepancy_report, discrepancy_report_payload,
                        linear_bound, linear_sum_exact, monotone_check,
                        nu_sequence, quadratic_bound, reciprocal_sum,
@@ -306,11 +306,13 @@ def cmd_dioph(cfg: _Config, workers: int):
     window_q = cfg.int_("window_q", minimum=2)
     window_exponent = cfg.float_("window_exponent")
     cfg.finish()
+    if window_q is None and window_exponent is not None:
+        raise ConfigError("window_exponent needs window_q")
     spec = as_spec(alpha)
     ladder = convergents(spec, max(max_q, window_q or 0))
     convs = [c for c in ladder if c.q <= max_q]
     try:
-        est = _type_from(convs, max_q, mode)
+        est = estimate_type(convs, max_q, mode)
         estimate = {"tau_hat": est.tau_hat, "mode": est.mode,
                     "samples": [[q, val] for q, val in est.samples]}
     except InsufficientData as exc:
@@ -329,9 +331,8 @@ def cmd_dioph(cfg: _Config, workers: int):
         if window_exponent is None and mode == "polynomial":
             raise ConfigError("window_exponent required with window_q "
                               "in poly mode")
-        win = find_window(spec, window_q,
-                          window_exponent if window_exponent is not None
-                          else 0.5, mode, ladder=ladder)
+        varpi = 0.5 if window_exponent is None else window_exponent
+        win = find_window(ladder, window_q, varpi, mode)
         payload["window"] = {"a": win.a, "q": win.q, "Q": win.Q,
                              "lower": win.lower,
                              "satisfied": win.satisfied}
@@ -465,6 +466,10 @@ def atomic_write(path: str, data: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
     try:
         with os.fdopen(fd, "w") as fh:
+            # mkstemp creates the file 0600; give it what open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

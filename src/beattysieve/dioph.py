@@ -18,7 +18,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from itertools import takewhile
+from typing import Iterator, Sequence, Union
 
 from .errors import (InsufficientData, InvalidSpec, NoConvergent,
                      RationalTerminated)
@@ -82,17 +83,13 @@ def _common_prefix(xs: list[int], ys: list[int]) -> list[int]:
     return out
 
 
-def _denominators_reach(terms: Sequence[int], max_q: int) -> bool:
-    """True when the recurrence q_j = a_j q_{j-1} + q_{j-2} exceeds max_q."""
-    q_prev, q_cur = 0, None
-    for j, a in enumerate(terms):
-        if j == 0:
-            q_cur = 1
-        else:
-            q_prev, q_cur = q_cur, a * q_cur + q_prev
-        if q_cur > max_q:
-            return True
-    return False
+def _ladder(terms: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The convergents of [a_0; a_1, ...] as (p_j, q_j) pairs, from
+    p_j = a_j p_{j-1} + p_{j-2} and q_j = a_j q_{j-1} + q_{j-2}."""
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    for a in terms:
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        yield p, q
 
 
 def _certified_quotients(spec: RealSpec,
@@ -110,7 +107,8 @@ def _certified_quotients(spec: RealSpec,
         term_cap = 2 * pe + 8
         common = _common_prefix(_euclid_terms(lo, 1 << pe, term_cap),
                                 _euclid_terms(hi, 1 << pe, term_cap))
-        return common if _denominators_reach(common, max_q) else None
+        return (common if any(q > max_q for _, q in _ladder(common))
+                else None)
 
     form = LinearForm([(spec, 1, 0)])
     return next(form._decide((1,), lambda _: 64, "partial quotients",
@@ -129,41 +127,29 @@ def convergents(spec: RealSpec, max_q: int) -> list[Convergent]:
     if max_q < 1:
         raise InvalidSpec("max_q must be a positive integer")
     terms, terminated = _certified_quotients(spec, max_q)
-    pairs: list[tuple[int, int]] = []
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = None, None
-    for j, a in enumerate(terms):
-        if j == 0:
-            p_cur, q_cur = a, 1
-        else:
-            p_cur, q_cur, p_prev, q_prev = (a * p_cur + p_prev,
-                                            a * q_cur + q_prev, p_cur, q_cur)
-        if q_cur > max_q:
-            break
-        pairs.append((p_cur, q_cur))
-    if len(pairs) >= 2 and pairs[0][1] == 1 and pairs[1][1] == 1:
+    pairs = list(takewhile(lambda pq: pq[1] <= max_q, _ladder(terms)))
+    if terminated and len(pairs) == len(terms):
+        warnings.warn(f"expansion of {spec.text()} terminates at denominator "
+                      f"{pairs[-1][1]}", RationalTerminated, stacklevel=2)
+    if len(pairs) >= 2 and pairs[1][1] == 1:
         pairs = pairs[1:]
     out = []
     for i, (p, q) in enumerate(pairs):
         bits = max(48, 2 * q.bit_length() + 8)
         quality = next(dist_nearest_ints(spec, (q,), bits=bits))
         out.append(Convergent(i, p, q, quality))
-    if terminated and not _denominators_reach(terms, max_q):
-        warnings.warn(f"expansion of {spec.text()} terminates at denominator "
-                      f"{pairs[-1][1] if pairs else 1}", RationalTerminated,
-                      stacklevel=2)
     return out
 
 
-def find_window(spec: RealSpec, Q: Number, varpi: Number, mode: str, *,
-                ladder: Optional[Sequence[Convergent]] = None) -> ApproxWindow:
+def find_window(ladder: Sequence[Convergent], Q: Number, varpi: Number,
+                mode: str) -> ApproxWindow:
     """Best approximation with q ≤ Q, against the floor Q^varpi or (log Q)^(varpi+1).
 
-    The returned window always carries the largest convergent denominator
+    ladder is `convergents(spec, cap)` for some cap ≥ Q; the window reads
+    its convergents with q ≤ Q, which do not depend on the cap.  The
+    returned window always carries the largest convergent denominator
     ≤ Q; `satisfied` records whether it also clears the floor, so callers
     can observe exactly where the two-sided window starts to exist.
-    ladder, when given, is `convergents(spec, cap)` for some cap ≥ Q,
-    which the window then reads instead of building its own.
     """
     Qf = float(Q)
     if Qf < 2:
@@ -179,43 +165,35 @@ def find_window(spec: RealSpec, Q: Number, varpi: Number, mode: str, *,
         lower = math.log(Qf) ** (v + 1)
     else:
         raise InvalidSpec(f"unknown window mode {mode!r}")
-    convs = (convergents(spec, math.floor(Qf)) if ladder is None
-             else [c for c in ladder if c.q <= Qf])
+    convs = [c for c in ladder if c.q <= Qf]
     if not convs:
         raise NoConvergent(f"no convergent with denominator <= {Qf}")
     best = convs[-1]
     return ApproxWindow(best.a, best.q, Qf, lower, best.q > lower)
 
 
-def estimate_type(spec: RealSpec, max_q: int, mode: str) -> TypeEstimate:
+def estimate_type(ladder: Sequence[Convergent], max_q: int,
+                  mode: str) -> TypeEstimate:
     """Approximability exponent from convergent-denominator growth.
 
-    Ratios log q_{i+1}/log q_i (polynomial) or log log q_{i+1}/log q_i
-    (exponential) are reported for every consecutive pair with q_i ≥ 2;
-    tau_hat is the maximum over the later half of the samples, where the
-    small-denominator transient has died out — early ratios like
-    log 5/log 2 would otherwise dominate forever and mask the trend.
+    ladder is `convergents(spec, cap)` for some cap ≥ max_q, of which the
+    convergents with q ≤ max_q are read.  Ratios log q_{i+1}/log q_i
+    (polynomial) or log log q_{i+1}/log q_i (exponential) are reported
+    for every consecutive pair with q_i ≥ 2; tau_hat is the maximum over
+    the later half of the samples, where the small-denominator transient
+    has died out — early ratios like log 5/log 2 would otherwise
+    dominate forever and mask the trend.
     """
     if mode not in ("polynomial", "exponential"):
         raise InvalidSpec(f"unknown type-estimation mode {mode!r}")
-    return _type_from(convergents(spec, max_q), max_q, mode)
-
-
-def _type_from(convs: Sequence[Convergent], max_q: int,
-               mode: str) -> TypeEstimate:
-    """estimate_type over the ladder convergents(spec, max_q) gave."""
-    if len(convs) < 3:
+    qs = [c.q for c in ladder if c.q <= max_q]
+    if len(qs) < 3:
         raise InsufficientData(
-            f"need at least 3 convergents below {max_q}, found {len(convs)}")
-    qs = [c.q for c in convs]
-    samples = []
-    for q1, q2 in zip(qs, qs[1:]):
-        if q1 < 2:
-            continue
-        if mode == "polynomial":
-            samples.append((q1, math.log(q2) / math.log(q1)))
-        else:
-            samples.append((q1, math.log(math.log(q2)) / math.log(q1)))
+            f"need at least 3 convergents below {max_q}, found {len(qs)}")
+    grown = math.log if mode == "polynomial" else (
+        lambda q: math.log(math.log(q)))
+    samples = [(q1, grown(q2) / math.log(q1))
+               for q1, q2 in zip(qs, qs[1:]) if q1 >= 2]
     if not samples:
         raise InsufficientData("no denominator pairs with q_i >= 2")
     tail = samples[len(samples) // 2:]

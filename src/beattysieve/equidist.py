@@ -140,49 +140,35 @@ def nu_sequence(problem: ProblemSpec, d: int, N: int) -> PointSet:
 # discrepancy: exact (1D), box-witness lower bound, Erdős–Turán–Koksma bound
 
 
-def _values_1d(ps_or_values):
-    """The values in ascending order: a point set's doubles as a float64
-    array, any other input as a list of exact Fractions."""
-    if isinstance(ps_or_values, PointSet):
-        if ps_or_values.dim != 1:
-            raise InvalidSpec("exact discrepancy needs dim = 1")
-        vals = np.sort(ps_or_values.points[:, 0])
-    else:
-        vals = sorted(Fraction(v) for v in ps_or_values)
-    if not len(vals):
-        raise InvalidSpec("need at least one point")
-    if vals[0] < 0 or vals[-1] >= 1:
-        raise InvalidSpec("points must lie in [0, 1)")
-    return vals
-
-
-def discrepancy_exact_1d(ps_or_values) -> Fraction:
+def discrepancy_exact_1d(ps: PointSet) -> Fraction:
     """Exact extreme discrepancy sup |count/N - length| over [a, b).
 
     For sorted x_1 <= ... <= x_N in [0, 1) the supremum over all
     half-open subintervals of [0, 1) is
     D_N = 1/N + max_i (i/N - x_i) - min_i (i/N - x_i)
     (Kuipers–Niederreiter, *Uniform Distribution of Sequences*, Ch. 2,
-    §1), here (1 + max g - min g)/N over g_i = i - N x_i.  Input floats
-    are taken as exact rationals, so the returned Fraction is the true
-    supremum for the stored coordinates.
+    §1), here (1 + max g - min g)/N over g_i = i - N x_i.  The stored
+    doubles of the 1-D point set ps are taken as exact rationals, so the
+    returned Fraction is the true supremum for the stored coordinates.
 
     A float64 pass screens for the extremes and Fraction arithmetic
     rescores the few indices it leaves.  For N < 2^53, i and N are exact
-    doubles and the float gap g~_i = i - N float(x_i) is within
-    eps = N 2^-51 of g_i: float(x_i) moves x_i by at most 2^-54 (not at
-    all for a point set's doubles), so N x_i by N 2^-54; the product and
-    the difference lie in [-N, N] and each rounds by at most N 2^-53.
-    That sums to 5/2 N 2^-53 < eps.  So the true argmax has
-    g~ >= max g~ - 2 eps and the true argmin g~ <= min g~ + 2 eps, and
-    the slack of eps over 5/2 N 2^-53 absorbs the rounding of those two
-    thresholds.  Only the indices within 2 eps of the float maximum or
-    minimum are rescored; ties, as on a lattice where every g_i is
-    equal, only enlarge that candidate set.
+    doubles and the float gap g~_i = i - N x_i is within eps = N 2^-51
+    of g_i: the product and the difference lie in [-N, N] and each
+    rounds by at most N 2^-53, 2 N 2^-53 < eps in all.  So the true
+    argmax has g~ >= max g~ - 2 eps and the true argmin
+    g~ <= min g~ + 2 eps, and the slack of eps over 2 N 2^-53 absorbs
+    the rounding of those two thresholds.  Only the indices within 2 eps
+    of the float maximum or minimum are rescored; ties, as on a lattice
+    where every g_i is equal, only enlarge that candidate set.
     """
-    vals = _values_1d(ps_or_values)
+    if ps.dim != 1:
+        raise InvalidSpec("exact discrepancy needs dim = 1")
+    if ps.N < 1:
+        raise InvalidSpec("need at least one point")
+    vals = np.sort(ps.points[:, 0])
     N = len(vals)
-    gaps = np.arange(1, N + 1) - N * np.asarray(vals, dtype=float)
+    gaps = np.arange(1, N + 1) - N * vals
     slack = 2 * N * 2.0 ** -51
 
     def rescored(near):

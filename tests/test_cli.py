@@ -18,7 +18,7 @@ from beattysieve.cli import (atomic_write, main, parse_config_text,
                              split_reals)
 from beattysieve.counting import ProblemSpec, direct_count, mobius_count
 from beattysieve.errors import ConfigError
-from beattysieve.dioph import estimate_type, find_window
+from beattysieve.dioph import convergents, estimate_type, find_window
 from beattysieve.realnum import LiouvilleSeries, parse_real, sqrt3
 
 from conftest import FIXTURE_DIR
@@ -334,6 +334,14 @@ def test_dioph_window_needs_exponent_in_poly_mode():
         run_config(raw)
 
 
+@pytest.mark.parametrize("mode", ["poly", "exp"])
+def test_dioph_exponent_without_window_is_refused(mode):
+    raw = {"command": "dioph", "alpha": SQRT2, "max_q": "100",
+           "mode": mode, "window_exponent": "0.5"}
+    with pytest.raises(ConfigError, match="window_exponent needs window_q"):
+        run_config(raw)
+
+
 def test_dioph_exponential_window_without_exponent():
     raw = {"command": "dioph", "alpha": SQRT2, "max_q": "100",
            "mode": "exp", "window_q": "100"}
@@ -358,7 +366,7 @@ def test_dioph_insufficient_data_reported_not_fatal():
 ], ids=["sqrt2_poly", "liouville_exp"])
 def test_dioph_builds_its_ladder_once(monkeypatch, alpha, max_q, mode):
     from beattysieve import cli, dioph
-    est = estimate_type(parse_real(alpha), max_q, mode)
+    est = estimate_type(convergents(parse_real(alpha), max_q), max_q, mode)
     calls = []
     original = dioph.convergents
 
@@ -383,7 +391,8 @@ def test_dioph_builds_its_ladder_once(monkeypatch, alpha, max_q, mode):
 ], ids=["equal_caps", "window_above", "window_below"])
 def test_dioph_window_reads_the_one_ladder(monkeypatch, window_q, qs):
     from beattysieve import cli, dioph
-    want = find_window(parse_real(SQRT2), window_q, 0.5, "polynomial")
+    want = find_window(convergents(parse_real(SQRT2), window_q), window_q,
+                       0.5, "polynomial")
     calls = []
     original = dioph.convergents
 
@@ -527,6 +536,18 @@ def test_main_out_file_and_csv_format(tmp_path, capsys):
     assert out.read_text() == "x,count,method,d_cutoff\n50,31,direct,\n"
     assert [p.name for p in tmp_path.iterdir() if p.name != "job.cfg"] == \
         ["report.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_main_out_file_mode_follows_the_umask(tmp_path, capsys, umask):
+    cfg = write_config(tmp_path, f"command=count\nalphas={SQRT2}\nms=1\nx=50\n")
+    out = tmp_path / "report.json"
+    old = os.umask(umask)
+    try:
+        assert main(["count", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert os.stat(out).st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_main_csv_rejected_when_command_has_none(tmp_path, capsys):

@@ -30,3 +30,22 @@ def test_every_module_level_import_is_used(path):
 def test_unused_imports_are_found():
     text = "import math\nimport os.path\nfrom a import b as c, d\nd()\n"
     assert unused_imports(text) == ["math", "os", "c"]
+
+
+def private_imports(text: str) -> list:
+    """Underscore-prefixed names, dunders aside, that a module imports
+    from its own package."""
+    names = [a.name for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.ImportFrom) and node.level > 0
+             for a in node.names]
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def test_cli_imports_only_public_names():
+    assert private_imports((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_private_imports_are_found():
+    text = ("from . import __version__\nfrom .dioph import _a, b\n"
+            "from os import _exit\nfrom .realnum import _c as c\n")
+    assert private_imports(text) == ["_a", "_c"]
