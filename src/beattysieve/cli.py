@@ -65,7 +65,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .counting import (CountResult, ProblemSpec, dec_str, density_experiment,
+from .counting import (ProblemSpec, dec_str, density_experiment,
                        density_run_csv, density_run_payload, direct_count,
                        mobius_count)
 from .dioph import convergents, convergents_csv, estimate_type, find_window
@@ -231,12 +231,6 @@ def build_problem(cfg: _Config) -> ProblemSpec:
 # reciprocal-distance sums append their counters for the meta block
 
 
-def _count_payload(res: CountResult) -> dict:
-    return {"x": res.x, "count": res.count, "method": res.method,
-            "d_cutoff": res.d_cutoff,
-            "density": dec_str(Fraction(res.count, res.x), 20)}
-
-
 def cmd_count(cfg: _Config, workers: int):
     problem = build_problem(cfg)
     x = cfg.int_("x", required=True, minimum=1)
@@ -250,7 +244,9 @@ def cmd_count(cfg: _Config, workers: int):
         res = direct_count(problem, x, workers=workers)
     else:
         res = mobius_count(problem, x, d_cutoff)
-    payload = _count_payload(res)
+    payload = {"x": res.x, "count": res.count, "method": res.method,
+               "d_cutoff": res.d_cutoff,
+               "density": dec_str(Fraction(res.count, res.x), 20)}
     csv = "x,count,method,d_cutoff\n" \
           f"{res.x},{res.count},{res.method},{res.d_cutoff or ''}\n"
     return payload, csv, asdict(res.stats)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import bisect
 import decimal
 import math
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -137,7 +136,6 @@ class CountResult:
     count: int
     method: str
     d_cutoff: Optional[int]
-    elapsed: float
     stats: FloorStats = FloorStats()
 
     def __post_init__(self) -> None:
@@ -383,23 +381,18 @@ def _coordinate(plan: list, forms: list, j: int, d: np.ndarray,
     return out
 
 
-_STRIDED = 8                       # prime powers below it: strided slices
-
-
 def _root_sieve(limit: int) -> tuple:
     """What `_radical_gcd` sieves with for n ≤ limit: every power q ≤ limit
-    of each prime p ≤ sqrt(limit), as (small, q, p, k).  small lists the
-    (q, p) with q < _STRIDED; the arrays q (int64) and p (float64) hold
-    the rest, the k primes first."""
-    small, primes, powers = [], [], []
+    of each prime p ≤ sqrt(limit), as (q, p, k), the arrays q (int64) and
+    p (float64) with the k primes first."""
+    primes, powers = [], []
     for p in _root_primes(limit).tolist():
         q = p
         while q <= limit:
-            (small if q < _STRIDED else primes if q == p else powers).append(
-                (q, p))
+            (primes if q == p else powers).append((q, p))
             q *= p
-    rest = np.array(primes + powers, dtype=np.int64).reshape(-1, 2)
-    return small, rest[:, 0], rest[:, 1].astype(np.float64), len(primes)
+    pairs = np.array(primes + powers, dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1].astype(np.float64), len(primes)
 
 
 def _radical_gcd(n_lo: int, r: np.ndarray, sieve: tuple) -> np.ndarray:
@@ -408,11 +401,10 @@ def _radical_gcd(n_lo: int, r: np.ndarray, sieve: tuple) -> np.ndarray:
     and the `_root_sieve` of a limit below 2^53 and at least the last n.
 
     Each power q = p^i of the sieve multiplies smooth by p at the n it
-    divides: by strided slices for q < _STRIDED, and for the rest in one
-    pass over the block's (position, q) pairs.  So smooth(n) is the part
-    of n built from the primes ≤ sqrt(limit), and n / smooth(n) is 1 or
-    the one prime factor of n above sqrt(limit), as two such primes
-    would exceed the limit.  Each prime p | n is tested once: p | r_n.
+    divides, in one pass over the block's (position, q) pairs.  So
+    smooth(n) is the part of n built from the primes ≤ sqrt(limit), and
+    n / smooth(n) is 1 or the one prime factor of n above sqrt(limit), as
+    two such primes would exceed it.  Each prime p | n is tested once: p | r_n.
 
     The arithmetic is exact.  Every n, r_n, p, partial product (a
     divisor of n) and quotient here is an integer below 2^53, so float64
@@ -421,19 +413,14 @@ def _radical_gcd(n_lo: int, r: np.ndarray, sieve: tuple) -> np.ndarray:
     divide r, r/p lies at least 1/p from every integer, while rounding
     moves it by at most half an ulp, at most 2^-53 r/p < 1/p.
     """
-    small, q, p, k = sieve
+    q, p, k = sieve
     size = r.size
     smooth, g = np.ones(size), np.ones(size)
-    for qs, ps in small:
-        at = slice(-n_lo % qs, None, qs)
-        smooth[at] *= ps
-        if qs == ps:
-            v = r[at] / ps
-            g[at] *= np.where(v == np.floor(v), ps, 1.0)
     off = -n_lo % q                     # the first multiple of each q
     cnt = (size - 1 - off) // q + 1     # and how many the block holds
-    rank = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    pos = np.repeat(off, cnt) + rank * np.repeat(q, cnt)
+    q = np.minimum(q, size)             # a q past the block has one pair
+    pos = np.arange(cnt.sum()) * np.repeat(q, cnt)
+    pos += np.repeat(off - (np.cumsum(cnt) - cnt) * q, cnt)
     pp = np.repeat(p, cnt)
     np.multiply.at(smooth, pos, pp)
     top = cnt[:k].sum()                 # the pairs of the primes
@@ -540,10 +527,8 @@ def direct_count(problem: ProblemSpec, x: int, *,
     """
     if x < 1:
         raise InvalidSpec("x must be >= 1")
-    start = time.perf_counter()
     (count,), stats = _direct_sweep(problem, (x,), workers)
-    return CountResult(x, count, "direct", None,
-                       time.perf_counter() - start, stats)
+    return CountResult(x, count, "direct", None, stats)
 
 
 def _box_hits(plan: list, forms: list, caps: list, d: np.ndarray,
@@ -624,7 +609,6 @@ def mobius_count(problem: ProblemSpec, x: int,
         raise InvalidSpec("x must be >= 1")
     if d_cutoff is not None and not 1 <= d_cutoff <= x:
         raise InvalidSpec("d_cutoff must lie in [1, x]")
-    start = time.perf_counter()
     depth = d_cutoff if d_cutoff is not None else x
     forms = [coordinate_form(problem, j) for j in range(problem.k)]
     plan = _fast_plan(forms)
@@ -654,7 +638,6 @@ def mobius_count(problem: ProblemSpec, x: int,
             hits = _box_hits(plan, forms, caps, d[keep], n[i[keep]], tally)
             total += int(mu[keep[hits]].sum(dtype=np.int64))
     return CountResult(x, total, "mobius", d_cutoff,
-                       time.perf_counter() - start,
                        FloorStats(tally[0], tally[1], plan.count(None)))
 
 

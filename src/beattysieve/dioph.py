@@ -64,23 +64,14 @@ class TypeEstimate:
     mode: str             # "polynomial" or "exponential"
 
 
-def _euclid_terms(num: int, den: int, limit: int) -> list[int]:
-    """Greedy partial quotients of num/den (den > 0), at most `limit` terms."""
+def _euclid_terms(num: int, den: int) -> list[int]:
+    """Greedy partial quotients of num/den (den > 0)."""
     terms = []
-    while den and len(terms) < limit:
+    while den:
         a, rem = divmod(num, den)
         terms.append(a)
         num, den = den, rem
     return terms
-
-
-def _common_prefix(xs: list[int], ys: list[int]) -> list[int]:
-    out = []
-    for x, y in zip(xs, ys):
-        if x != y:
-            break
-        out.append(x)
-    return out
 
 
 def _ladder(terms: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -101,12 +92,11 @@ def _certified_quotients(spec: RealSpec,
     """
     exact = spec.exact()
     if exact is not None:
-        return _euclid_terms(exact.numerator, exact.denominator, 1 << 62), True
+        return _euclid_terms(exact.numerator, exact.denominator), True
 
     def verdict(lo, hi, pe):
-        term_cap = 2 * pe + 8
-        common = _common_prefix(_euclid_terms(lo, 1 << pe, term_cap),
-                                _euclid_terms(hi, 1 << pe, term_cap))
+        pairs = zip(_euclid_terms(lo, 1 << pe), _euclid_terms(hi, 1 << pe))
+        common = [a for a, b in takewhile(lambda ab: ab[0] == ab[1], pairs)]
         return (common if any(q > max_q for _, q in _ladder(common))
                 else None)
 
@@ -151,7 +141,10 @@ def find_window(ladder: Sequence[Convergent], Q: Number, varpi: Number,
     ≤ Q; `satisfied` records whether it also clears the floor, so callers
     can observe exactly where the two-sided window starts to exist.
     """
-    Qf = float(Q)
+    try:
+        Qf = float(Q)
+    except OverflowError as exc:
+        raise InvalidSpec("window cap Q is out of float range") from exc
     if Qf < 2:
         raise InvalidSpec("window cap Q must be >= 2")
     v = float(varpi)

@@ -504,8 +504,11 @@ def weyl_bound_report(spec: SpecLike, m: int, h: int, N: int,
     delta = (Fraction(abs(h), q) + Fraction(1, N) + Fraction(q, N ** m)
              + Fraction(math.gcd(q, abs(h)), N ** (m - 1)))
     mm = m * m - m
-    bound_o = float(N) ** (1.0 + eps) * float(delta) ** (1.0 / mm)
-    bound_log = N * math.log(N) * float(delta) ** (1.0 / (mm + 2))
+    try:
+        bound_o = float(N) ** (1.0 + eps) * float(delta) ** (1.0 / mm)
+        bound_log = N * math.log(N) * float(delta) ** (1.0 / (mm + 2))
+    except OverflowError as exc:
+        raise InvalidSpec("N^(1+eps) or delta is out of float range") from exc
     phases = _phases_for_poly(spec, m, h, N, lower_poly)
     actual = abs(_cis_sum(phases))
     return WeylBoundReport(m, h, q, N, delta, bound_o, bound_log, actual,
@@ -522,7 +525,10 @@ def linear_bound(q: int, h: int, N: int) -> float:
         raise InvalidSpec("q and N must be >= 1")
     if h == 0:
         raise InvalidSpec("h must be nonzero")
-    return float(Fraction(abs(h) * N, q) + q)
+    try:
+        return float(Fraction(abs(h) * N, q) + q)
+    except OverflowError as exc:
+        raise InvalidSpec("N(|h|/q + q/N) is out of float range") from exc
 
 
 @dataclass(frozen=True)
@@ -721,7 +727,10 @@ def reciprocal_sum(spec: SpecLike, K: int, N: int, *,
     q = _denominator(spec, q, K, "K")
     (lo, hi, mid), read, fallback = _exact_floats(
         _distance_rows(spec, range(1, K + 1), N, 60))
-    bound = (N + q * math.log(q)) * (K / q + 1.0)
+    try:
+        bound = (N + q * math.log(q)) * (K / q + 1.0)
+    except OverflowError as exc:
+        raise InvalidSpec("N + q ln q is out of float range") from exc
     return ReciprocalSumReport(K, N, q, mid, (lo, hi), bound,
                                SumStats(read, int(fallback)))
 

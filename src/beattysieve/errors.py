@@ -18,11 +18,10 @@ class PrecisionExhausted(BeattySieveError):
     which alpha/term/argument needs a better representation.
     """
 
-    def __init__(self, message: str, *, spec=None, scale=None, term=None,
+    def __init__(self, message: str, *, spec=None, term=None,
                  n=None, bits=None):
         super().__init__(message)
         self.spec = spec
-        self.scale = scale
         self.term = term
         self.n = n
         self.bits = bits

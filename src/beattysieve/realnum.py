@@ -672,12 +672,12 @@ class LinearForm:
         if self._cap is not None and prec >= self._cap:
             raise PrecisionExhausted(
                 f"{need} undecided at {at}: {self._limit.text()} carries "
-                f"only {self._cap} bits", spec=self._limit, scale=t, n=t,
+                f"only {self._cap} bits", spec=self._limit, n=t,
                 bits=self._cap)
         if prec >= DEFAULT_MAX_BITS:
             raise PrecisionExhausted(
                 f"{need} undecided at {at} within the {DEFAULT_MAX_BITS}-bit "
-                f"ceiling", spec=self.terms[0][0], scale=t, n=t, bits=prec)
+                f"ceiling", spec=self.terms[0][0], n=t, bits=prec)
         return min(2 * prec, DEFAULT_MAX_BITS)
 
     def _decide(self, ts, start, need: str, verdict, exact=None):

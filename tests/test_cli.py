@@ -634,6 +634,33 @@ def test_main_refuses_values_a_report_cannot_carry(tmp_path, capsys, command,
     assert f"config error: '{key}' must be" in capsys.readouterr().err
 
 
+# an integer past the float range, or a float power past it, ends in a
+# config error that names the quantity, not an OverflowError traceback
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize("command, body, quantity", [
+    ("dioph", f"alpha={SQRT2}\nmax_q=100\nwindow_q={_HUGE}\n"
+              "window_exponent=0.5\n", "window cap Q"),
+    ("bounds", f"bound=linear\nq={_HUGE}\nh=1\nn=10\n", "N(|h|/q + q/N)"),
+    ("bounds", f"bound=linear\nq=5\nh={_HUGE}\nn=10\n", "N(|h|/q + q/N)"),
+    ("bounds", f"bound=linear\nq=5\nh=1\nn={_HUGE}\n", "N(|h|/q + q/N)"),
+    ("bounds", f"bound=reciprocal\nalpha={SQRT2}\nk=3\nn=30\nq={_HUGE}\n",
+     "N + q ln q"),
+    ("bounds", f"bound=poly_sum\nalpha={SQRT2}\nm=2\nh=1\nn=100\n"
+               f"q={_HUGE}\n", "N^(1+eps) or delta"),
+    ("bounds", f"bound=poly_sum\nalpha={SQRT2}\nm=2\nh=1\nn=100\n"
+               "eps=1000\n", "N^(1+eps) or delta"),
+], ids=["dioph_window_q", "linear_q", "linear_h", "linear_n",
+        "reciprocal_q", "poly_sum_q", "poly_sum_eps"])
+def test_main_refuses_values_past_the_float_range(tmp_path, capsys, command,
+                                                  body, quantity):
+    cfg = write_config(tmp_path, f"command={command}\n{body}")
+    assert main([command, "--config", cfg]) == 2
+    assert f"config error: {quantity} is out of float range" in \
+        capsys.readouterr().err
+
+
 def test_main_refuses_the_removed_c_key(tmp_path, capsys):
     # the Erdős–Turán–Koksma constants are the theorem's, not a setting
     cfg = write_config(tmp_path, f"command=discrepancy\nalphas={SQRT2}\n"
