@@ -10,7 +10,8 @@ match, whatever the worker count.
 
 import json
 
-from beattysieve.cli import parse_config_text, payload_bytes, run_config
+from beattysieve.cli import (parse_config_text, payload_bytes, report_csv,
+                             run_config)
 
 COUNT_CONFIG = """
 # coprimality of (n, floor(sqrt2 n), floor(sqrt3 n^2)) up to x
@@ -54,7 +55,7 @@ def main() -> int:
     print(f"  gamma_hat = {res['gamma_hat']:.4f} "
           f"(theoretical gamma = {res['theoretical_gamma']})")
     print("  CSV:")
-    for line in report["_csv"].rstrip().splitlines():
+    for line in report_csv(report).rstrip().splitlines():
         print("   ", line)
     return 0
 

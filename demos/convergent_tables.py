@@ -10,7 +10,8 @@ series shows its engineered excess.
 
 from fractions import Fraction
 
-from beattysieve import convergents, convergents_csv, estimate_type, find_window
+from beattysieve import convergents, estimate_type, find_window
+from beattysieve.cli import report_csv, run_config
 from beattysieve.realnum import LiouvilleSeries, golden_ratio, sqrt2
 
 
@@ -44,7 +45,9 @@ def main() -> int:
     print(f"  theta_hat = {est.tau_hat:.6f}")
 
     print("\n== CSV of the sqrt(2) ladder (first lines) ==")
-    print(convergents_csv(rows[:5]).rstrip())
+    report = run_config({"command": "dioph", "alpha": sqrt2().text(),
+                         "max_q": str(rows[4].q)})
+    print(report_csv(report).rstrip())
     return 0
 
 

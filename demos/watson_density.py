@@ -12,12 +12,11 @@ from fractions import Fraction
 from beattysieve import (
     ProblemSpec,
     dec_str,
-    density_experiment,
-    density_run_csv,
     direct_count,
     inv_zeta,
     mobius_count,
 )
+from beattysieve.cli import report_csv, run_config
 from beattysieve.realnum import sqrt2
 
 
@@ -39,13 +38,15 @@ def main() -> int:
               f"{dec_str(abs(dens - target), 10):>12} {dt:>6.2f}s")
 
     print("\nfitted error exponent over the decade grid:")
-    run = density_experiment(problem, (10**3, 10**4, 10**5), tau=1)
-    print(f"  |N(x) - x/zeta(2)| ~ x^{float(run.fitted_exponent):.3f}"
-          f"   (gamma_hat = {float(run.gamma_hat):.3f},"
-          f" theoretical gamma = {run.theoretical_gamma})")
+    report = run_config({"command": "density", "alphas": sqrt2().text(),
+                         "ms": "1", "grid": "1000,10000,100000", "tau": "1"})
+    res = report["results"]
+    print(f"  |N(x) - x/zeta(2)| ~ x^{res['fitted_exponent']:.3f}"
+          f"   (gamma_hat = {res['gamma_hat']:.3f},"
+          f" theoretical gamma = {res['theoretical_gamma']})")
 
     print("\nCSV of the run:")
-    print(density_run_csv(run))
+    print(report_csv(report))
     return 0
 
 

@@ -12,21 +12,18 @@ inequalities as measurable formulas.
 
 from .counting import (CountResult, DensityRun, FloorStats, ProblemSpec,
                        coordinate_form, dec_str, density_experiment,
-                       density_run_csv, density_run_payload, direct_count,
-                       inv_zeta, mobius_count, mobius_sieve, theoretical_gamma,
-                       theoretical_gamma_star, zeta_int)
+                       direct_count, inv_zeta, mobius_count, mobius_sieve,
+                       theoretical_gamma, theoretical_gamma_star, zeta_int)
 from .dioph import (ApproxWindow, Convergent, TypeEstimate, convergents,
-                    convergents_csv, estimate_type, find_window)
+                    estimate_type, find_window)
 from .equidist import (BoxLower, DiscrepancyReport, LinearSumCheck,
                        PointSet, QuadraticBoundReport, ReciprocalSumReport,
                        ScreenStats, SumStats, WeylBoundReport, WeylSum,
-                       discrepancy_box_lower,
-                       discrepancy_exact_1d, discrepancy_report,
-                       discrepancy_report_payload, et_koksma_upper,
-                       linear_bound, linear_sum_exact, monotone_check,
-                       nu_sequence, quadratic_bound, reciprocal_sum,
-                       weyl_bound_payload, weyl_bound_report, weyl_sum,
-                       weyl_terms_csv)
+                       discrepancy_box_lower, discrepancy_exact_1d,
+                       discrepancy_report, et_koksma_upper, linear_bound,
+                       linear_sum_exact, monotone_check, nu_sequence,
+                       quadratic_bound, reciprocal_sum, weyl_bound_report,
+                       weyl_sum)
 from .errors import (BeattySieveError, ConfigError, DegenerateFit,
                      InsufficientData, InvalidSpec, NoConvergent,
                      PrecisionExhausted, RationalTerminated, ResourceLimit)

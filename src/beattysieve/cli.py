@@ -2,11 +2,15 @@
 
 Every experiment is described by a small config file; the CLI validates
 it against the target command's preconditions, dispatches to the library,
-and writes a report atomically.  Reports split into "config" (echo),
-"results" (the numerical payload — byte-identical across worker counts),
-"fixtures" (hashes of fixture files consulted: always empty, since no
-command consults one), and "meta" (wall time, workers, the engine's
-counters: everything outside the determinism surface).
+and writes a report atomically.  This module owns the report format: each
+command handler builds its payload here from the library's result
+objects.  Reports split into "config" (echo), "results" (the numerical
+payload — byte-identical across worker counts), "fixtures" (hashes of
+fixture files consulted: always empty, since no command consults one),
+and "meta" (wall time, workers, the engine's counters: everything outside
+the determinism surface).  With --format csv the CLI writes the results
+table instead (`report_csv`), rendered from the payload only then: count,
+density, discrepancy, weyl and dioph have one, bounds has none.
 
 Config schema (lines of key=value; blank lines and #-comments ignored):
 
@@ -66,14 +70,11 @@ from typing import Optional
 
 from . import __version__
 from .counting import (ProblemSpec, dec_str, density_experiment,
-                       density_run_csv, density_run_payload, direct_count,
-                       mobius_count)
-from .dioph import convergents, convergents_csv, estimate_type, find_window
-from .equidist import (discrepancy_report, discrepancy_report_payload,
-                       linear_bound, linear_sum_exact, monotone_check,
-                       nu_sequence, quadratic_bound, reciprocal_sum,
-                       weyl_bound_payload, weyl_bound_report, weyl_sum,
-                       weyl_terms_csv)
+                       direct_count, mobius_count)
+from .dioph import convergents, estimate_type, find_window
+from .equidist import (discrepancy_report, linear_bound, linear_sum_exact,
+                       monotone_check, nu_sequence, quadratic_bound,
+                       reciprocal_sum, weyl_bound_report, weyl_sum)
 from .errors import (BeattySieveError, ConfigError, InsufficientData,
                      InvalidSpec, PrecisionExhausted, ResourceLimit)
 from .realnum import as_spec
@@ -81,6 +82,11 @@ from .realnum import as_spec
 EXIT_CONFIG = 2
 EXIT_PRECISION = 3
 EXIT_RESOURCE = 4
+# how main reports each failure; any other OSError or library error is
+# an "error", exit 2
+_FAILURES = {ConfigError: ("config error", EXIT_CONFIG),
+             PrecisionExhausted: ("precision exhausted", EXIT_PRECISION),
+             ResourceLimit: ("resource limit", EXIT_RESOURCE)}
 
 
 # ---------------------------------------------------------------------------
@@ -136,69 +142,57 @@ def split_reals(text: str) -> list:
     return items
 
 
+_REQUIRED = object()    # the default of a key that must be given
+
+
 class _Config:
-    """Typed accessors over the flat key=value map; tracks unused keys."""
+    """Typed accessors over the flat key=value map; tracks unused keys.
+
+    An accessor called without a default reads a required key.
+    """
 
     def __init__(self, raw: dict):
         self.raw = dict(raw)
         self.seen = set()
 
-    def _take(self, key: str, default=None, required=False):
+    def _take(self, key, default, convert=str, what=None):
         self.seen.add(key)
-        if key in self.raw:
-            return self.raw[key]
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+        if key not in self.raw:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r}")
+            return default
+        val = self.raw[key]
+        try:
+            return convert(str(val))
+        except ValueError:
+            raise ConfigError(f"{key!r} must be {what}, got {val!r}")
 
-    def str_(self, key, default=None, required=False, choices=None):
-        val = self._take(key, default, required)
-        if val is not None and choices is not None and val not in choices:
+    def str_(self, key, default=_REQUIRED, choices=None):
+        val = self._take(key, default)
+        if choices is not None and val not in choices:
             raise ConfigError(
                 f"{key!r} must be one of {sorted(choices)}, got {val!r}")
         return val
 
-    def int_(self, key, default=None, required=False, minimum=None):
-        val = self._take(key, default, required)
-        if val is None:
-            return None
-        try:
-            out = int(str(val))
-        except ValueError:
-            raise ConfigError(f"{key!r} must be an integer, got {val!r}")
-        if minimum is not None and out < minimum:
+    def int_(self, key, default=_REQUIRED, minimum=None):
+        val = self._take(key, default, int, "an integer")
+        if val is not None and minimum is not None and val < minimum:
             raise ConfigError(f"{key!r} must be >= {minimum}")
-        return out
+        return val
 
-    def float_(self, key, default=None):
-        val = self._take(key, default)
-        if val is None:
-            return None
-        try:
-            out = float(str(val))
-        except ValueError:
-            raise ConfigError(f"{key!r} must be a number, got {val!r}")
-        if not math.isfinite(out):
+    def float_(self, key, default):
+        val = self._take(key, default, float, "a number")
+        if val is not None and not math.isfinite(val):
             raise ConfigError(f"{key!r} must be finite, got {val!r}")
-        return out
+        return val
 
-    def int_list(self, key, required=False):
-        val = self._take(key, None, required)
-        if val is None:
-            return None
-        try:
-            return [int(p.strip()) for p in str(val).split(",") if p.strip()]
-        except ValueError:
-            raise ConfigError(f"{key!r} must be comma-separated integers")
+    def int_list(self, key):
+        return self._take(key, _REQUIRED, lambda text: [
+            int(p) for p in text.split(",") if p.strip()],
+            "comma-separated integers")
 
-    def str_list(self, key, required=False):
-        val = self._take(key, None, required)
-        if val is None:
-            return None
-        return split_reals(str(val))
-
-    def lower_keys(self):
-        return sorted(k for k in self.raw if k.startswith("lower_"))
+    def str_list(self, key, default=_REQUIRED):
+        return self._take(key, default, split_reals)
 
     def finish(self) -> None:
         unused = set(self.raw) - self.seen
@@ -207,10 +201,10 @@ class _Config:
 
 
 def build_problem(cfg: _Config) -> ProblemSpec:
-    alphas = cfg.str_list("alphas", required=True)
-    ms = cfg.int_list("ms", required=True)
+    alphas = cfg.str_list("alphas")
+    ms = cfg.int_list("ms")
     lower = {}
-    for key in cfg.lower_keys():
+    for key in sorted(k for k in cfg.raw if k.startswith("lower_")):
         try:
             j = int(key.split("_", 1)[1])
         except ValueError:
@@ -226,17 +220,17 @@ def build_problem(cfg: _Config) -> ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload dict, csv text or None), and the
-# counting commands, the point sets, the Weyl sums and the
-# reciprocal-distance sums append their counters for the meta block
+# command handlers: each returns (payload,), or (payload, counters) for
+# the counting commands, the point sets, the Weyl sums and the
+# reciprocal-distance sums, whose counters go to the meta block
 
 
 def cmd_count(cfg: _Config, workers: int):
     problem = build_problem(cfg)
-    x = cfg.int_("x", required=True, minimum=1)
+    x = cfg.int_("x", minimum=1)
     method = cfg.str_("method", "direct",
                       choices={"direct", "mobius"})
-    d_cutoff = cfg.int_("d_cutoff", minimum=1)
+    d_cutoff = cfg.int_("d_cutoff", None, minimum=1)
     cfg.finish()
     if method == "direct":
         if d_cutoff is not None:
@@ -247,60 +241,70 @@ def cmd_count(cfg: _Config, workers: int):
     payload = {"x": res.x, "count": res.count, "method": res.method,
                "d_cutoff": res.d_cutoff,
                "density": dec_str(Fraction(res.count, res.x), 20)}
-    csv = "x,count,method,d_cutoff\n" \
-          f"{res.x},{res.count},{res.method},{res.d_cutoff or ''}\n"
-    return payload, csv, asdict(res.stats)
+    return payload, asdict(res.stats)
 
 
 def cmd_density(cfg: _Config, workers: int):
     problem = build_problem(cfg)
-    grid = cfg.int_list("grid", required=True)
-    tau = cfg.str_("tau")
+    grid = cfg.int_list("grid")
+    tau = cfg.str_("tau", None)
     cfg.finish()
     run = density_experiment(problem, grid, tau=tau, workers=workers)
-    return (density_run_payload(run), density_run_csv(run),
-            asdict(run.stats))
+    gamma = run.theoretical_gamma
+    payload = {
+        "problem": run.problem.describe(),
+        "grid": list(run.grid),
+        "counts": list(run.counts),
+        "target": dec_str(run.target),
+        "errors": [dec_str(e) for e in run.errors],
+        "densities": [dec_str(Fraction(c, x), 20)
+                      for x, c in zip(run.grid, run.counts)],
+        "fitted_exponent": run.fitted_exponent,
+        "residual": run.residual,
+        "gamma_hat": run.gamma_hat,
+        "theoretical_gamma": None if gamma is None else dec_str(gamma),
+    }
+    return payload, asdict(run.stats)
 
 
 def cmd_discrepancy(cfg: _Config, workers: int):
     problem = build_problem(cfg)
     d = cfg.int_("d", 1, minimum=1)
-    n = cfg.int_("n", required=True, minimum=1)
+    n = cfg.int_("n", minimum=1)
     h = cfg.int_("h", 20, minimum=1)
     cfg.finish()
     ps = nu_sequence(problem, d, n)
-    report = discrepancy_report(ps, h)
-    payload = discrepancy_report_payload(report)
-    payload["provenance"] = ps.provenance
-    payload["coord_error"] = ps.coord_error
-    return payload, weyl_terms_csv(report), asdict(ps.stats)
+    rep = discrepancy_report(ps, h)
+    payload = {"N": rep.N, "exact": rep.exact, "box_lower": rep.box_lower,
+               "et_upper": rep.et_upper, "H": rep.H,
+               "weyl_terms": [{"h": list(t), "magnitude": mag, "r": r}
+                              for t, mag, r in rep.weyl_terms],
+               "provenance": ps.provenance, "coord_error": ps.coord_error}
+    return payload, asdict(ps.stats)
 
 
 def cmd_weyl(cfg: _Config, workers: int):
     problem = build_problem(cfg)
     d = cfg.int_("d", 1, minimum=1)
-    n = cfg.int_("n", required=True, minimum=1)
-    hvec = cfg.int_list("h", required=True)
+    n = cfg.int_("n", minimum=1)
+    hvec = cfg.int_list("h")
     cfg.finish()
     res = weyl_sum(problem, d, hvec, n)
     payload = {"d": d, "N": res.N, "h": list(hvec),
                "real": res.value.real, "imag": res.value.imag,
                "magnitude": abs(res.value),
                "error_bound": res.error_bound}
-    csv = "d,N,h,real,imag,magnitude,error_bound\n" \
-          f"{d},{res.N},{' '.join(map(str, hvec))},{res.value.real!r}," \
-          f"{res.value.imag!r},{abs(res.value)!r},{res.error_bound!r}\n"
-    return payload, csv, asdict(res.stats)
+    return payload, asdict(res.stats)
 
 
 def cmd_dioph(cfg: _Config, workers: int):
-    alpha = cfg.str_("alpha", required=True)
-    max_q = cfg.int_("max_q", required=True, minimum=1)
+    alpha = cfg.str_("alpha")
+    max_q = cfg.int_("max_q", minimum=1)
     mode = cfg.str_("mode", "poly",
                     choices={"poly", "exp", "polynomial", "exponential"})
     mode = {"poly": "polynomial", "exp": "exponential"}.get(mode, mode)
-    window_q = cfg.int_("window_q", minimum=2)
-    window_exponent = cfg.float_("window_exponent")
+    window_q = cfg.int_("window_q", None, minimum=2)
+    window_exponent = cfg.float_("window_exponent", None)
     cfg.finish()
     if window_q is None and window_exponent is not None:
         raise ConfigError("window_exponent needs window_q")
@@ -332,29 +336,34 @@ def cmd_dioph(cfg: _Config, workers: int):
         payload["window"] = {"a": win.a, "q": win.q, "Q": win.Q,
                              "lower": win.lower,
                              "satisfied": win.satisfied}
-    return payload, convergents_csv(convs)
+    return payload,
 
 
 def cmd_bounds(cfg: _Config, workers: int):
-    kind = cfg.str_("bound", required=True,
-                    choices={"poly_sum", "linear", "quadratic",
-                             "reciprocal", "monotone"})
+    kind = cfg.str_("bound", choices={"poly_sum", "linear", "quadratic",
+                                      "reciprocal", "monotone"})
     if kind == "poly_sum":
-        alpha = as_spec(cfg.str_("alpha", required=True))
-        m = cfg.int_("m", required=True, minimum=2)
-        h = cfg.int_("h", required=True)
-        n = cfg.int_("n", required=True, minimum=1)
-        q = cfg.int_("q", minimum=1)
+        alpha = as_spec(cfg.str_("alpha"))
+        m = cfg.int_("m", minimum=2)
+        h = cfg.int_("h")
+        n = cfg.int_("n", minimum=1)
+        q = cfg.int_("q", None, minimum=1)
         eps = cfg.float_("eps", 0.05)
-        lower = cfg.str_list("lower") or ()
+        lower = cfg.str_list("lower", ())
         cfg.finish()
-        rep = weyl_bound_report(alpha, m, h, n, lower, q=q, eps=eps)
-        return weyl_bound_payload(rep), None
+        # the report's fields, delta as 30 digits and as a float, and eps
+        # under the name that says it is a heuristic
+        payload = asdict(weyl_bound_report(alpha, m, h, n, lower, q=q,
+                                           eps=eps))
+        delta = payload["delta"]
+        payload.update(delta=dec_str(delta), delta_float=float(delta),
+                       eps_heuristic=payload.pop("eps"))
+        return payload,
     if kind == "linear":
-        q = cfg.int_("q", required=True, minimum=1)
-        h = cfg.int_("h", required=True)
-        n = cfg.int_("n", required=True, minimum=1)
-        alpha = cfg.str_("alpha")
+        q = cfg.int_("q", minimum=1)
+        h = cfg.int_("h")
+        n = cfg.int_("n", minimum=1)
+        alpha = cfg.str_("alpha", None)
         cfg.finish()
         payload = {"bound": "linear", "q": q, "h": h, "N": n,
                    "value": linear_bound(q, h, n)}
@@ -363,40 +372,39 @@ def cmd_bounds(cfg: _Config, workers: int):
             payload["exact_check"] = {
                 "actual": chk.actual, "cap": chk.cap,
                 "sum_error": chk.sum_error, "certified": chk.certified}
-        return payload, None
+        return payload,
     if kind == "quadratic":
-        alpha = as_spec(cfg.str_("alpha", required=True))
-        h = cfg.int_("h", required=True)
+        alpha = as_spec(cfg.str_("alpha"))
+        h = cfg.int_("h")
         d = cfg.int_("d", 1, minimum=1)
-        n = cfg.int_("n", required=True, minimum=1)
-        g = cfg.str_list("g") or ()
+        n = cfg.int_("n", minimum=1)
+        g = cfg.str_list("g", ())
         cfg.finish()
         rep = quadratic_bound(alpha, h, d, n, g)
         return ({"bound": "quadratic", "h": rep.h, "d": rep.d, "N": rep.N,
                  "rhs": rep.rhs, "value": rep.bound, "actual": rep.actual,
                  "ratio_sq": rep.ratio_sq,
-                 "sum_error_bound": rep.sum_error_bound}, None,
-                asdict(rep.stats))
+                 "sum_error_bound": rep.sum_error_bound}, asdict(rep.stats))
     if kind == "reciprocal":
-        alpha = as_spec(cfg.str_("alpha", required=True))
-        k = cfg.int_("k", required=True, minimum=1)
-        n = cfg.int_("n", required=True, minimum=1)
-        q = cfg.int_("q", minimum=1)
+        alpha = as_spec(cfg.str_("alpha"))
+        k = cfg.int_("k", minimum=1)
+        n = cfg.int_("n", minimum=1)
+        q = cfg.int_("q", None, minimum=1)
         cfg.finish()
         rep = reciprocal_sum(alpha, k, n, q=q)
         return ({"bound": "reciprocal", "K": rep.K, "N": rep.N, "q": rep.q,
                  "exact_sum": rep.exact_sum,
                  "enclosure": list(rep.enclosure),
                  "lemma_bound": rep.lemma_bound, "ratio": rep.ratio},
-                None, asdict(rep.stats))
-    u = cfg.str_("u", required=True)
-    v = cfg.str_("v", required=True)
-    m_max = cfg.int_("m_max", required=True, minimum=2)
-    variant = cfg.str_("variant", required=True)
+                asdict(rep.stats))
+    u = cfg.str_("u")
+    v = cfg.str_("v")
+    m_max = cfg.int_("m_max", minimum=2)
+    variant = cfg.str_("variant")
     cfg.finish()
     ok = monotone_check(u, v, m_max, variant)
     return ({"bound": "monotone", "u": u, "v": v, "M": m_max,
-             "variant": variant, "nondecreasing": ok}, None)
+             "variant": variant, "nondecreasing": ok},)
 
 
 _COMMANDS = {
@@ -416,7 +424,7 @@ _COMMANDS = {
 def run_config(raw: dict, *, workers: Optional[int] = None) -> dict:
     """Dispatch a parsed config; returns the full report dictionary."""
     cfg = _Config(raw)
-    command = cfg.str_("command", required=True, choices=set(_COMMANDS))
+    command = cfg.str_("command", choices=set(_COMMANDS))
     cfg_workers = cfg.int_("workers", 1, minimum=1)
     cfg.int_("seed", 0, minimum=0)
     if workers is None:
@@ -425,7 +433,7 @@ def run_config(raw: dict, *, workers: Optional[int] = None) -> dict:
         raise ConfigError("'workers' must be >= 1")
     start = time.perf_counter()
     try:
-        payload, csv, *stats = _COMMANDS[command](cfg, workers)
+        payload, *stats = _COMMANDS[command](cfg, workers)
     except InvalidSpec as exc:
         # a library precondition the config broke
         raise ConfigError(str(exc)) from exc
@@ -441,20 +449,53 @@ def run_config(raw: dict, *, workers: Optional[int] = None) -> dict:
         "results": payload,
         "fixtures": [],         # no command consults a fixture file
         "meta": meta,
-        "_csv": csv,
     }
 
 
 def report_json(report: dict) -> str:
-    clean = {k: v for k, v in report.items() if not k.startswith("_")}
-    return json.dumps(clean, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def payload_bytes(report: dict) -> bytes:
     """The determinism surface: everything except timing metadata."""
-    clean = {k: v for k, v in report.items()
-             if not k.startswith("_") and k != "meta"}
+    clean = {k: v for k, v in report.items() if k != "meta"}
     return json.dumps(clean, sort_keys=True).encode()
+
+
+def report_csv(report: dict) -> str:
+    """The results table as CSV, each cell the payload's own value.
+
+    count and weyl give one row, density one per grid point, discrepancy
+    one per Weyl term and dioph one per convergent; bounds has no table.
+    In a cell, None is empty and a list is space-joined.
+    """
+    res = report["results"]
+    command = report["config"]["command"]
+    if command in ("count", "weyl"):
+        head = "x,count,method,d_cutoff" if command == "count" else \
+            "d,N,h,real,imag,magnitude,error_bound"
+        rows = [[res[key] for key in head.split(",")]]
+    elif command == "density":
+        head = "x,count,density,target,abs_error"
+        rows = zip(res["grid"], res["counts"], res["densities"],
+                   [res["target"]] * len(res["grid"]), res["errors"])
+    elif command == "discrepancy":
+        terms = res["weyl_terms"]
+        head = "".join(f"h_{j}," for j in range(1, len(terms[0]["h"]) + 1))
+        head += "magnitude,r_h"
+        rows = [t["h"] + [t["magnitude"], t["r"]] for t in terms]
+    elif command == "dioph":
+        head = "index,a,q,log_ratio,quality_lo,quality_hi"
+        convs = res["convergents"]
+        rows = [[c["index"], c["a"], c["q"], "" if after is None or c["q"] < 2
+                 else f"{math.log(after['q']) / math.log(c['q']):.12g}",
+                 c["quality_lo"], c["quality_hi"]]
+                for c, after in zip(convs, convs[1:] + [None])]
+    else:
+        raise ConfigError(f"command {command!r} has no CSV form")
+    return head + "\n" + "".join(",".join(
+        "" if v is None else " ".join(map(str, v)) if isinstance(v, list)
+        else str(v) for v in row) + "\n" for row in rows)
 
 
 def atomic_write(path: str, data: str) -> None:
@@ -496,33 +537,16 @@ def main(argv=None) -> int:
                 f"config says command={raw.get('command')!r}, "
                 f"CLI asked for {args.command!r}")
         report = run_config(raw, workers=args.workers)
-        if args.format == "csv":
-            if report["_csv"] is None:
-                raise ConfigError(
-                    f"command {args.command!r} has no CSV form")
-            text = report["_csv"]
-        else:
-            text = report_json(report)
+        text = (report_csv if args.format == "csv" else report_json)(report)
         if args.out:
             atomic_write(args.out, text)
         else:
             sys.stdout.write(text)
         return 0
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PrecisionExhausted as exc:
-        print(f"precision exhausted: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except ResourceLimit as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except BeattySieveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (OSError, BeattySieveError) as exc:
+        label, code = _FAILURES.get(type(exc), ("error", EXIT_CONFIG))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -777,7 +777,7 @@ def density_experiment(problem: ProblemSpec, grid: Sequence[int], *,
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# decimal rendering
 
 
 def dec_str(fr: Fraction, digits: int = 30) -> str:
@@ -785,28 +785,3 @@ def dec_str(fr: Fraction, digits: int = 30) -> str:
     with decimal.localcontext() as ctx:
         ctx.prec = digits
         return str(decimal.Decimal(fr.numerator) / decimal.Decimal(fr.denominator))
-
-
-def density_run_csv(run: DensityRun) -> str:
-    lines = ["x,count,density,target,abs_error"]
-    for x, c, e in zip(run.grid, run.counts, run.errors):
-        lines.append(",".join([str(x), str(c), dec_str(Fraction(c, x), 20),
-                               dec_str(run.target, 20), dec_str(e, 20)]))
-    return "\n".join(lines) + "\n"
-
-
-def density_run_payload(run: DensityRun) -> dict:
-    return {
-        "problem": run.problem.describe(),
-        "grid": list(run.grid),
-        "counts": list(run.counts),
-        "target": dec_str(run.target),
-        "errors": [dec_str(e) for e in run.errors],
-        "densities": [dec_str(Fraction(c, x), 20)
-                      for x, c in zip(run.grid, run.counts)],
-        "fitted_exponent": run.fitted_exponent,
-        "residual": run.residual,
-        "gamma_hat": run.gamma_hat,
-        "theoretical_gamma": None if run.theoretical_gamma is None
-        else dec_str(run.theoretical_gamma),
-    }

@@ -12,8 +12,6 @@ denominators provably exceed the requested cap.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -155,7 +153,11 @@ def find_window(ladder: Sequence[Convergent], Q: Number, varpi: Number,
             raise InvalidSpec("polynomial mode needs varpi in (0, 1)")
         lower = Qf ** v
     elif mode == "exponential":
-        lower = math.log(Qf) ** (v + 1)
+        try:
+            lower = math.log(Qf) ** (v + 1)
+        except OverflowError as exc:
+            raise InvalidSpec("window floor (log Q)^(varpi+1) is out of "
+                              "float range") from exc
     else:
         raise InvalidSpec(f"unknown window mode {mode!r}")
     convs = [c for c in ladder if c.q <= Qf]
@@ -192,20 +194,3 @@ def estimate_type(ladder: Sequence[Convergent], max_q: int,
     tail = samples[len(samples) // 2:]
     tau_hat = max(r for _, r in tail)
     return TypeEstimate(tau_hat, tuple(samples), mode)
-
-
-def convergents_csv(convs: Sequence[Convergent]) -> str:
-    """CSV table: index,a,q,log_ratio,quality_lo,quality_hi."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["index", "a", "q", "log_ratio", "quality_lo",
-                     "quality_hi"])
-    for i, c in enumerate(convs):
-        if i + 1 < len(convs) and c.q >= 2:
-            ratio = f"{math.log(convs[i + 1].q) / math.log(c.q):.12g}"
-        else:
-            ratio = ""
-        writer.writerow([c.index, c.a, c.q, ratio,
-                         f"{float(c.quality.lo):.17g}",
-                         f"{float(c.quality.hi):.17g}"])
-    return buf.getvalue()

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .counting import ProblemSpec, _as_exact, coordinate_form, dec_str
+from .counting import ProblemSpec, _as_exact, coordinate_form
 from .dioph import convergents
 from .errors import InvalidSpec, NoConvergent, ResourceLimit
 from .realnum import (LinearForm, SpecLike, _check_ends, _distance_ends,
@@ -511,8 +511,13 @@ def weyl_bound_report(spec: SpecLike, m: int, h: int, N: int,
         raise InvalidSpec("N^(1+eps) or delta is out of float range") from exc
     phases = _phases_for_poly(spec, m, h, N, lower_poly)
     actual = abs(_cis_sum(phases))
+    # a very negative eps drives N^(1+eps) toward 0
+    ratio = actual / bound_o if bound_o > 0 else math.inf
+    if math.isinf(ratio):
+        raise InvalidSpec("the ratio to N^(1+eps) delta^(1/(m^2-m)) is out "
+                          "of float range")
     return WeylBoundReport(m, h, q, N, delta, bound_o, bound_log, actual,
-                           actual / bound_o, eps, N * _TERM_ERR)
+                           ratio, eps, N * _TERM_ERR)
 
 
 # ---------------------------------------------------------------------------
@@ -759,46 +764,3 @@ def monotone_check(u, v, M: int, variant: str) -> bool:
     if variant == "u_over_v":
         return all(vf ** (m - 1) >= uf * uf for m in range(2, M))
     return all(uf ** (2 * m) >= vf ** (m * m + m - 2) for m in range(2, M))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def discrepancy_report_payload(report: DiscrepancyReport) -> dict:
-    return {
-        "N": report.N,
-        "exact": report.exact,
-        "box_lower": report.box_lower,
-        "et_upper": report.et_upper,
-        "H": report.H,
-        "weyl_terms": [{"h": list(h), "magnitude": mag, "r": r}
-                       for h, mag, r in report.weyl_terms],
-    }
-
-
-def weyl_terms_csv(report: DiscrepancyReport) -> str:
-    if not report.weyl_terms:
-        return "magnitude,r_h\n"
-    k = len(report.weyl_terms[0][0])
-    lines = [",".join(f"h_{j + 1}" for j in range(k)) + ",magnitude,r_h"]
-    for h, mag, r in report.weyl_terms:
-        lines.append(",".join(str(c) for c in h) + f",{mag!r},{r}")
-    return "\n".join(lines) + "\n"
-
-
-def weyl_bound_payload(report: WeylBoundReport) -> dict:
-    return {
-        "m": report.m,
-        "h": report.h,
-        "q": report.q,
-        "N": report.N,
-        "delta": dec_str(report.delta),
-        "delta_float": float(report.delta),
-        "bound_little_o": report.bound_little_o,
-        "bound_log": report.bound_log,
-        "actual": report.actual,
-        "ratio": report.ratio,
-        "eps_heuristic": report.eps,
-        "sum_error_bound": report.sum_error_bound,
-    }

@@ -298,10 +298,11 @@ class LiouvilleSeries(RealSpec):
     """sum_j base**(-c_j) with a strictly increasing exponent schedule.
 
     The schedule is generated from c1 by rule
-      poly: c_{j+1} = max(c_j + 1, floor(c_j ** tau))
-      exp:  c_{j+1} = max(c_j + 1, floor(beta ** (theta * c_j)))
-    and continues forever; enclosures materialize exactly as many terms as
-    the requested precision demands.  Nothing reads `depth`: it only
+      poly: c_{j+1} = max(c_j + 1, floor(c_j ** tau)),  tau > 1
+      exp:  c_{j+1} = max(c_j + 1, floor(beta ** (theta * c_j))),  theta > 0
+    and continues forever.  Its gaps c_{j+1} - c_j grow without bound, so
+    the sum is irrational.  Enclosures materialize exactly as many terms
+    as the requested precision demands.  Nothing reads `depth`: it only
     round-trips through text(), so descriptions that carry it still parse.
     """
 
@@ -319,8 +320,9 @@ class LiouvilleSeries(RealSpec):
             raise InvalidSpec("rule must be 'poly' or 'exp'")
         param = Fraction(self.param)
         object.__setattr__(self, "param", param)
-        if self.rule == "poly" and param < 1:
-            raise InvalidSpec("poly rule needs tau >= 1")
+        if self.rule == "poly" and param <= 1:
+            # tau = 1 takes every exponent from c1 on: a rational sum
+            raise InvalidSpec("poly rule needs tau > 1")
         if self.rule == "exp" and param <= 0:
             raise InvalidSpec("exp rule needs theta > 0")
         if self.c1 < 1 or self.beta < 2 or self.depth < 1:
@@ -450,7 +452,7 @@ def parse_real(text: str) -> RealSpec:
                 beta=int(fields.get("beta", 2)),
                 depth=int(fields.get("depth", 8)),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, ZeroDivisionError) as exc:
             raise InvalidSpec(f"bad liouville form {body!r}") from exc
         read = {"base", "rule", "c1", "depth"} | (
             {"tau"} if rule == "poly" else {"theta", "beta"})

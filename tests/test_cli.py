@@ -6,6 +6,7 @@ fixture digests, and the documented exit codes 0/2/3/4.
 """
 
 import json
+import math
 import os
 import warnings
 from fractions import Fraction
@@ -14,8 +15,8 @@ import pytest
 
 from beattysieve import __version__
 from beattysieve.cli import (atomic_write, main, parse_config_text,
-                             payload_bytes, report_json, run_config,
-                             split_reals)
+                             payload_bytes, report_csv, report_json,
+                             run_config, split_reals)
 from beattysieve.counting import ProblemSpec, direct_count, mobius_count
 from beattysieve.errors import ConfigError
 from beattysieve.dioph import convergents, estimate_type, find_window
@@ -75,7 +76,7 @@ def test_count_direct_worked_value():
                    "d_cutoff": None, "density": "0.6"}
     assert report["config"] == count_config()
     assert report["fixtures"] == []
-    assert report["_csv"] == "x,count,method,d_cutoff\n100,60,direct,\n"
+    assert report_csv(report) == "x,count,method,d_cutoff\n100,60,direct,\n"
 
 
 def test_count_mobius_agrees_with_direct():
@@ -88,7 +89,7 @@ def test_count_mobius_agrees_with_direct():
 def test_count_x_equals_one():
     report = run_config(count_config(x="1"))
     assert report["results"]["count"] == 1
-    assert report["_csv"] == "x,count,method,d_cutoff\n1,1,direct,\n"
+    assert report_csv(report) == "x,count,method,d_cutoff\n1,1,direct,\n"
 
 
 def test_count_mobius_truncation_reported():
@@ -96,7 +97,7 @@ def test_count_mobius_truncation_reported():
     # only the d=1 term survives: the count collapses to x itself
     assert report["results"]["count"] == 100
     assert report["results"]["d_cutoff"] == 1
-    assert report["_csv"].endswith("100,100,mobius,1\n")
+    assert report_csv(report).endswith("100,100,mobius,1\n")
 
 
 def test_count_rejects_unknown_key():
@@ -228,8 +229,8 @@ def test_payload_bytes_excludes_meta_and_private():
 def test_report_json_sorted_and_no_private_keys():
     report = run_config(count_config())
     text = report_json(report)
-    assert "_csv" not in text
     decoded = json.loads(text)
+    assert set(decoded) == {"config", "results", "fixtures", "meta"}
     assert decoded["results"]["count"] == 60
     assert text == json.dumps(decoded, indent=2, sort_keys=True) + "\n"
 
@@ -254,7 +255,8 @@ def test_density_payload_shape():
     assert res["counts"] == [6, 60, 607]
     assert res["gamma_hat"] is not None
     assert res["problem"]["ms"] == [1]
-    assert report["_csv"].splitlines()[0] == "x,count,density,target,abs_error"
+    assert report_csv(report).splitlines()[0] == \
+        "x,count,density,target,abs_error"
 
 
 def test_density_rejects_short_grid():
@@ -276,7 +278,7 @@ def test_discrepancy_payload_and_csv():
     assert res["provenance"]["kind"] == "scaled_fracs"
     assert res["coord_error"] == pytest.approx(2.0 ** -52)
     assert res["box_lower"] <= res["exact"] <= res["et_upper"]
-    lines = report["_csv"].splitlines()
+    lines = report_csv(report).splitlines()
     assert lines[0] == "h_1,magnitude,r_h"
     assert len(lines) == 1 + 5
 
@@ -292,7 +294,8 @@ def test_weyl_payload_shape():
         abs(complex(res["real"], res["imag"])))
     assert 0 < res["magnitude"] <= 10 + res["error_bound"]
     assert res["error_bound"] == pytest.approx(10 * 2.0 ** -50)
-    assert report["_csv"].startswith("d,N,h,real,imag,magnitude,error_bound\n")
+    assert report_csv(report).startswith(
+        "d,N,h,real,imag,magnitude,error_bound\n")
 
 
 def test_weyl_rejects_wrong_h_length():
@@ -316,7 +319,7 @@ def test_dioph_payload_window_and_csv():
     assert res["window"]["q"] == 70
     assert res["window"]["satisfied"] is True
     assert res["type_estimate"]["tau_hat"] > 0
-    header = report["_csv"].splitlines()[0]
+    header = report_csv(report).splitlines()[0]
     assert header == "index,a,q,log_ratio,quality_lo,quality_hi"
 
 
@@ -413,6 +416,88 @@ def test_dioph_window_reads_the_one_ladder(monkeypatch, window_q, qs):
 
 
 # ---------------------------------------------------------------------------
+# report_csv: the results table, each cell read off the payload
+
+
+def csv_rows(report):
+    text = report_csv(report)
+    assert "\r" not in text and text.endswith("\n")
+    return [line.split(",") for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("over", [{}, {"method": "mobius"},
+                                  {"method": "mobius", "d_cutoff": "3"}],
+                         ids=["direct", "mobius", "mobius_cutoff"])
+def test_count_csv_cells_are_the_payload(over):
+    report = run_config(count_config(**over))
+    res = report["results"]
+    assert csv_rows(report) == [
+        ["x", "count", "method", "d_cutoff"],
+        [str(res["x"]), str(res["count"]), res["method"],
+         "" if res["d_cutoff"] is None else str(res["d_cutoff"])]]
+
+
+def test_density_csv_cells_are_the_payload():
+    report = run_config({"command": "density", "alphas": SQRT2, "ms": "1",
+                         "grid": "10,100,1000", "tau": "1"})
+    res = report["results"]
+    head, *rows = csv_rows(report)
+    assert head == ["x", "count", "density", "target", "abs_error"]
+    assert rows == [[str(x), str(c), dens, res["target"], err]
+                    for x, c, dens, err in zip(res["grid"], res["counts"],
+                                               res["densities"],
+                                               res["errors"])]
+    assert len(res["target"]) == len("0.") + 30     # 30 digits, not 20
+
+
+def test_discrepancy_csv_cells_are_the_payload():
+    report = run_config({"command": "discrepancy",
+                         "alphas": f"{SQRT2},{SQRT3}", "ms": "1,2",
+                         "n": "300", "h": "2"})
+    terms = report["results"]["weyl_terms"]
+    head, *rows = csv_rows(report)
+    assert head == ["h_1", "h_2", "magnitude", "r_h"]
+    assert len(rows) == len(terms) == 12
+    for row, term in zip(rows, terms):
+        assert [int(c) for c in row[:2]] == term["h"]
+        assert float(row[2]) == term["magnitude"]
+        assert int(row[3]) == term["r"]
+
+
+def test_weyl_csv_cells_are_the_payload():
+    report = run_config({"command": "weyl", "alphas": f"{SQRT2},{SQRT3}",
+                         "ms": "1,2", "d": "3", "n": "40", "h": "2,1"})
+    res = report["results"]
+    head, row = csv_rows(report)
+    assert head == ["d", "N", "h", "real", "imag", "magnitude",
+                    "error_bound"]
+    assert row[:3] == [str(res["d"]), str(res["N"]), "2 1"]
+    assert [float(c) for c in row[3:]] == [
+        res["real"], res["imag"], res["magnitude"], res["error_bound"]]
+
+
+def test_dioph_csv_cells_are_the_payload():
+    report = run_config({"command": "dioph", "alpha": SQRT2,
+                         "max_q": "100"})
+    convs = report["results"]["convergents"]
+    head, *rows = csv_rows(report)
+    assert head == ["index", "a", "q", "log_ratio", "quality_lo",
+                    "quality_hi"]
+    assert len(rows) == len(convs) == 6
+    for i, (row, c) in enumerate(zip(rows, convs)):
+        assert row[:3] == [str(c["index"]), str(c["a"]), str(c["q"])]
+        assert row[4:] == [c["quality_lo"], c["quality_hi"]]
+        if i + 1 < len(convs) and c["q"] >= 2:
+            ratio = math.log(convs[i + 1]["q"]) / math.log(c["q"])
+            assert row[3] == f"{ratio:.12g}"
+        else:
+            assert row[3] == ""
+    # the enclosure's two ends, not one float printed twice
+    assert rows[0][4:] == ["0.41421356237309504879",
+                           "0.41421356237309504882"]
+
+
+# ---------------------------------------------------------------------------
 # bounds command
 
 
@@ -425,7 +510,8 @@ def test_bounds_poly_sum_worked_delta():
     assert res["delta_float"] == pytest.approx(expected, rel=1e-12)
     for key in ("delta", "eps_heuristic", "sum_error_bound"):
         assert key in res
-    assert report["_csv"] is None
+    with pytest.raises(ConfigError, match="'bounds' has no CSV form"):
+        report_csv(report)
 
 
 def test_bounds_linear_with_certified_check():
@@ -651,14 +737,31 @@ _HUGE = 10**400
                f"q={_HUGE}\n", "N^(1+eps) or delta"),
     ("bounds", f"bound=poly_sum\nalpha={SQRT2}\nm=2\nh=1\nn=100\n"
                "eps=1000\n", "N^(1+eps) or delta"),
+    ("dioph", f"alpha={SQRT2}\nmax_q=100\nmode=exp\nwindow_q=100\n"
+              "window_exponent=1e308\n", "window floor (log Q)^(varpi+1)"),
+    ("bounds", f"bound=poly_sum\nalpha={SQRT2}\nm=2\nh=1\nn=100\n"
+               "eps=-1000\n", "the ratio to N^(1+eps) delta^(1/(m^2-m))"),
+    ("bounds", f"bound=poly_sum\nalpha={SQRT2}\nm=2\nh=1\nn=100\n"
+               "eps=-155\n", "the ratio to N^(1+eps) delta^(1/(m^2-m))"),
 ], ids=["dioph_window_q", "linear_q", "linear_h", "linear_n",
-        "reciprocal_q", "poly_sum_q", "poly_sum_eps"])
+        "reciprocal_q", "poly_sum_q", "poly_sum_eps", "dioph_window_floor",
+        "poly_sum_eps_underflow", "poly_sum_ratio_inf"])
 def test_main_refuses_values_past_the_float_range(tmp_path, capsys, command,
                                                   body, quantity):
     cfg = write_config(tmp_path, f"command={command}\n{body}")
     assert main([command, "--config", cfg]) == 2
     assert f"config error: {quantity} is out of float range" in \
         capsys.readouterr().err
+
+
+def test_main_refuses_a_rational_liouville_series(tmp_path, capsys):
+    # with tau = 1 every exponent from c1 on is taken: the sum
+    # 2^-1 + 2^-2 + ... is 1, a rational the count would grind on
+    cfg = write_config(tmp_path, "command=count\n"
+                       "alphas=liouville:base=2,rule=poly,tau=1,c1=1\n"
+                       "ms=1\nx=100\n")
+    assert main(["count", "--config", cfg]) == 2
+    assert "config error: poly rule needs tau > 1" in capsys.readouterr().err
 
 
 def test_main_refuses_the_removed_c_key(tmp_path, capsys):
@@ -681,8 +784,10 @@ def test_main_refuses_the_removed_c_key(tmp_path, capsys):
      "alpha": "surd:bad"},
     {"command": "bounds", "bound": "reciprocal", "alpha": "surd:bad",
      "k": "10", "n": "10"},
+    {"command": "count", "alphas": "liouville:base=2,rule=poly,tau=1/0",
+     "ms": "1", "x": "10"},
 ], ids=["discrepancy_lower_constant", "weyl_lower_constant",
-        "linear_bad_alpha", "reciprocal_bad_alpha"])
+        "linear_bad_alpha", "reciprocal_bad_alpha", "liouville_tau_1_over_0"])
 def test_invalid_specs_become_config_errors(raw):
     with pytest.raises(ConfigError):
         run_config(raw)

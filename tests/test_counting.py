@@ -14,6 +14,7 @@ import sympy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from beattysieve.cli import report_csv, run_config
 from beattysieve.counting import (
     _BLOCK,
     CountResult,
@@ -31,8 +32,6 @@ from beattysieve.counting import (
     coordinate_form,
     dec_str,
     density_experiment,
-    density_run_csv,
-    density_run_payload,
     direct_count,
     inv_zeta,
     mobius_count,
@@ -525,12 +524,12 @@ def test_fit_loglog_drops_zeros_with_warning():
 
 
 def test_density_serializers():
-    p = ProblemSpec((sqrt2(),), (1,))
-    run = density_experiment(p, (100, 1000, 10000), tau=1)
-    text = density_run_csv(run)
+    report = run_config({"command": "density", "alphas": sqrt2().text(),
+                         "ms": "1", "grid": "100,1000,10000", "tau": "1"})
+    text = report_csv(report)
     assert text.splitlines()[0] == "x,count,density,target,abs_error"
     assert len(text.strip().splitlines()) == 4
-    assert density_run_payload(run)["grid"] == [100, 1000, 10000]
+    assert report["results"]["grid"] == [100, 1000, 10000]
 
 
 def test_dec_str_significant_digits():

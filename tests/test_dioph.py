@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beattysieve.cli import report_csv, run_config
 from beattysieve.dioph import (
     ApproxWindow,
     Convergent,
     TypeEstimate,
     _ladder,
     convergents,
-    convergents_csv,
     estimate_type,
     find_window,
 )
@@ -248,7 +248,8 @@ def test_type_estimate_tau_near_one_for_bounded_type():
 
 
 def test_convergents_csv_columns():
-    text = convergents_csv(convergents(sqrt2(), 100))
+    text = report_csv(run_config({"command": "dioph", "alpha": sqrt2().text(),
+                                  "max_q": "100"}))
     lines = text.strip().splitlines()
     assert lines[0] == "index,a,q,log_ratio,quality_lo,quality_hi"
     first = lines[1].split(",")

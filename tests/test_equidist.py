@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beattysieve.cli import report_csv, report_json, run_config
 from beattysieve.counting import ProblemSpec
 from beattysieve.dioph import convergents
 from beattysieve.equidist import (
@@ -35,7 +36,6 @@ from beattysieve.equidist import (
     discrepancy_box_lower,
     discrepancy_exact_1d,
     discrepancy_report,
-    discrepancy_report_payload,
     et_koksma_upper,
     linear_bound,
     linear_sum_exact,
@@ -43,10 +43,8 @@ from beattysieve.equidist import (
     nu_sequence,
     quadratic_bound,
     reciprocal_sum,
-    weyl_bound_payload,
     weyl_bound_report,
     weyl_sum,
-    weyl_terms_csv,
 )
 from beattysieve.errors import InvalidSpec, ResourceLimit
 from beattysieve.realnum import (Rational, dist_nearest_ints, golden_ratio,
@@ -401,8 +399,9 @@ def test_discrepancy_report_scans_dimension_one_once(monkeypatch):
 
 
 def test_weyl_terms_csv_columns():
-    ps = PointSet.synthetic([[0.1, 0.2], [0.6, 0.7]], "pair")
-    text = weyl_terms_csv(et_koksma_upper(ps, 2))
+    alphas = f"{sqrt2().text()},{sqrt3().text()}"
+    text = report_csv(run_config({"command": "discrepancy", "alphas": alphas,
+                                  "ms": "1,2", "n": "2", "h": "2"}))
     lines = text.strip().splitlines()
     assert lines[0] == "h_1,h_2,magnitude,r_h"
     assert len(lines) == 1 + 12  # half of (5*5 - 1)
@@ -410,9 +409,9 @@ def test_weyl_terms_csv_columns():
 
 def test_discrepancy_report_json_round_trip():
     import json
-    ps = nu_sequence(ProblemSpec((sqrt2(),), (1,)), 1, 50)
-    blob = json.loads(json.dumps(
-        discrepancy_report_payload(discrepancy_report(ps, 5))))
+    report = run_config({"command": "discrepancy", "alphas": sqrt2().text(),
+                         "ms": "1", "n": "50", "h": "5"})
+    blob = json.loads(report_json(report))["results"]
     assert blob["N"] == 50
     assert blob["box_lower"] <= blob["et_upper"]
     assert "C" not in blob
@@ -840,8 +839,9 @@ def test_monotone_check_validation():
 
 
 def test_weyl_bound_payload_keys():
-    rep = weyl_bound_report(sqrt2(), 2, 1, 100)
-    payload = weyl_bound_payload(rep)
+    payload = run_config({"command": "bounds", "bound": "poly_sum",
+                          "alpha": sqrt2().text(), "m": "2", "h": "1",
+                          "n": "100"})["results"]
     for key in ("m", "h", "q", "N", "delta", "delta_float",
                 "bound_little_o", "bound_log", "actual", "ratio",
                 "eps_heuristic", "sum_error_bound"):

@@ -279,7 +279,9 @@ def test_parse_format_round_trip(text):
 
 def test_parse_rejects_garbage():
     for bad in ("", "sqrt2", "surd:(1+0*sqrt(2))/1", "rat:1/0",
-                "liouville:base=1,rule=poly,tau=2", "dec:1.5:9"):
+                "liouville:base=1,rule=poly,tau=2", "dec:1.5:9",
+                "liouville:base=2,rule=poly,tau=1,c1=1",
+                "liouville:base=2,rule=poly,tau=1/0"):
         with pytest.raises(InvalidSpec):
             parse_real(bad)
 
