@@ -5,7 +5,7 @@ Experiments are described by small key=value config files; the `count`,
 `density`, `dioph`, `discrepancy`, `weyl`, and `bounds` subcommands turn
 them into JSON reports (and CSV tables where a table is natural).  The
 report payload is deterministic: rerun the same config and the bytes
-match, whatever the worker count.
+match.
 """
 
 import json
@@ -41,16 +41,14 @@ def main() -> int:
     print(f"  mobius route count = {other['results']['count']}, "
           f"agreement = {agree}")
 
-    print("\n== determinism: payload bytes across worker counts ==")
-    blobs = {w: payload_bytes(run_config(parse_config_text(COUNT_CONFIG),
-                                         workers=w))
-             for w in (1, 4)}
-    print(f"  1 worker : {len(blobs[1])} bytes")
-    print(f"  4 workers: {len(blobs[4])} bytes, "
-          f"identical = {blobs[1] == blobs[4]}")
+    print("\n== determinism: payload bytes across two runs ==")
+    blobs = [payload_bytes(run_config(parse_config_text(COUNT_CONFIG)))
+             for _ in range(2)]
+    print(f"  run 1: {len(blobs[0])} bytes")
+    print(f"  run 2: {len(blobs[1])} bytes, identical = {blobs[0] == blobs[1]}")
 
     print("\n== density: the error-exponent experiment ==")
-    report = run_config(parse_config_text(DENSITY_CONFIG), workers=4)
+    report = run_config(parse_config_text(DENSITY_CONFIG))
     res = report["results"]
     print(f"  gamma_hat = {res['gamma_hat']:.4f} "
           f"(theoretical gamma = {res['theoretical_gamma']})")

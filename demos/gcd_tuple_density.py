@@ -21,7 +21,7 @@ def show(problem: ProblemSpec, xs, label: str) -> None:
           f"{dec_str(target, 12)})")
     for x in xs:
         t0 = time.perf_counter()
-        d = direct_count(problem, x, workers=4)
+        d = direct_count(problem, x)
         m = mobius_count(problem, x)
         assert d.count == m.count
         err = abs(Fraction(d.count, x) - target)

@@ -19,7 +19,7 @@ Two files are produced, both deterministic given the package version:
 
 Run from the repository root:
 
-    python3 demos/regenerate_fixtures.py [--out-dir fixtures] [--workers N]
+    python3 demos/regenerate_fixtures.py [--out-dir fixtures]
 """
 
 from __future__ import annotations
@@ -117,14 +117,14 @@ def build_problem(entry: dict) -> ProblemSpec:
                            None if e is None else tuple(e) for e in lower))
 
 
-def density_goldens(workers: int) -> dict:
+def density_goldens() -> dict:
     out = {}
     for name, case in DENSITY_CASES.items():
         problem = build_problem(case)
         target = inv_zeta(problem.ms[-1] + 1)
         counts, rel_errors = [], []
         for x in case["grid"]:
-            res = direct_count(problem, x, workers=workers)
+            res = direct_count(problem, x)
             counts.append(res.count)
             rel_errors.append(abs(Fraction(res.count, x) - target))
         # cross-check the smallest grid point through the Moebius route
@@ -200,14 +200,12 @@ def lemma_constants() -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="fixtures")
-    parser.add_argument("--workers", type=int,
-                        default=min(8, os.cpu_count() or 1))
     args = parser.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
 
     t0 = time.perf_counter()
     print("density goldens:")
-    goldens = density_goldens(args.workers)
+    goldens = density_goldens()
     print("lemma constants:")
     constants = lemma_constants()
 

@@ -5,9 +5,9 @@ it against the target command's preconditions, dispatches to the library,
 and writes a report atomically.  This module owns the report format: each
 command handler builds its payload here from the library's result
 objects.  Reports split into "config" (echo), "results" (the numerical
-payload — byte-identical across worker counts), "fixtures" (hashes of
+payload — byte-identical from run to run), "fixtures" (hashes of
 fixture files consulted: always empty, since no command consults one),
-and "meta" (wall time, workers, the engine's counters: everything outside
+and "meta" (wall time, version, the engine's counters: everything outside
 the determinism surface).  With --format csv the CLI writes the results
 table instead (`report_csv`), rendered from the payload only then: count,
 density, discrepancy, weyl and dioph have one, bounds has none.
@@ -21,7 +21,8 @@ Config schema (lines of key=value; blank lines and #-comments ignored):
   ms            comma-separated exponents, first = 1, strictly increasing
   lower_<j>     lower-order coefficients for coordinate j >= 2, constant
                 first, e.g. lower_2=1/2,surd:(0+1*sqrt(2))/1
-  workers       positive integer (count/density only), default 1
+  workers       integer >= 1, default 1; accepted and unused (every
+                count runs in one process)
   seed          integer >= 0, default 0; accepted and unused
 
   count:        x=; method=direct|mobius (default direct); d_cutoff=
@@ -66,7 +67,6 @@ import tempfile
 import time
 from dataclasses import asdict
 from fractions import Fraction
-from typing import Optional
 
 from . import __version__
 from .counting import (ProblemSpec, dec_str, density_experiment,
@@ -225,7 +225,7 @@ def build_problem(cfg: _Config) -> ProblemSpec:
 # reciprocal-distance sums, whose counters go to the meta block
 
 
-def cmd_count(cfg: _Config, workers: int):
+def cmd_count(cfg: _Config):
     problem = build_problem(cfg)
     x = cfg.int_("x", minimum=1)
     method = cfg.str_("method", "direct",
@@ -235,7 +235,7 @@ def cmd_count(cfg: _Config, workers: int):
     if method == "direct":
         if d_cutoff is not None:
             raise ConfigError("d_cutoff applies to method=mobius only")
-        res = direct_count(problem, x, workers=workers)
+        res = direct_count(problem, x)
     else:
         res = mobius_count(problem, x, d_cutoff)
     payload = {"x": res.x, "count": res.count, "method": res.method,
@@ -244,12 +244,12 @@ def cmd_count(cfg: _Config, workers: int):
     return payload, asdict(res.stats)
 
 
-def cmd_density(cfg: _Config, workers: int):
+def cmd_density(cfg: _Config):
     problem = build_problem(cfg)
     grid = cfg.int_list("grid")
     tau = cfg.str_("tau", None)
     cfg.finish()
-    run = density_experiment(problem, grid, tau=tau, workers=workers)
+    run = density_experiment(problem, grid, tau=tau)
     gamma = run.theoretical_gamma
     payload = {
         "problem": run.problem.describe(),
@@ -267,7 +267,7 @@ def cmd_density(cfg: _Config, workers: int):
     return payload, asdict(run.stats)
 
 
-def cmd_discrepancy(cfg: _Config, workers: int):
+def cmd_discrepancy(cfg: _Config):
     problem = build_problem(cfg)
     d = cfg.int_("d", 1, minimum=1)
     n = cfg.int_("n", minimum=1)
@@ -283,7 +283,7 @@ def cmd_discrepancy(cfg: _Config, workers: int):
     return payload, asdict(ps.stats)
 
 
-def cmd_weyl(cfg: _Config, workers: int):
+def cmd_weyl(cfg: _Config):
     problem = build_problem(cfg)
     d = cfg.int_("d", 1, minimum=1)
     n = cfg.int_("n", minimum=1)
@@ -297,7 +297,7 @@ def cmd_weyl(cfg: _Config, workers: int):
     return payload, asdict(res.stats)
 
 
-def cmd_dioph(cfg: _Config, workers: int):
+def cmd_dioph(cfg: _Config):
     alpha = cfg.str_("alpha")
     max_q = cfg.int_("max_q", minimum=1)
     mode = cfg.str_("mode", "poly",
@@ -339,7 +339,7 @@ def cmd_dioph(cfg: _Config, workers: int):
     return payload,
 
 
-def cmd_bounds(cfg: _Config, workers: int):
+def cmd_bounds(cfg: _Config):
     kind = cfg.str_("bound", choices={"poly_sum", "linear", "quadratic",
                                       "reciprocal", "monotone"})
     if kind == "poly_sum":
@@ -421,25 +421,20 @@ _COMMANDS = {
 # report assembly and entry point
 
 
-def run_config(raw: dict, *, workers: Optional[int] = None) -> dict:
+def run_config(raw: dict) -> dict:
     """Dispatch a parsed config; returns the full report dictionary."""
     cfg = _Config(raw)
     command = cfg.str_("command", choices=set(_COMMANDS))
-    cfg_workers = cfg.int_("workers", 1, minimum=1)
+    cfg.int_("workers", 1, minimum=1)
     cfg.int_("seed", 0, minimum=0)
-    if workers is None:
-        workers = cfg_workers
-    elif workers < 1:
-        raise ConfigError("'workers' must be >= 1")
     start = time.perf_counter()
     try:
-        payload, *stats = _COMMANDS[command](cfg, workers)
+        payload, *stats = _COMMANDS[command](cfg)
     except InvalidSpec as exc:
         # a library precondition the config broke
         raise ConfigError(str(exc)) from exc
     meta = {
         "wall_time_s": time.perf_counter() - start,
-        "workers": workers,
         "version": __version__,
     }
     if stats:
@@ -523,8 +518,6 @@ def main(argv=None) -> int:
                         help="experiment type (must match the config)")
     parser.add_argument("--config", required=True,
                         help="path to a key=value config file")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="override the config worker count")
     parser.add_argument("--out", default=None,
                         help="write the report here (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -536,7 +529,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config says command={raw.get('command')!r}, "
                 f"CLI asked for {args.command!r}")
-        report = run_config(raw, workers=args.workers)
+        report = run_config(raw)
         text = (report_csv if args.format == "csv" else report_json)(report)
         if args.out:
             atomic_write(args.out, text)

@@ -19,11 +19,9 @@ exponents in closed form and the density experiment with its fit.
 
 from __future__ import annotations
 
-import bisect
 import decimal
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -279,12 +277,6 @@ def coordinate_form(problem: ProblemSpec, j: int, d: int = 1) -> LinearForm:
 
 _FIX_BITS = 64
 _BLOCK = 4096                      # pairs per kernel block; keeps RSS flat
-# Blocks per worker below which a direct sweep runs in-process: starting
-# the pool costs about as much as 40 blocks.  For the (sqrt2, sqrt3) pair
-# with workers=2 on a 2-vCPU host (best of 9), x = 250,000 took
-# 0.023-0.033 s serial against 0.035-0.036 s pooled, and x = 400,000
-# 0.054-0.058 s against 0.047-0.050 s.
-_POOL_BLOCKS = 48
 _S_LIMIT = 1 << 61
 _D_LIMIT = (1 << 32) - 1
 _U64_MAX = np.uint64((1 << 64) - 1)
@@ -461,73 +453,42 @@ def _coprime_block(plan: list, forms: list, caps: list, sieve: tuple,
     return g == 1
 
 
-def _direct_chunk(args):
-    """Prefix counts at each cut for the n in [n_lo, n_hi], plus the
-    kernel's [fast floors, exact fallbacks] and the exact-only
-    coordinates."""
-    problem, n_lo, n_hi, cuts = args
+def _direct_sweep(problem: ProblemSpec, cuts: tuple):
+    """Exact counts at every cut (increasing) from one sweep over the
+    blocks of [1, cuts[-1]], with the sweep's FloorStats.  The sieve holds
+    n in float64, so cuts[-1] must be below 2^53."""
+    x = cuts[-1]
+    if x >= 1 << 53:
+        raise InvalidSpec("the direct route counts to x < 2^53")
     forms = [coordinate_form(problem, j) for j in range(problem.k)]
     plan = _fast_plan(forms)
     # the kernel takes n < 2^32 with k n^(m-1) < 2^61
     caps = [_s_cap(e[2], m - 1) if e else 0 for e, m in zip(plan, problem.ms)]
-    sieve = _root_sieve(n_hi)
+    sieve = _root_sieve(x)
     tally = [0, 0]
-    counts = [0] * len(cuts)
-    i = bisect.bisect_left(cuts, n_lo)
-    total = 0
-    for b_lo in range(n_lo, n_hi + 1, _BLOCK):
-        b_hi = min(b_lo + _BLOCK - 1, n_hi)
-        ok = _coprime_block(plan, forms, caps, sieve, b_lo, b_hi, tally)
-        while i < len(cuts) and cuts[i] <= b_hi:
-            counts[i] = total + int(np.count_nonzero(ok[:cuts[i] - b_lo + 1]))
-            i += 1
+    counts, total = [], 0
+    for lo in range(1, x + 1, _BLOCK):
+        hi = min(lo + _BLOCK - 1, x)
+        ok = _coprime_block(plan, forms, caps, sieve, lo, hi, tally)
+        counts += [total + int(np.count_nonzero(ok[:cut - lo + 1]))
+                   for cut in cuts if lo <= cut <= hi]
         total += int(np.count_nonzero(ok))
-    counts[i:] = [total] * (len(cuts) - i)
-    return counts, tally, plan.count(None)
+    return tuple(counts), FloorStats(tally[0], tally[1], plan.count(None))
 
 
-def _direct_sweep(problem: ProblemSpec, cuts: tuple, workers: int):
-    """Exact counts at every cut (increasing) from one sweep to cuts[-1].
-
-    The range splits into `workers` contiguous chunks, each counted
-    independently; chunk results are summed in chunk order.  A sweep of
-    fewer than _POOL_BLOCKS blocks per worker runs as one chunk in this
-    process, which is faster than starting the pool.  Counts are exact
-    integers, so they are identical for every worker count.  The sieve
-    holds n in float64, so cuts[-1] must be below 2^53.
-    """
-    if workers < 1:
-        raise InvalidSpec("workers must be >= 1")
-    x = cuts[-1]
-    if x >= 1 << 53:
-        raise InvalidSpec("the direct route counts to x < 2^53")
-    if workers == 1 or x // (_BLOCK * workers) < _POOL_BLOCKS:
-        parts = [_direct_chunk((problem, 1, x, cuts))]
-    else:
-        edges = [i * x // workers for i in range(workers + 1)]
-        jobs = [(problem, lo + 1, hi, cuts)
-                for lo, hi in zip(edges, edges[1:]) if hi > lo]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_direct_chunk, jobs))
-    counts = tuple(map(sum, zip(*(part[0] for part in parts))))
-    fast, fallbacks = map(sum, zip(*(part[1] for part in parts)))
-    return counts, FloorStats(fast, fallbacks, parts[0][2])
-
-
-def direct_count(problem: ProblemSpec, x: int, *,
-                 workers: int = 1) -> CountResult:
-    """Count n ≤ x < 2^53 with gcd(n, floor terms) = 1, term by term.
+def direct_count(problem: ProblemSpec, x: int) -> CountResult:
+    """Count n ≤ x < 2^53 with gcd(n, floor terms) = 1, term by term, in
+    one serial sweep over blocks of _BLOCK n.
 
     Floors come from the 64-bit kernel where its bracket decides them and
     from the certified big-integer engine otherwise.  A block sieve keeps
     the primes of n that divide the first floor term, and the later
     terms are tested only against those (`_coprime_block`).  The count is
-    the one-point case of the density sweep, so it is identical for every
-    worker count.
+    the one-point case of the density sweep.
     """
     if x < 1:
         raise InvalidSpec("x must be >= 1")
-    (count,), stats = _direct_sweep(problem, (x,), workers)
+    (count,), stats = _direct_sweep(problem, (x,))
     return CountResult(x, count, "direct", None, stats)
 
 
@@ -607,6 +568,9 @@ def mobius_count(problem: ProblemSpec, x: int,
     _SIEVE_BUDGET raises ResourceLimit naming that n."""
     if x < 1:
         raise InvalidSpec("x must be >= 1")
+    if x >= 1 << 64:
+        raise InvalidSpec("the Moebius route counts to x < 2^64, the uint64 "
+                          "limit of its n and d")
     if d_cutoff is not None and not 1 <= d_cutoff <= x:
         raise InvalidSpec("d_cutoff must lie in [1, x]")
     depth = d_cutoff if d_cutoff is not None else x
@@ -754,8 +718,7 @@ def _fit_loglog(xs: Sequence[float], ys: Sequence[Fraction]):
 
 
 def density_experiment(problem: ProblemSpec, grid: Sequence[int], *,
-                       tau: Optional[ExactLike] = None,
-                       workers: int = 1) -> DensityRun:
+                       tau: Optional[ExactLike] = None) -> DensityRun:
     """Direct counts at every grid point from one sweep to max(grid),
     exact errors against x/zeta(k+1), and the ordinary-least-squares
     slope of log error versus log x."""
@@ -767,7 +730,7 @@ def density_experiment(problem: ProblemSpec, grid: Sequence[int], *,
     if grid[0] < 1:
         raise InvalidSpec("grid points must be >= 1")
     target = inv_zeta(problem.k + 1)
-    counts, stats = _direct_sweep(problem, grid, workers)
+    counts, stats = _direct_sweep(problem, grid)
     errors = tuple(abs(Fraction(c) - x * target)
                    for x, c in zip(grid, counts))
     slope, residual = _fit_loglog(grid, errors)

@@ -52,7 +52,7 @@ def test_criterion_1_exact_route_agreement(matrix):
 def _density_criterion(number, name, fx, zeta_s):
     problem = ProblemSpec(tuple(fx["alphas"]), tuple(fx["ms"]))
     target = inv_zeta(zeta_s)
-    counts = [direct_count(problem, x, workers=4).count for x in fx["grid"]]
+    counts = [direct_count(problem, x).count for x in fx["grid"]]
     errors = [abs(Fraction(c, x) - target)
               for x, c in zip(fx["grid"], counts)]
     tol = Fraction(fx["tolerance"])
@@ -250,7 +250,7 @@ def test_criterion_7_monotone_lemmas():
 
 
 def test_criterion_8_deterministic_reports(matrix):
-    """Report payloads are byte-identical across worker counts."""
+    """Report payloads are byte-identical from run to run."""
     picks = [matrix[0], matrix[4], matrix[7], matrix[10]]
     problems = []
     for idx, problem in enumerate(picks):
@@ -259,16 +259,15 @@ def test_criterion_8_deterministic_reports(matrix):
                "alphas": ",".join(desc["alphas"]),
                "ms": ",".join(str(m) for m in desc["ms"]),
                "x": "10000"}
-        payloads = [payload_bytes(run_config(raw, workers=w))
-                    for w in (1, 4, 16)]
+        payloads = [payload_bytes(run_config(raw)) for _ in range(3)]
         if len(set(payloads)) != 1:
-            problems.append(f"set {idx}: payload varies with workers")
+            problems.append(f"set {idx}: payload varies between runs")
         count = json.loads(payloads[0])["results"]["count"]
         mobius = run_config(dict(raw, method="mobius"))["results"]["count"]
         if mobius != count:
             problems.append(f"set {idx}: mobius {mobius} != direct {count}")
     ok = not problems
-    detail = (f"{len(picks)} configs x workers 1/4/16 at x=10,000: payloads "
+    detail = (f"{len(picks)} configs x 3 runs at x=10,000: payloads "
               f"byte-identical, independent route agrees" if ok
               else "; ".join(problems))
     record_acceptance(8, "deterministic reports", ok, detail)

@@ -201,23 +201,21 @@ def test_run_config_rejects_the_removed_zeta_bits_key():
 def test_report_meta_and_version():
     report = run_config(count_config())
     meta = report["meta"]
-    assert set(meta) == {"wall_time_s", "workers", "version", "stats"}
-    assert meta["workers"] == 1
+    assert set(meta) == {"wall_time_s", "version", "stats"}
     assert meta["version"] == __version__
     assert meta["wall_time_s"] >= 0.0
 
 
-def test_workers_override_beats_config():
-    report = run_config(count_config(workers="4"), workers=2)
-    assert report["meta"]["workers"] == 2
-    report = run_config(count_config(workers="4"))
-    assert report["meta"]["workers"] == 4
-
-
 def test_payload_bytes_identical_across_workers():
-    raw = count_config(x="2000")
-    blobs = {payload_bytes(run_config(raw, workers=w)) for w in (1, 4)}
-    assert len(blobs) == 1
+    # the workers key is echoed in the config and changes nothing else
+    for w in ("1", "4"):
+        raw = count_config(x="2000", workers=w)
+        blobs = {payload_bytes(run_config(raw)) for _ in range(2)}
+        assert len(blobs) == 1
+        decoded = json.loads(blobs.pop())
+        assert decoded["config"] == raw
+        assert decoded["results"] == run_config(
+            count_config(x="2000"))["results"]
 
 
 def test_payload_bytes_excludes_meta_and_private():
@@ -644,17 +642,28 @@ def test_main_csv_rejected_when_command_has_none(tmp_path, capsys):
     assert "no CSV form" in capsys.readouterr().err
 
 
-def test_main_workers_flag_overrides(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path, f"command=count\nalphas={SQRT2}\nms=1\nx=50\nworkers=1\n")
-    assert main(["count", "--config", cfg, "--workers", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["meta"]["workers"] == 3
-
-
-def test_main_rejects_a_nonpositive_workers_flag(tmp_path, capsys):
+def test_main_has_no_workers_flag(tmp_path):
     cfg = write_config(tmp_path, f"command=count\nalphas={SQRT2}\nms=1\nx=50\n")
-    assert main(["count", "--config", cfg, "--workers", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--config", cfg, "--workers", "2"])
+    assert exc.value.code == 2
+
+
+def test_main_rejects_a_nonpositive_workers_key(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, f"command=count\nalphas={SQRT2}\nms=1\nx=50\nworkers=0\n")
+    assert main(["count", "--config", cfg]) == 2
     assert "'workers' must be >= 1" in capsys.readouterr().err
+
+
+def test_main_refuses_a_mobius_count_past_uint64(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, f"command=count\nalphas={SQRT2}\nms=1\n"
+        f"x={2**64}\nmethod=mobius\n")
+    assert main(["count", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "x < 2^64, the uint64 limit" in err
 
 
 def test_main_has_no_max_bits_flag(tmp_path):

@@ -242,6 +242,12 @@ def test_direct_route_counts_below_2_53():
         direct_count(ProblemSpec((sqrt2(),), (1,)), 2**53)
 
 
+def test_mobius_route_counts_below_2_64():
+    # n and d are uint64
+    with pytest.raises(InvalidSpec, match="2\\^64, the uint64 limit"):
+        mobius_count(ProblemSpec((sqrt2(),), (1,)), 2**64)
+
+
 # --- zeta --------------------------------------------------------------------------
 
 
@@ -332,11 +338,15 @@ def test_direct_matches_independent_float_route():
         assert direct_count(p, 300).count == brute_count(p, 300)
 
 
-def test_worker_counts_are_identical(monkeypatch):
-    from beattysieve import counting
-    monkeypatch.setattr(counting, "_POOL_BLOCKS", 0)    # pool every sweep
+def test_worker_counts_are_identical():
+    # a config's workers key is accepted and changes nothing
+    from beattysieve.cli import run_config
     p = ProblemSpec((sqrt2(),), (1,))
-    counts = {direct_count(p, 20000, workers=w).count for w in (1, 4, 16)}
+    assert direct_count(p, 20000).count == 12153
+    raw = {"command": "count", "alphas": p.describe()["alphas"][0],
+           "ms": "1", "x": "20000"}
+    counts = {run_config(dict(raw, workers=str(w)))["results"]["count"]
+              for w in (1, 4, 16)}
     assert counts == {12153}
 
 
@@ -454,12 +464,6 @@ def test_failures_name_the_limiting_literal(verdict):
         verdict()
     assert info.value.bits == _LIT.max_prec() == 24
     assert info.value.spec is _LIT
-
-
-def test_direct_count_rejects_nonpositive_workers():
-    p = ProblemSpec((sqrt2(),), (1,))
-    with pytest.raises(InvalidSpec, match="workers"):
-        direct_count(p, 10, workers=0)
 
 
 def test_count_rejects_nonpositive_x():
@@ -652,13 +656,10 @@ def test_direct_count_builds_each_plan_once(monkeypatch):
     p = ProblemSpec((sqrt2(), sqrt3(), golden_ratio()), (1, 2, 6))
     assert direct_count(p, 10**4).stats == FloorStats(14151, 1475, 0)
     assert len(calls) == 1
-    # a constant past 2^126 keeps the coordinate exact-only; each chunk
-    # reports it from its own plan
-    monkeypatch.setattr(counting, "_POOL_BLOCKS", 0)
+    # a constant past 2^126 keeps the coordinate exact-only
     big = ProblemSpec((sqrt2(), sqrt3()), (1, 2),
                       lower_terms=(None, (str(2**127),)))
-    assert {direct_count(big, 5000, workers=w).stats for w in (1, 2)} == \
-        {FloorStats(4999, 1960, 1)}
+    assert direct_count(big, 5000).stats == FloorStats(4999, 1960, 1)
 
 
 @pytest.mark.parametrize("x", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
@@ -667,53 +668,25 @@ def test_counts_at_the_block_edges(x):
     assert direct_count(p, x).count == exact_reference_count(p, x)
 
 
-def test_density_sweep_prefix_counts_at_the_block_edges(monkeypatch):
-    from beattysieve import counting
-    monkeypatch.setattr(counting, "_POOL_BLOCKS", 0)
+def test_density_sweep_prefix_counts_at_the_block_edges():
     p = ProblemSpec((golden_ratio(), sqrt2()), (1, 3))
     grid = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5)
     want = tuple(direct_count(p, x).count for x in grid)
-    for workers in (1, 2):
-        assert density_experiment(p, grid, workers=workers).counts == want
+    assert density_experiment(p, grid).counts == want
 
 
-def test_workers_and_early_exit_give_identical_counts(monkeypatch):
-    from beattysieve import counting
-    monkeypatch.setattr(counting, "_POOL_BLOCKS", 0)
+def test_workers_and_early_exit_give_identical_counts():
+    # the later coordinates stop once no n of a block keeps a prime, and
+    # a config's workers key changes nothing
+    from beattysieve.cli import run_config
     p = ProblemSpec((sqrt2(), sqrt3(), golden_ratio()), (1, 2, 4))
-    counts = {direct_count(p, 9000, workers=w).count for w in (1, 2, 4)}
-    assert counts == {exact_reference_count(p, 9000)}
-
-
-def test_pool_starts_by_block_count(monkeypatch):
-    from beattysieve import counting
-    started = []
-
-    class InProcess:
-        """Records the pool's size and maps in this process."""
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", InProcess)
-    p = ProblemSpec((sqrt2(), sqrt3()), (1, 2))
-    edge = counting._POOL_BLOCKS * _BLOCK * 2   # x // (_BLOCK * 2) reaches it
-    serial = {x: direct_count(p, x) for x in (edge - 1, edge)}
-    assert started == []
-    assert direct_count(p, edge - 1, workers=2).count == \
-        serial[edge - 1].count
-    assert started == []
-    pooled = direct_count(p, edge, workers=2)
-    assert started == [2]
-    assert (pooled.count, pooled.stats) == (serial[edge].count,
-                                            serial[edge].stats)
+    want = exact_reference_count(p, 9000)
+    assert direct_count(p, 9000).count == want
+    raw = {"command": "count", "alphas": ",".join(p.describe()["alphas"]),
+           "ms": "1,2,4", "x": "9000"}
+    counts = {run_config(dict(raw, workers=str(w)))["results"]["count"]
+              for w in (1, 2, 4)}
+    assert counts == {want}
 
 
 def test_engine_counters():

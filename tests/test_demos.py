@@ -41,7 +41,7 @@ def test_regenerated_fixtures_are_byte_identical(tmp_path):
         p for p in (os.path.join(REPO, "src"), env.get("PYTHONPATH")) if p)
     subprocess.run(
         [sys.executable, os.path.join(DEMO_DIR, "regenerate_fixtures.py"),
-         "--out-dir", str(tmp_path), "--workers", "2"],
+         "--out-dir", str(tmp_path)],
         cwd=REPO, env=env, check=True, capture_output=True)
     for name in ("density_goldens.json", "lemma_constants.json"):
         with open(os.path.join(FIXTURE_DIR, name), "rb") as want, \

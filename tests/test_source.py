@@ -1,7 +1,10 @@
-"""Static checks on the package source."""
+"""Checks on the package source and on what importing it loads."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -89,3 +92,16 @@ def test_unused_private_names_are_found():
              "def _g():\n    pass\n",
              "from .a import _C\nimport a\na._g()\n"]
     assert unused_private_names(texts) == ["_B", "_f"]
+
+
+def test_cli_import_loads_no_process_machinery():
+    # counting runs in one process, so the CLI must not pay for a pool
+    code = ("import sys, beattysieve.cli\n"
+            "print(sorted(m for m in ('concurrent.futures', "
+            "'multiprocessing') if m in sys.modules))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
