@@ -7,13 +7,13 @@ expands the coprimality indicator through the Moebius function into
 box-occupancy counts, the n ≤ x/d with every floor term at t = dn
 divisible by d, which it sums in one pass over n: the d that pass
 coordinate 1 at n are [1, top_n], and exact floors bisect to top_n
-where the kernel's bracket leaves it open.  Both routes
-ask for floor(a t^m + g(t)) mod d at t = dn, the direct one with d = t
-and the Moebius one only whether it is 0, and both are certified: one
-64-bit fixed-point kernel, which sums the brackets of every term,
-decides what it can and the exact engine the rest, so with no cutoff
-they must agree exactly — that identity is the strongest self-test in
-the package.  The module also carries the zeta constants, the error
+where the kernel's bracket leaves it open.  Each route drives one
+coordinate engine (`_Coords`) per count for floor(a t^m + g(t)) mod d
+at t = dn, the direct one with d = t and the Moebius one only whether
+it is 0, and both are certified: one 64-bit fixed-point kernel decides
+what it can and the exact engine the rest, so with no cutoff they must
+agree exactly — that identity is the strongest self-test in the
+package.  The module also carries the zeta constants, the error
 exponents in closed form and the density experiment with its fit.
 """
 
@@ -321,10 +321,9 @@ def _const_floor(a: int, b: int, d: np.ndarray) -> np.ndarray:
     return (q << _SHIFT32) + (r << _SHIFT32 | np.uint64(b & 0xFFFFFFFF)) // d
 
 
-def _kernel(d: np.ndarray, n: np.ndarray, entry: tuple, zero: bool):
-    """(r, decided mask) for r = floor(f(dn)) mod d as int64, or with zero
-    (r == 0, decided mask), for uint64 d < 2^32 and n with
-    k d^(m-1) n^m < 2^61, given the `_fast_plan` entry of f with scale k."""
+def _bracket(d: np.ndarray, n: np.ndarray, entry: tuple) -> tuple:
+    """(L, L + W, whole): {Phi} 2^64 is in [L, L + W] where whole, L + W <
+    2^64, for uint64 d < 2^32 and k d^(m-1) n^m < 2^61, k the entry's."""
     terms, const, _ = entry
     t = d * n if terms[-1][0] > 1 else None
     low = width = 0
@@ -335,7 +334,13 @@ def _kernel(d: np.ndarray, n: np.ndarray, entry: tuple, zero: bool):
         low += _const_floor(*const[:2], d)
         width += np.uint64(const[2])
     high = low + width
-    whole = high >= low
+    return low, high, high >= low
+
+
+def _kernel(d: np.ndarray, n: np.ndarray, entry: tuple, zero: bool):
+    """(r, decided mask) for r = floor(f(dn)) mod d as int64, or with zero
+    (r == 0, decided mask), from the `_bracket` of f at each pair."""
+    low, high, whole = _bracket(d, n, entry)
     if zero:
         q = _U64_MAX // d
         inside = whole & (high <= q)
@@ -346,31 +351,47 @@ def _kernel(d: np.ndarray, n: np.ndarray, entry: tuple, zero: bool):
     return res.astype(np.int64), decided
 
 
-def _coordinate(plan: list, forms: list, j: int, d: np.ndarray,
-                n: np.ndarray, fast: np.ndarray, zero: bool,
-                tally: list) -> np.ndarray:
-    """floor(a_j t^(m_j) + g_j(t)) mod d at t = dn per pair, or with zero
-    whether it is 0: the exact floor takes every pair when fast is None or
-    coordinate j has no plan, else the pairs outside the mask fast and
-    those the kernel leaves open; tally adds [kernel verdicts, fallbacks]."""
-    if plan[j] is None or fast is None:
-        out = np.empty(d.size, dtype=bool if zero else np.int64)
-        open_ = np.arange(d.size)
-    else:
-        out, decided = _kernel(d, n, plan[j], zero)
-        open_ = np.flatnonzero(~(decided & fast))
-        tally[0] += d.size - open_.size
-    tally[1] += open_.size
-    if open_.size:
-        ds = d[open_].tolist()
-        ts = [a * b for a, b in zip(ds, n[open_].tolist())]
-        try:
-            res = [f % a for f, a in zip(forms[j].floors(ts), ds)]
-        except PrecisionExhausted as exc:
-            exc.term = j                   # the failure names the coordinate
-            raise
-        out[open_] = [r == 0 for r in res] if zero else res
-    return out
+class _Coords:
+    """The forms, `_fast_plan`, kernel caps and tally [kernel verdicts,
+    exact fallbacks] of one count's coordinates.  The kernel takes a pair
+    (d, n) of coordinate j when t = dn ≤ caps[j] = _s_cap(k, m_j - shift),
+    so d ≤ t < 2^32 and k S_m < 2^61: shift is 1 on the direct route,
+    whose pairs (t, 1) have S = t^(m-1), and 0 on the Moebius route,
+    where S = d^(m-1) n^m ≤ t^m."""
+
+    def __init__(self, problem: ProblemSpec, shift: int) -> None:
+        self.forms = [coordinate_form(problem, j) for j in range(problem.k)]
+        self.plan = _fast_plan(self.forms)
+        self.caps = [_s_cap(e[2], m - shift) if e else 0
+                     for e, m in zip(self.plan, problem.ms)]
+        self.tally = [0, 0]
+
+    def stats(self) -> FloorStats:
+        return FloorStats(*self.tally, self.plan.count(None))
+
+    def coordinate(self, j: int, d: np.ndarray, n: np.ndarray, zero: bool,
+                   exact: bool = False) -> np.ndarray:
+        """floor(a_j t^(m_j) + g_j(t)) mod d at t = dn per pair, or with
+        zero whether it is 0: exact floors take the pairs past the cap or
+        left open by the kernel, and all when exact or j has no plan."""
+        t = d * n
+        if exact or self.plan[j] is None:
+            out = np.empty(d.size, dtype=bool if zero else np.int64)
+            open_ = np.arange(d.size)
+        else:
+            out, decided = _kernel(d, n, self.plan[j], zero)
+            open_ = np.flatnonzero(~(decided & (t <= self.caps[j])))
+            self.tally[0] += d.size - open_.size
+        self.tally[1] += open_.size
+        if open_.size:
+            ds, ts = d[open_].tolist(), t[open_].tolist()
+            try:
+                res = [f % a for f, a in zip(self.forms[j].floors(ts), ds)]
+            except PrecisionExhausted as exc:
+                exc.term = j               # the failure names the coordinate
+                raise
+            out[open_] = [r == 0 for r in res] if zero else res
+        return out
 
 
 def _root_sieve(limit: int) -> tuple:
@@ -425,31 +446,26 @@ def _radical_gcd(n_lo: int, r: np.ndarray, sieve: tuple) -> np.ndarray:
     return np.where(v == np.floor(v), g * big, g)
 
 
-def _coprime_block(plan: list, forms: list, caps: list, sieve: tuple,
-                   n_lo: int, n_hi: int, tally: list):
+def _coprime_block(coords: _Coords, sieve: tuple, n_lo: int, n_hi: int):
     """Boolean mask of n in [n_lo, n_hi] with gcd(n, floor terms) = 1.
 
     Coordinate 1 runs on every n ≥ 2 as the pairs (d, n) = (n, 1), and
     the sieve turns its residues r_n into g = rad(gcd(n, r_n)).
     Coordinates 2..k run in order, each only on the n whose g is still
     above 1, as g = gcd(g, r_j): a prime of n divides every floor term
-    iff it divides the last g.  The kernel takes the n ≤ caps[j].  tally
-    accumulates [kernel verdicts, exact fallbacks].
+    iff it divides the last g.
     """
     n = np.arange(n_lo, n_hi + 1, dtype=np.uint64)
     r = np.zeros(n.size)
+    ones = np.ones_like(n)
     one = int(n_lo == 1)                 # gcd(1, ...) = 1: not evaluated
-    t = n[one:]
-    r[one:] = _coordinate(plan, forms, 0, t, np.ones_like(t), t <= caps[0],
-                          False, tally)
+    r[one:] = coords.coordinate(0, n[one:], ones[one:], False)
     g = _radical_gcd(n_lo, r, sieve).astype(np.int64)
-    for j in range(1, len(caps)):
+    for j in range(1, len(coords.forms)):
         idx = np.flatnonzero(g > 1)
         if not idx.size:
             break
-        t = n[idx]
-        g[idx] = np.gcd(g[idx], _coordinate(
-            plan, forms, j, t, np.ones_like(t), t <= caps[j], False, tally))
+        g[idx] = np.gcd(g[idx], coords.coordinate(j, n[idx], ones[idx], False))
     return g == 1
 
 
@@ -460,20 +476,16 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple):
     x = cuts[-1]
     if x >= 1 << 53:
         raise InvalidSpec("the direct route counts to x < 2^53")
-    forms = [coordinate_form(problem, j) for j in range(problem.k)]
-    plan = _fast_plan(forms)
-    # the kernel takes n < 2^32 with k n^(m-1) < 2^61
-    caps = [_s_cap(e[2], m - 1) if e else 0 for e, m in zip(plan, problem.ms)]
+    coords = _Coords(problem, 1)
     sieve = _root_sieve(x)
-    tally = [0, 0]
     counts, total = [], 0
     for lo in range(1, x + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, x)
-        ok = _coprime_block(plan, forms, caps, sieve, lo, hi, tally)
+        ok = _coprime_block(coords, sieve, lo, hi)
         counts += [total + int(np.count_nonzero(ok[:cut - lo + 1]))
                    for cut in cuts if lo <= cut <= hi]
         total += int(np.count_nonzero(ok))
-    return tuple(counts), FloorStats(tally[0], tally[1], plan.count(None))
+    return tuple(counts), coords.stats()
 
 
 def direct_count(problem: ProblemSpec, x: int) -> CountResult:
@@ -492,51 +504,38 @@ def direct_count(problem: ProblemSpec, x: int) -> CountResult:
     return CountResult(x, count, "direct", None, stats)
 
 
-def _box_hits(plan: list, forms: list, caps: list, d: np.ndarray,
-              n: np.ndarray, tally: list) -> np.ndarray:
+def _box_hits(coords: _Coords, d: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Indices i with floor(a_j t^(m_j) + g_j(t)) ≡ 0 (mod d_i), t = d_i n_i,
-    for every coordinate j ≥ 2, each on the pairs that passed the ones
-    before.  The kernel takes the pairs with t ≤ caps[j] = _s_cap(k, m_j),
-    so k S = k d^(m-1) n^m ≤ k t^m < 2^61 and d ≤ t < 2^32, at one
-    compare per pair."""
+    for every coordinate j ≥ 2, each on the pairs that passed j - 1."""
     idx = np.arange(n.size)
-    for j in range(1, len(caps)):
+    for j in range(1, len(coords.forms)):
         if not idx.size:
             break
-        dj, nj = d[idx], n[idx]
-        idx = idx[_coordinate(plan, forms, j, dj, nj, dj * nj <= caps[j],
-                              True, tally)]
+        idx = idx[coords.coordinate(j, d[idx], n[idx], True)]
     return idx
 
 
-def _linear_tops(plan: list, forms: list, n: np.ndarray, x: int, cut: int,
-                 tally: list) -> np.ndarray:
+def _linear_tops(coords: _Coords, n: np.ndarray, x: int, cut: int):
     """top_n = min(D_n, x/n, cut) per n, the last d passing coordinate 1:
     as m_1 = 1 and coordinate 1 has no lower-order terms, floor(a dn) mod
     d = floor(d {a n}), 0 exactly for d ≤ D_n = ceil(1/{a n}) - 1.  The
-    kernel's bracket {a n} 2^64 in [L, L + W] (S = n) puts top_n in [a, b]
-    = [floor((2^64 - 1)/(L + W)), floor((2^64 - 1)/L)], capped, or [1, x/n]
-    if it has none; exact floors bisect an open (a, b], log2(b - a) deep,
-    after one at b where coordinate 1 has a plan but the kernel's bracket
-    at n (wrapping, out of reach or with L = 0) leaves {a n} = 0 open."""
+    `_bracket` [L, L + W] of {a n} 2^64 at d = 1, where it does not wrap
+    and k n < 2^61, puts top_n in [a, b] = [floor((2^64 - 1)/(L + W)),
+    floor((2^64 - 1)/L)], capped, else in [1, x/n]; exact floors, its
+    only ones, bisect an open (a, b], log2(b - a) deep."""
     a, b = np.ones_like(n), np.minimum(np.uint64(x) // n, np.uint64(cut))
-    if plan[0] is not None:
-        (_, lo64, w), = plan[0][0]
-        low = n * np.uint64(lo64)
-        high = low + n * np.uint64(w)
-        ok = (high >= low) & (n <= (_S_LIMIT - 1) // plan[0][2])
+    entry = coords.plan[0]
+    if entry is not None:
+        low, high, ok = _bracket(a, n, entry)
+        ok &= n <= (_S_LIMIT - 1) // entry[2]
         a[ok] = np.minimum(_U64_MAX // np.maximum(high[ok], 1), b[ok])
         ok &= low > 0
         b[ok] = np.minimum(_U64_MAX // low[ok], b[ok])
-        tally[0] += int(np.count_nonzero(a == b))
-        i = np.flatnonzero(~ok & (a < b))
-        if i.size:
-            hit = _coordinate(plan, forms, 0, b[i], n[i], None, True, tally)
-            a[i[hit]], b[i[~hit]] = b[i[hit]], b[i[~hit]] - np.uint64(1)
+        coords.tally[0] += int(np.count_nonzero(a == b))
     i = np.flatnonzero(a < b)
     while i.size:                       # a passes, b + 1 fails
         mid = (a[i] + b[i] + np.uint64(1)) // np.uint64(2)
-        hit = _coordinate(plan, forms, 0, mid, n[i], None, True, tally)
+        hit = coords.coordinate(0, mid, n[i], True, exact=True)
         a[i[hit]], b[i[~hit]] = mid[hit], mid[~hit] - np.uint64(1)
         i = i[a[i] < b[i]]
     return a
@@ -574,15 +573,12 @@ def mobius_count(problem: ProblemSpec, x: int,
     if d_cutoff is not None and not 1 <= d_cutoff <= x:
         raise InvalidSpec("d_cutoff must lie in [1, x]")
     depth = d_cutoff if d_cutoff is not None else x
-    forms = [coordinate_form(problem, j) for j in range(problem.k)]
-    plan = _fast_plan(forms)
-    caps = [_s_cap(e[2], m) if e else 0 for e, m in zip(plan, problem.ms)]
-    tally = [0, 0]
+    coords = _Coords(problem, 0)
     mertens = np.zeros(1, dtype=np.int32)           # M(d) at index d
     total = x if problem.k > 1 else 0
     for lo in range(1, x + 1, _BLOCK):
         n = np.arange(lo, min(lo + _BLOCK, x + 1), dtype=np.uint64)
-        top = _linear_tops(plan, forms, n, x, depth, tally)
+        top = _linear_tops(coords, n, x, depth)
         end = int(top.max())
         if end >= mertens.size:                     # doubling, in budget
             size = max(end, min(2 * mertens.size, depth, _SIEVE_BUDGET // 8))
@@ -599,10 +595,9 @@ def mobius_count(problem: ProblemSpec, x: int,
         for d, i in _ragged(top):
             mu = mertens[d] - mertens[d - np.uint64(1)]
             keep = np.flatnonzero(mu)
-            hits = _box_hits(plan, forms, caps, d[keep], n[i[keep]], tally)
+            hits = _box_hits(coords, d[keep], n[i[keep]])
             total += int(mu[keep[hits]].sum(dtype=np.int64))
-    return CountResult(x, total, "mobius", d_cutoff,
-                       FloorStats(tally[0], tally[1], plan.count(None)))
+    return CountResult(x, total, "mobius", d_cutoff, coords.stats())
 
 
 # ---------------------------------------------------------------------------

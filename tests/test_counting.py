@@ -22,6 +22,7 @@ from beattysieve.counting import (
     ProblemSpec,
     _borwein,
     _const_floor,
+    _Coords,
     _fast_plan,
     _fit_loglog,
     _kernel,
@@ -656,10 +657,22 @@ def test_direct_count_builds_each_plan_once(monkeypatch):
     p = ProblemSpec((sqrt2(), sqrt3(), golden_ratio()), (1, 2, 6))
     assert direct_count(p, 10**4).stats == FloorStats(14151, 1475, 0)
     assert len(calls) == 1
+    assert mobius_count(p, 10**4).count == 9253
+    assert len(calls) == 2
     # a constant past 2^126 keeps the coordinate exact-only
     big = ProblemSpec((sqrt2(), sqrt3()), (1, 2),
                       lower_terms=(None, (str(2**127),)))
     assert direct_count(big, 5000).stats == FloorStats(4999, 1960, 1)
+
+
+def test_mobius_zero_verdict_on_an_exact_only_later_coordinate():
+    # the constant past 2^126 leaves coordinate 2 without a plan, so every
+    # box test on it takes the exact floor
+    big = ProblemSpec((sqrt2(), sqrt3()), (1, 2),
+                      lower_terms=(None, (str(2**127),)))
+    res = mobius_count(big, 5000)
+    assert res.stats == FloorStats(5000, 2556, 1)
+    assert res.count == direct_count(big, 5000).count == 4147
 
 
 @pytest.mark.parametrize("x", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
@@ -829,8 +842,8 @@ def test_linear_tops_are_the_last_passing_d(alpha, edge, offset, size, reach,
     n = np.arange(lo, lo + size, dtype=np.uint64)
     x = max(lo * reach, lo + size - 1)             # x/n up to reach
     cut = x if cut is None else min(cut, x)
-    forms = [coordinate_form(ProblemSpec.unchecked((alpha,), (1,)), 0)]
-    got = _linear_tops(_fast_plan(forms), forms, n, x, cut, [0, 0])
+    coords = _Coords(ProblemSpec.unchecked((alpha,), (1,)), 0)
+    got = _linear_tops(coords, n, x, cut)
     assert got.tolist() == [_brute_top(alpha, m, x, cut) for m in n.tolist()]
 
 
@@ -844,18 +857,12 @@ def test_mobius_counts_a_literal_whose_probed_floors_decide():
 
 def test_mobius_bisects_an_exact_coordinate():
     # every 64-bit bracket of 1/3 at a multiple of 3 wraps, and each such n
-    # bisects (1, x/n] instead of testing every squarefree d in it
+    # bisects (1, x/n] in 53,253 floors in all, where testing every
+    # squarefree d in it took 215,041
     p = ProblemSpec.unchecked((_THIRD,), (1,))
     res = mobius_count(p, 10**5)
     assert res.count == direct_count(p, 10**5).count
-    assert 0 < res.stats.exact_fallbacks < 10**5
-
-
-def test_mobius_probes_the_cap_first_where_the_bracket_wraps():
-    # {n/3} = 0 at the 33,333 multiples of 3, so one floor at the cap
-    # settles each; bisecting from the midpoint took 53,253 floors in all
-    p = ProblemSpec.unchecked((_THIRD,), (1,))
-    assert mobius_count(p, 10**5).stats.exact_fallbacks < 30_000
+    assert res.stats.exact_fallbacks == 53_253
 
 
 _constants = st.sampled_from([Rational(0, 1), Rational(1, 2), Rational(1, 3),
