@@ -58,6 +58,7 @@ Exit codes: 0 success, 2 configuration/precondition error,
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import os
@@ -297,6 +298,20 @@ def cmd_weyl(cfg: _Config):
     return payload, asdict(res.stats)
 
 
+def _outward_ends(quality) -> dict:
+    """quality_lo and quality_hi: the enclosure's ends to 20 significant
+    digits, the lower rounded down and the upper up, so the printed
+    interval holds the exact one."""
+    ends = {}
+    for key, end, rounding in (
+            ("quality_lo", quality.lo, decimal.ROUND_FLOOR),
+            ("quality_hi", quality.hi, decimal.ROUND_CEILING)):
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.rounding = 20, rounding
+            ends[key] = str(decimal.Decimal(end.numerator) / end.denominator)
+    return ends
+
+
 def cmd_dioph(cfg: _Config):
     alpha = cfg.str_("alpha")
     max_q = cfg.int_("max_q", minimum=1)
@@ -322,9 +337,8 @@ def cmd_dioph(cfg: _Config):
         "max_q": max_q,
         "mode": mode,
         "convergents": [
-            {"index": c.index, "a": c.a, "q": c.q,
-             "quality_lo": dec_str(c.quality.lo, 20),
-             "quality_hi": dec_str(c.quality.hi, 20)} for c in convs],
+            dict(index=c.index, a=c.a, q=c.q,
+                 **_outward_ends(c.quality)) for c in convs],
         "type_estimate": estimate,
     }
     if window_q is not None:

@@ -10,11 +10,12 @@ coordinate 1 at n are [1, top_n], and exact floors bisect to top_n
 where the kernel's bracket leaves it open.  Each route drives one
 coordinate engine (`_Coords`) per count for floor(a t^m + g(t)) mod d
 at t = dn, the direct one with d = t and the Moebius one only whether
-it is 0, and both are certified: one 64-bit fixed-point kernel decides
-what it can and the exact engine the rest, so with no cutoff they must
-agree exactly — that identity is the strongest self-test in the
-package.  The module also carries the zeta constants, the error
-exponents in closed form and the density experiment with its fit.
+it is 0, and both are certified: a fixed-point kernel, at 64 bits and
+then 128, decides what it can and the exact engine the rest, so with no
+cutoff they must agree exactly — that identity is the strongest
+self-test in the package.  The module also carries the zeta constants,
+the error exponents in closed form and the density experiment with its
+fit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 
 from .errors import DegenerateFit, InsufficientData, InvalidSpec, \
     PrecisionExhausted, ResourceLimit
-from .realnum import Interval, LinearForm, _SHIFT32, _iroot, _mul_hi, as_spec
+from .realnum import Interval, LinearForm, _SHIFT32, _iroot, _mul_hi, \
+    _mul_hi64, as_spec
 
 ExactLike = Union[int, Fraction, str]
 
@@ -114,9 +116,10 @@ class FloorStats:
     """What the counting engine did.
 
     fast_floors: the direct route's (n, j) floors, or the Moebius route's
-    box tests, decided by the 64-bit fixed-point kernel; that route decides
-    coordinate 1 once per n, for all its d at once, and tests only the
-    later coordinates per (d, n) pair, so it counts far fewer than x ln x;
+    box tests, decided by the fixed-point kernel at 64 or 128 bits; the
+    Moebius route decides coordinate 1 at 64 bits once per n, for all its
+    d at once, and tests only the later coordinates per (d, n) pair, so
+    it counts far fewer than x ln x;
     exact_fallbacks: the big-integer engine's floors, those the kernel left
     undecided or could not take, every one of an exact-only coordinate,
     and the bisection's, about log2(x/n) at an n the kernel leaves open;
@@ -269,44 +272,54 @@ def coordinate_form(problem: ProblemSpec, j: int, d: int = 1) -> LinearForm:
 # (`_const_floor`).  floor(d R / 2^64) is monotone in R, so r is decided
 # when both ends give the same one, and r = 0 when L + W <= q or L > q,
 # q = floor((2^64 - 1) / d), which leaves about d times fewer pairs open.
-# The kernel takes pairs with d < 2^32 and W < 2^62: as S_e <= S_m and
-# S_m >= 1, W <= (w + w_0) S_m, w the sum of the widths hi_e - lo_e over
-# e >= 1 and w_0 the constant's, so it caps k S_m < 2^61 with the scale
-# k = ceil((w + w_0) / 2), which is 1 for one term of width <= 2.  The
-# rest, and the pairs it leaves open, take the exact floor.
+# Where S_e passes 64 bits, 128-bit brackets of c_e*2^128 give the same
+# [L, L + W] in the same 2^-64 units (`_wide_terms`), so both verdicts
+# read either width.  `_Coords` runs the 64-bit kernel on every pair, the
+# 128-bit one on the pairs it leaves open or past its cap, and exact
+# floors on the rest; each width caps a pair on k t^m, as d S_m = t^m.
 
 _FIX_BITS = 64
+_WIDE_BITS = 128
 _BLOCK = 4096                      # pairs per kernel block; keeps RSS flat
 _S_LIMIT = 1 << 61
 _D_LIMIT = (1 << 32) - 1
 _U64_MAX = np.uint64((1 << 64) - 1)
+_WORD = (1 << 64) - 1
 
 
-def _fast_plan(forms: list) -> list:
-    """Per coordinate form, (terms, constant, scale k) for `_kernel`, or
-    None when only the exact engine may evaluate it: a literal carries
-    under 64 bits, or its constant's bracket reaches 2^126.  From the
-    64-bit bracket (lo, hi) of each coefficient, terms holds
-    (e, lo mod 2^64, hi - lo) per degree e >= 1, increasing, and constant
-    is (lo >> 64, lo mod 2^64, hi - lo + 1), or None without one."""
+def _fast_plan(forms: list, bits: int = _FIX_BITS) -> list:
+    """Per coordinate form, (terms, constant, scale k) for `_kernel` at
+    bits = 64 or 128, or None when the kernel may not take it at that
+    width: a literal carries under `bits` bits, or its constant's bracket
+    reaches 2^(bits + 62).  With s = bits - 64 and (lo, hi) the bracket of
+    each coefficient at bits, terms holds (e, lo mod 2^64, hi - lo) at 64
+    bits and (e, F1, F0, hi - lo), lo mod 2^128 = F1 2^64 + F0, at 128,
+    per degree e >= 1, increasing; constant is (lo >> bits, (lo >> s)
+    mod 2^64, ceil((hi - lo) / 2^s) + 1), or None without one.  k is
+    ceil((w + w_0) / 2), w the summed widths hi - lo of the terms and
+    w_0 the constant's third entry."""
+    s = bits - _FIX_BITS
     plan = []
     for form in forms:
-        pe, rows = form._rows(_FIX_BITS)
-        terms = sorted((e, lo % (1 << _FIX_BITS), hi - lo)
+        pe, rows = form._rows(bits)
+        terms = sorted((e, lo % (1 << bits), hi - lo)
                        for lo, hi, e in rows if e)
-        const = next(((lo >> _FIX_BITS, lo % (1 << _FIX_BITS), hi - lo + 1)
+        const = next(((lo >> bits, lo >> s & _WORD, 1 - (lo - hi >> s))
                       for lo, hi, e in rows if not e), None)
-        if pe < _FIX_BITS or const and abs(const[0]) >= 1 << 62:
+        if pe < bits or const and abs(const[0]) >= 1 << 62:
             plan.append(None)
             continue
         width = sum(w for _, _, w in terms) + (const[2] if const else 0)
+        if s:
+            terms = [(e, f >> 64, f & _WORD, w) for e, f, w in terms]
         plan.append((terms, const, max((width + 1) // 2, 1)))
     return plan
 
 
-def _s_cap(coeff: int, power: int) -> int:
-    """Largest v ≤ 2^32 - 1 with coeff * v^power < 2^61 (0 if none)."""
-    room = (_S_LIMIT - 1) // coeff
+def _s_cap(coeff: int, power: int, bits: int = _FIX_BITS) -> int:
+    """Largest v ≤ 2^32 - 1 with coeff * v^power < 2^(bits - 3), 0 if
+    there is none or coeff ≥ 2^61."""
+    room = ((1 << bits - 3) - 1) // coeff if coeff < _S_LIMIT else 0
     if power == 0:
         return _D_LIMIT if room else 0
     return min(_iroot(room, power), _D_LIMIT)
@@ -323,18 +336,40 @@ def _const_floor(a: int, b: int, d: np.ndarray) -> np.ndarray:
 
 def _bracket(d: np.ndarray, n: np.ndarray, entry: tuple) -> tuple:
     """(L, L + W, whole): {Phi} 2^64 is in [L, L + W] where whole, L + W <
-    2^64, for uint64 d < 2^32 and k d^(m-1) n^m < 2^61, k the entry's."""
+    2^64, for uint64 d and n within the cap of the plan entry (`_Coords`):
+    S_e in one word from a 64-bit plan, in two from a 128-bit one."""
     terms, const, _ = entry
-    t = d * n if terms[-1][0] > 1 else None
-    low = width = 0
-    for e, lo64, w in terms:          # low wraps: exact mod 2^64
-        s = n if e == 1 else n * (t if e == 2 else t ** (e - 1))   # S_e
-        low, width = low + s * np.uint64(lo64), width + s * np.uint64(w)
+    if len(terms[0]) > 3:
+        low, width = _wide_terms(d * n, n, terms)
+    else:
+        t = d * n if terms[-1][0] > 1 else None
+        low = width = 0
+        for e, lo64, w in terms:          # low wraps: exact mod 2^64
+            s = n if e == 1 else n * (t if e == 2 else t ** (e - 1))  # S_e
+            low, width = low + s * np.uint64(lo64), width + s * np.uint64(w)
     if const:
         low += _const_floor(*const[:2], d)
         width += np.uint64(const[2])
     high = low + width
     return low, high, high >= low
+
+
+def _wide_terms(t: np.ndarray, n: np.ndarray, terms: list) -> tuple:
+    """(L, W) of the degree >= 1 terms of a 128-bit plan at uint64
+    t < 2^32.  S_e = n t^(e-1) < 2^125 is held as two words S1 2^64 + S0,
+    built by multiplying by t.  A term's fractional product
+    (F1 2^64 + F0) S_e mod 2^128 has the top word (F1 S0 + F0 S1 +
+    hi64(F0 S0)) mod 2^64, which L sums, losing under one unit, and its
+    width w S_e / 2^64 is below w (S1 + 1), so W sums w S1 + w + 1."""
+    s1, s0, e0 = np.zeros_like(n), n, 1
+    low = width = 0
+    for e, f1, f0, w in terms:
+        for _ in range(e - e0):
+            s1, s0 = s1 * t + _mul_hi(t, s0), s0 * t
+        e0, f0 = e, np.uint64(f0)
+        low = low + np.uint64(f1) * s0 + f0 * s1 + _mul_hi64(f0, s0)
+        width = width + np.uint64(w) * s1 + np.uint64(w + 1)
+    return low, width
 
 
 def _kernel(d: np.ndarray, n: np.ndarray, entry: tuple, zero: bool):
@@ -352,18 +387,31 @@ def _kernel(d: np.ndarray, n: np.ndarray, entry: tuple, zero: bool):
 
 
 class _Coords:
-    """The forms, `_fast_plan`, kernel caps and tally [kernel verdicts,
-    exact fallbacks] of one count's coordinates.  The kernel takes a pair
-    (d, n) of coordinate j when t = dn ≤ caps[j] = _s_cap(k, m_j - shift),
-    so d ≤ t < 2^32 and k S_m < 2^61: shift is 1 on the direct route,
-    whose pairs (t, 1) have S = t^(m-1), and 0 on the Moebius route,
-    where S = d^(m-1) n^m ≤ t^m."""
+    """The forms, the 64- and 128-bit `_fast_plan`s (plan, wide) with
+    their kernel caps, and the tally [kernel verdicts, exact fallbacks]
+    of one count's coordinates.
 
-    def __init__(self, problem: ProblemSpec, shift: int) -> None:
+    A width takes a pair (d, n) of coordinate j when t = dn is at most its
+    cap _s_cap(k, m_j, bits): t < 2^32, k < 2^61 and k t^m < 2^(bits - 3),
+    k the plan's scale.  As d S_m = t^m on both routes (the direct route's
+    pairs (t, 1) have S_m = t^(m-1)) and d ≥ 1, S_e ≤ S_m ≤ t^m, and
+    w + w_0 ≤ 2k for the summed widths of `_fast_plan`.  At 64 bits,
+    S_m < 2^61 is exact in uint64 and W = sum w_e S_e + w_0 ≤
+    (w + w_0) S_m < 2^62.  At 128 bits, S_m < 2^125 fits two words and
+    `_wide_terms` gives W ≤ (w + w_0)(S_m / 2^64 + 1) + m <
+    2^62 + 2^62 + m.  So neither W wraps.  Each cap sits 3 bits below
+    where d W, about (w + w_0) t^m / 2^(bits - 64), reaches 2^64 and no
+    residue can be decided."""
+
+    def __init__(self, problem: ProblemSpec) -> None:
         self.forms = [coordinate_form(problem, j) for j in range(problem.k)]
         self.plan = _fast_plan(self.forms)
-        self.caps = [_s_cap(e[2], m - shift) if e else 0
-                     for e, m in zip(self.plan, problem.ms)]
+        self.wide = _fast_plan(self.forms, _WIDE_BITS)
+        self.caps, self.wide_caps = (
+            [_s_cap(e[2], m, bits) if e else 0
+             for e, m in zip(plan, problem.ms)]
+            for plan, bits in ((self.plan, _FIX_BITS),
+                               (self.wide, _WIDE_BITS)))
         self.tally = [0, 0]
 
     def stats(self) -> FloorStats:
@@ -372,8 +420,9 @@ class _Coords:
     def coordinate(self, j: int, d: np.ndarray, n: np.ndarray, zero: bool,
                    exact: bool = False) -> np.ndarray:
         """floor(a_j t^(m_j) + g_j(t)) mod d at t = dn per pair, or with
-        zero whether it is 0: exact floors take the pairs past the cap or
-        left open by the kernel, and all when exact or j has no plan."""
+        zero whether it is 0: the 64-bit kernel takes every pair, the
+        128-bit one those past the 64-bit cap or left open, and exact
+        floors the rest, and all when exact or j has no 64-bit plan."""
         t = d * n
         if exact or self.plan[j] is None:
             out = np.empty(d.size, dtype=bool if zero else np.int64)
@@ -381,6 +430,11 @@ class _Coords:
         else:
             out, decided = _kernel(d, n, self.plan[j], zero)
             open_ = np.flatnonzero(~(decided & (t <= self.caps[j])))
+            if open_.size and self.wide[j] is not None:
+                res, decided = _kernel(d[open_], n[open_], self.wide[j], zero)
+                done = decided & (t[open_] <= self.wide_caps[j])
+                out[open_[done]] = res[done]
+                open_ = open_[~done]
             self.tally[0] += d.size - open_.size
         self.tally[1] += open_.size
         if open_.size:
@@ -476,7 +530,7 @@ def _direct_sweep(problem: ProblemSpec, cuts: tuple):
     x = cuts[-1]
     if x >= 1 << 53:
         raise InvalidSpec("the direct route counts to x < 2^53")
-    coords = _Coords(problem, 1)
+    coords = _Coords(problem)
     sieve = _root_sieve(x)
     counts, total = [], 0
     for lo in range(1, x + 1, _BLOCK):
@@ -492,11 +546,11 @@ def direct_count(problem: ProblemSpec, x: int) -> CountResult:
     """Count n ≤ x < 2^53 with gcd(n, floor terms) = 1, term by term, in
     one serial sweep over blocks of _BLOCK n.
 
-    Floors come from the 64-bit kernel where its bracket decides them and
-    from the certified big-integer engine otherwise.  A block sieve keeps
-    the primes of n that divide the first floor term, and the later
-    terms are tested only against those (`_coprime_block`).  The count is
-    the one-point case of the density sweep.
+    Floors come from the 64- or 128-bit kernel where its bracket decides
+    them and from the certified big-integer engine otherwise.  A block
+    sieve keeps the primes of n that divide the first floor term, and the
+    later terms are tested only against those (`_coprime_block`).  The
+    count is the one-point case of the density sweep.
     """
     if x < 1:
         raise InvalidSpec("x must be >= 1")
@@ -573,7 +627,7 @@ def mobius_count(problem: ProblemSpec, x: int,
     if d_cutoff is not None and not 1 <= d_cutoff <= x:
         raise InvalidSpec("d_cutoff must lie in [1, x]")
     depth = d_cutoff if d_cutoff is not None else x
-    coords = _Coords(problem, 0)
+    coords = _Coords(problem)
     mertens = np.zeros(1, dtype=np.int32)           # M(d) at index d
     total = x if problem.k > 1 else 0
     for lo in range(1, x + 1, _BLOCK):

@@ -508,6 +508,15 @@ def _mul_hi(n: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a >> _SHIFT32) + (((a & _LOW32) + (b >> _SHIFT32)) >> _SHIFT32)
 
 
+def _mul_hi64(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """floor(u * v / 2^64) exactly, for any uint64 u and v: the four
+    products of their 32-bit halves, with the carry out of the middle."""
+    u1, u0, v1, v0 = u >> _SHIFT32, u & _LOW32, v >> _SHIFT32, v & _LOW32
+    a, b = u1 * v0, u0 * v1
+    carry = ((a & _LOW32) + (b & _LOW32) + (u0 * v0 >> _SHIFT32)) >> _SHIFT32
+    return u1 * v1 + (a >> _SHIFT32) + (b >> _SHIFT32) + carry
+
+
 def _unit_float(r: int, width: int, unit: int):
     """(r / unit as a float below 1, width / unit + 2**-52): a fractional
     part in [0, 1) known to within `width` units, and its error bound."""

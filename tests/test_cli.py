@@ -9,6 +9,7 @@ import json
 import math
 import os
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -490,9 +491,28 @@ def test_dioph_csv_cells_are_the_payload():
             assert row[3] == f"{ratio:.12g}"
         else:
             assert row[3] == ""
-    # the enclosure's two ends, not one float printed twice
+    # the enclosure's two ends, not one float printed twice, each rounded
+    # outward (the fourth row's read ...347 and ...387, inside, when both
+    # rounded to nearest)
     assert rows[0][4:] == ["0.41421356237309504879",
                            "0.41421356237309504882"]
+    assert rows[3][4:] == ["0.029437251522859414346",
+                           "0.029437251522859414388"]
+
+
+def test_dioph_quality_ends_enclose_the_exact_ones():
+    # on the sqrt 2 ladder to 10^300 rounding to nearest moved 382 of the
+    # 784 lower ends up and 403 upper ends down, into the enclosure
+    report = run_config({"command": "dioph", "alpha": SQRT2,
+                         "max_q": "1" + "0" * 300})
+    printed = report["results"]["convergents"]
+    ladder = convergents(parse_real(SQRT2), 10**300)
+    assert len(printed) == len(ladder) == 784
+    for row, conv in zip(printed, ladder):
+        lo, hi = Fraction(row["quality_lo"]), Fraction(row["quality_hi"])
+        assert lo <= conv.quality.lo and conv.quality.hi <= hi
+        for end in (row["quality_lo"], row["quality_hi"]):
+            assert len(Decimal(end).as_tuple().digits) <= 20
 
 
 # ---------------------------------------------------------------------------

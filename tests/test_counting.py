@@ -57,6 +57,7 @@ from beattysieve.realnum import (
     QuadraticSurd,
     Rational,
     _mul_hi,
+    _mul_hi64,
     floor_scaled,
     golden_ratio,
     sqrt2,
@@ -556,6 +557,20 @@ def test_mul_hi_is_the_exact_high_word(n, v):
     assert got.tolist() == [(a * b) >> 64 for a, b in zip(n, v)]
 
 
+_words = st.integers(0, 2**64 - 1) | st.sampled_from(
+    [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=st.lists(_words, min_size=1, max_size=64),
+       v=st.lists(_words, min_size=64, max_size=64))
+def test_mul_hi64_is_the_exact_high_word(u, v):
+    # every middle-word carry, up to (2^64 - 1)^2
+    v = v[:len(u)]
+    got = _mul_hi64(np.array(u, dtype=np.uint64), np.array(v, dtype=np.uint64))
+    assert got.tolist() == [(a * b) >> 64 for a, b in zip(u, v)]
+
+
 def test_rational_multipliers_fall_back_to_the_exact_engine():
     # a*n^m lands exactly on an integer for n divisible by the denominator,
     # where no bracket can decide the floor: the exact engine must
@@ -573,13 +588,17 @@ def test_rational_multipliers_fall_back_to_the_exact_engine():
 
 
 @settings(max_examples=200, deadline=None)
-@given(coeff=st.integers(1, 2**62), power=st.integers(0, 5))
-def test_s_cap_is_the_largest_value_below_2_61(coeff, power):
-    # S = coeff * v^power must stay below 2^61, and d below 2^32
-    v = _s_cap(coeff, power)
+@given(coeff=st.integers(1, 2**62), power=st.integers(0, 5),
+       bits=st.sampled_from([64, 128]))
+def test_s_cap_is_the_largest_value_below_2_61(coeff, power, bits):
+    # coeff * v^power must stay below 2^61 (2^125 at 128 bits), v below
+    # 2^32, and coeff below 2^61
+    v = _s_cap(coeff, power, bits)
+    limit = 2 ** (bits - 3)
     assert 0 <= v < 2**32
-    assert v == 0 or coeff * v**power < 2**61
-    assert v == 2**32 - 1 or coeff * (v + 1) ** power >= 2**61
+    assert v == 0 or coeff * v**power < limit and coeff < 2**61
+    assert v == 2**32 - 1 or coeff >= 2**61 or \
+        coeff * (v + 1) ** power >= limit
 
 
 @st.composite
@@ -613,32 +632,86 @@ def test_kernel_verdicts_match_the_integer_square_root(root, sign, case):
     for a, b in pairs:
         f = math.isqrt(root * (a * b) ** (2 * m))
         want.append((f if sign > 0 else -f - 1) % a)
-    res, decided = _kernel(d, n, fast, False)
-    zero, zero_decided = _kernel(d, n, fast, True)
+    _assert_kernel_verdicts(d, n, fast, want)
+
+
+def _assert_kernel_verdicts(d, n, entry, want):
+    """Every residue and zero verdict the kernel decides from the plan
+    entry at the pairs (d, n) is the one in want."""
+    res, decided = _kernel(d, n, entry, False)
+    zero, zero_decided = _kernel(d, n, entry, True)
     for i, r in enumerate(want):
         assert not decided[i] or res[i] == r
         assert not zero_decided[i] or zero[i] == (r == 0)
 
 
+@st.composite
+def _wide_pairs(draw, m=None, k=1):
+    """m and pairs (d, n) the 128-bit kernel takes: t = dn up to the cap
+    _s_cap(k, m, 128), t at the cap, t = 8192 (where the direct route's
+    S = 8192^5 = 2^65 for m = 6) or any t, split as (t, 1) as on the
+    direct route, (1, t), or at a random d."""
+    m = draw(st.integers(1, 8)) if m is None else m
+    top = _s_cap(k, m, 128)
+    pairs = []
+    for _ in range(draw(st.integers(1, 16))):
+        t = draw(st.just(top) | st.just(min(8192, top)) | st.integers(1, top))
+        d = draw(st.just(t) | st.just(1) | st.integers(1, t))
+        pairs.append((d, t // d))
+    return m, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=st.integers(2, 10**6).filter(lambda r: math.isqrt(r) ** 2 != r),
+       sign=st.sampled_from([1, -1]), case=_wide_pairs())
+@example(root=5, sign=1, case=(6, [(8192, 1), (2**13 + 5, 1)]))
+def test_wide_kernel_verdicts_match_the_integer_square_root(root, sign, case):
+    # the 128-bit plan's verdicts against isqrt, past 2^64 in S
+    m, pairs = case
+    form = LinearForm([(QuadraticSurd(0, sign, root, 1), 1, m)])
+    wide, = _fast_plan([form], 128)
+    d = np.array([a for a, _ in pairs], dtype=np.uint64)
+    n = np.array([b for _, b in pairs], dtype=np.uint64)
+    want = []
+    for a, b in pairs:
+        f = math.isqrt(root * (a * b) ** (2 * m))
+        want.append((f if sign > 0 else -f - 1) % a)
+    _assert_kernel_verdicts(d, n, wide, want)
+
+
+def test_wide_kernel_decides_where_64_bits_wrap():
+    # at t = 8192, m = 6 the direct route's S = 8192^5 = 2^65 is 0 mod 2^64,
+    # far past the 64-bit cap; two words hold it, and the 128-bit bracket
+    # decides the residue floor(phi 8192^6) mod 8192
+    form = coordinate_form(ProblemSpec((sqrt2(), golden_ratio()), (1, 6)), 1)
+    wide, = _fast_plan([form], 128)
+    t = np.array([8192], dtype=np.uint64)
+    res, decided = _kernel(t, np.ones_like(t), wide, False)
+    assert decided.all() and res.tolist() == [next(form.floors([8192])) % 8192]
+
+
 def test_mobius_box_tests_past_the_s_cap_fall_back():
-    # for m = 4, d^3 n^4 reaches 2^61 at d = 2, n = 23171: those box
-    # tests take the exact floor
+    # for m = 4, t^4 reaches 2^61 at t = 38968: the box tests past it fall
+    # back from the 64-bit kernel to the 128-bit one, which decides them
+    # all, so none reaches the exact engine
     p = ProblemSpec((sqrt2(), sqrt3(), golden_ratio()), (1, 2, 4))
     res = mobius_count(p, 10**5)
-    assert res.stats.exact_fallbacks > 0 and res.stats.exact_coords == 0
-    assert res.count == direct_count(p, 10**5).count
+    assert _s_cap(1, 4) == 38967
+    assert res.stats == FloorStats(169912, 0, 0)
+    assert res.count == direct_count(p, 10**5).count == 92494
 
 
 def test_direct_kernel_caps_each_n_not_the_coordinate():
-    # for m = 6, n^5 reaches 2^61 at n = 4706: the kernel still takes the
-    # sixth powers below that, and only the n above fall back
+    # for m = 6, n^6 reaches 2^61 at n = 1150: the 64-bit kernel still
+    # takes the sixth powers below that, and the 128-bit one the n above,
+    # to its own cap, so none falls back to the exact engine
     p = ProblemSpec((sqrt2(), sqrt3(), golden_ratio()), (1, 2, 6))
     res = direct_count(p, 10**4)
-    assert _s_cap(1, 5) == 4705
-    assert res.stats == FloorStats(14151, 1475, 0)
+    assert _s_cap(1, 6) == 1149 and _s_cap(1, 6, 128) == 1868350
+    assert res.stats == FloorStats(15626, 0, 0)
     assert res.count == mobius_count(p, 10**4).count == 9253
-    # past the cap the uint64 powers wrap (8192^5 is 0 mod 2^64), so a
-    # kernel left to decide those n would count 6811 here
+    # past the 64-bit cap the uint64 powers wrap (8192^5 is 0 mod 2^64), so
+    # a 64-bit kernel left to decide those n would count 6811 here
     p = ProblemSpec((golden_ratio(), sqrt3()), (1, 6))
     assert direct_count(p, 2**13 + 5).count == \
         exact_reference_count(p, 2**13 + 5) == 6812
@@ -649,20 +722,37 @@ def test_direct_count_builds_each_plan_once(monkeypatch):
     calls = []
     original = counting._fast_plan
 
-    def counted(forms):
-        calls.append(1)
-        return original(forms)
+    def counted(forms, bits=64):
+        calls.append(bits)
+        return original(forms, bits)
 
     monkeypatch.setattr(counting, "_fast_plan", counted)
     p = ProblemSpec((sqrt2(), sqrt3(), golden_ratio()), (1, 2, 6))
-    assert direct_count(p, 10**4).stats == FloorStats(14151, 1475, 0)
-    assert len(calls) == 1
+    assert direct_count(p, 10**4).stats == FloorStats(15626, 0, 0)
+    assert calls == [64, 128]
     assert mobius_count(p, 10**4).count == 9253
-    assert len(calls) == 2
+    assert calls == [64, 128] * 2
     # a constant past 2^126 keeps the coordinate exact-only
     big = ProblemSpec((sqrt2(), sqrt3()), (1, 2),
                       lower_terms=(None, (str(2**127),)))
     assert direct_count(big, 5000).stats == FloorStats(4999, 1960, 1)
+
+
+def test_a_literal_under_128_bits_has_no_wide_plan():
+    # 30 digits carry 97 bits: the coordinate keeps its 64-bit plan but has
+    # none at 128 bits, so past the 64-bit cap (t^4 ≥ 2^61 from t = 38968)
+    # its floors still take the exact engine, on both routes alike
+    lit = DecimalLiteral("1.618033988749894848204586834366", 30)
+    p = ProblemSpec.unchecked((sqrt2(), sqrt3(), lit), (1, 2, 4))
+    coords = _Coords(p)
+    assert lit.max_prec() == 97
+    assert coords.plan[2] is not None and coords.wide[2] is None
+    assert coords.wide[1] is not None
+    direct, mobius = direct_count(p, 6 * 10**4), mobius_count(p, 6 * 10**4)
+    assert direct.stats.exact_fallbacks > 0
+    assert mobius.stats.exact_fallbacks > 0
+    assert direct.stats.exact_coords == mobius.stats.exact_coords == 0
+    assert direct.count == mobius.count
 
 
 def test_mobius_zero_verdict_on_an_exact_only_later_coordinate():
@@ -842,7 +932,7 @@ def test_linear_tops_are_the_last_passing_d(alpha, edge, offset, size, reach,
     n = np.arange(lo, lo + size, dtype=np.uint64)
     x = max(lo * reach, lo + size - 1)             # x/n up to reach
     cut = x if cut is None else min(cut, x)
-    coords = _Coords(ProblemSpec.unchecked((alpha,), (1,)), 0)
+    coords = _Coords(ProblemSpec.unchecked((alpha,), (1,)))
     got = _linear_tops(coords, n, x, cut)
     assert got.tolist() == [_brute_top(alpha, m, x, cut) for m in n.tolist()]
 
@@ -900,11 +990,33 @@ def test_kernel_sums_lower_terms_like_the_exact_engine(case):
     n = np.array([b for _, b in pairs], dtype=np.uint64)
     want = [f % a for f, (a, _) in
             zip(form.floors([a * b for a, b in pairs]), pairs)]
-    res, decided = _kernel(d, n, entry, False)
-    zero, zero_decided = _kernel(d, n, entry, True)
-    for i, r in enumerate(want):
-        assert not decided[i] or res[i] == r
-        assert not zero_decided[i] or zero[i] == (r == 0)
+    _assert_kernel_verdicts(d, n, entry, want)
+
+
+@st.composite
+def _wide_lower_term_cases(draw):
+    """(problem, pairs) as `_lower_term_cases` draws them, with pairs up
+    to the cap of the coordinate's 128-bit plan."""
+    problem, _ = draw(_lower_term_cases())
+    entry, = _fast_plan([coordinate_form(problem, 1)], 128)
+    return problem, draw(_wide_pairs(problem.ms[1], entry[2]))[1]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_wide_lower_term_cases())
+@example(case=(ProblemSpec.unchecked(
+    (sqrt2(), Rational(1, 2)), (1, 2), (None, ("1/2", "0"))),
+    [(3, 1), (5, 3), (7, 1)]))
+def test_wide_kernel_sums_lower_terms_like_the_exact_engine(case):
+    problem, pairs = case
+    form = coordinate_form(problem, 1)
+    entry, = _fast_plan([form], 128)
+    d = np.array([a for a, _ in pairs], dtype=np.uint64)
+    n = np.array([b for _, b in pairs], dtype=np.uint64)
+    want = [f % a for f, (a, _) in
+            zip(form.floors([a * b for a, b in pairs]), pairs)]
+    _assert_kernel_verdicts(d, n, entry, want)
 
 
 @settings(max_examples=200, deadline=None)
