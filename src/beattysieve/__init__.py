@@ -18,8 +18,8 @@ from .dioph import (ApproxWindow, Convergent, TypeEstimate, convergents,
                     estimate_type, find_window)
 from .equidist import (BoxLower, DiscrepancyReport, LinearSumCheck,
                        PointSet, QuadraticBoundReport, ReciprocalSumReport,
-                       ScreenStats, SumStats, WeylBoundReport, WeylSum,
-                       discrepancy_box_lower, discrepancy_exact_1d,
+                       ScreenStats, SumStats, SweepStats, WeylBoundReport,
+                       WeylSum, discrepancy_box_lower, discrepancy_exact_1d,
                        discrepancy_report, et_koksma_upper, linear_bound,
                        linear_sum_exact, monotone_check, nu_sequence,
                        quadratic_bound, reciprocal_sum, weyl_bound_report,

@@ -281,7 +281,10 @@ def cmd_discrepancy(cfg: _Config):
                "weyl_terms": [{"h": list(t), "magnitude": mag, "r": r}
                               for t, mag, r in rep.weyl_terms],
                "provenance": ps.provenance, "coord_error": ps.coord_error}
-    return payload, asdict(ps.stats)
+    stats = asdict(ps.stats)
+    if ps.dim > 1:
+        stats |= asdict(rep.sweep)
+    return payload, stats
 
 
 def cmd_weyl(cfg: _Config):

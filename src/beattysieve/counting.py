@@ -317,11 +317,9 @@ def _fast_plan(forms: list, bits: int = _FIX_BITS) -> list:
 
 
 def _s_cap(coeff: int, power: int, bits: int = _FIX_BITS) -> int:
-    """Largest v ≤ 2^32 - 1 with coeff * v^power < 2^(bits - 3), 0 if
-    there is none or coeff ≥ 2^61."""
+    """Largest v ≤ 2^32 - 1 with coeff * v^power < 2^(bits - 3), power ≥ 1,
+    0 if there is none or coeff ≥ 2^61."""
     room = ((1 << bits - 3) - 1) // coeff if coeff < _S_LIMIT else 0
-    if power == 0:
-        return _D_LIMIT if room else 0
     return min(_iroot(room, power), _D_LIMIT)
 
 

@@ -13,6 +13,7 @@ fractional parts, exact-rational checks, the Erdős–Turán–Koksma bound).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -181,15 +182,26 @@ def discrepancy_exact_1d(ps: PointSet) -> Fraction:
 
 
 @dataclass(frozen=True)
+class SweepStats:
+    """What discrepancy_box_lower's sweep did: the cuts of its sweep axis
+    and the cuts at which it scored a side; both 0 in dimension one,
+    where no sweep runs."""
+
+    cuts: int = 0
+    cuts_scored: int = 0
+
+
+@dataclass(frozen=True)
 class BoxLower:
     """A witnessed lower bound for the extreme discrepancy."""
     value: float
     boxes_checked: int
+    stats: SweepStats = SweepStats()
 
 
 _BUDGET = 4_000_000             # et_koksma_upper's most +-h pairs
 _TABLE_CELLS = 1 << 15          # its complex table entries per block
-_BOX_BUDGET = 2_000_000_000     # most critical-grid boxes a box sweep scores
+_BOX_BUDGET = 2_000_000_000     # most boxes in a box sweep's critical grid
 
 
 def discrepancy_box_lower(ps: PointSet) -> BoxLower:
@@ -202,17 +214,36 @@ def discrepancy_box_lower(ps: PointSet) -> BoxLower:
     limit v+, and 1: the critical grid on which the supremum is attained
     (Kuipers–Niederreiter, *Uniform Distribution of Sequences*, Ch. 2,
     §1).  boxes_checked is its size, the product of 2 n_j + 1 over the
-    n_j distinct values per axis; past _BOX_BUDGET boxes ResourceLimit
-    is raised before any table exists.
+    n_j distinct values per axis, not the number of boxes scored; past
+    _BOX_BUDGET boxes ResourceLimit is raised before any table exists.
 
-    One sweep walks the cuts of the axis with the most distinct values
-    over a below-cut count table of the other axes: O(N^k) time,
-    O(N^(k-1)) memory.  The corners of a cut tuple share one count, and
-    their volumes run from prod lo (b = v+ of each value below the cut)
-    to prod hi (b = the value above it, or 1), so, rounding being
-    monotone, count/N - prod lo or prod hi - count/N is the largest
-    float deviation among them.  The best corner is rescored exactly and
-    rounded down, so the value never exceeds the supremum.
+    One sweep walks the cuts of the axis s with the most distinct values
+    over a below-cut count table T of the other axes: O(N^k) time in the
+    worst case, O(N^(k-1)) memory.  The corners of a cut tuple share one
+    count, and their volumes run from prod lo (b = v+ of each value
+    below the cut) to prod hi (b = the value above it, or 1), so,
+    rounding being monotone, the lo side's T/N - prod lo or the hi
+    side's prod hi - T/N is the largest float deviation among them.  The
+    best corner is rescored exactly and rounded down, so the value never
+    exceeds the supremum.
+
+    A side is scored at a cut only if it can beat the best so far.  With
+    u = 2^-53, l the side's last scored cut, M its largest deviation
+    there and every quantity in [-1, 1] rounding by at most u: T only
+    grows, by at most the P points added since l, and lo_s and hi_s do
+    not decrease, so at cut c every lo deviation is at most
+    M + P/N + 4u (lo volumes do not shrink, rounding being monotone),
+    and every hi deviation at most M + hi_s[c] - hi_s[l] + (2k + 2)u (a
+    k-factor product in [0, 1] is within k u of the exact one, the other
+    axes' factor is at most 1).  The next cut to score is found by a
+    search on the cumulative point counts or on hi_s for the threshold
+    best - M - slack.  Its float evaluation, and that of the search key,
+    errs by at most 4u (N times that for the point count), so
+    slack = (2k + 8)u makes every skipped deviation fall strictly below
+    best.  A skipped side could not have replaced the best, so the
+    maximum found first in (cut, lo before hi, flat index) order, the one
+    rescored, is that of scoring every cut.  stats counts the cuts and
+    those at which a side was scored.
     """
     N, k = ps.N, ps.dim
     if N < 1:
@@ -229,29 +260,52 @@ def discrepancy_box_lower(ps: PointSet) -> BoxLower:
     lo = [np.concatenate((vj[:1], vj)) for vj in axes]
     hi = [np.concatenate((vj, [1.0])) for vj in axes]
     ranks = [np.searchsorted(vj, col) for vj, col in zip(axes, ps.points.T)]
+    shape = tuple(len(vj) + 1 for j, vj in enumerate(axes) if j != s)
     order = np.argsort(ranks[s])
-    others = np.column_stack([rj[order] + 1 for j, rj in enumerate(ranks)
-                              if j != s])
-    # piece c holds the points of rank c - 1 on axis s; piece 0 is empty
-    pieces = np.split(others, np.searchsorted(
-        ranks[s], np.arange(len(axes[s])), sorter=order))
-    table = np.zeros([len(vj) + 1 for j, vj in enumerate(axes) if j != s],
-                     dtype=np.int64)
-    best = -math.inf
-    for c, piece in enumerate(pieces):
-        for r in piece:
+    # each point's corner in the table, in rank order on axis s; cut c
+    # holds the points of rank below c, the first ends[c] of them
+    corners = np.column_stack([rj[order] + 1 for j, rj in enumerate(ranks)
+                               if j != s]).tolist()
+    ends = np.searchsorted(ranks[s], np.arange(len(lo[s])),
+                           sorter=order).tolist()
+    tops = hi[s].tolist()
+    # per side, the volume's factors before axis s, on it, and after it
+    sides = [([reduce(np.multiply.outer, vols[:s])] if s else [],
+              vols[s], vols[s + 1:]) for vols in (lo, hi)]
+    table = np.zeros(shape)
+    below, vol, dev = (np.empty(shape) for _ in range(3))
+    slack = (2 * k + 8) * 2.0 ** -53
+    best, filled, scored = -math.inf, 0, 0
+    # per side: its last scored cut, the largest deviation there, its
+    # next cut to score
+    last, peak, nxt = [0, 0], [0.0, 0.0], [0, 0]
+    while (c := min(nxt)) < len(ends):
+        for r in corners[filled:ends[c]]:
             table[tuple(slice(x, None) for x in r)] += 1
-        below = table / N
-        for vols, sign in ((lo, 1), (hi, -1)):
-            dev = sign * (below - reduce(np.multiply.outer, [
-                vj[c] if j == s else vj for j, vj in enumerate(vols)]))
+        filled = ends[c]
+        np.divide(table, N, out=below)
+        scored += 1
+        for side, (head, cut, tail) in enumerate(sides):
+            if nxt[side] > c:
+                continue
+            parts = head + [cut[c]] + tail
+            np.multiply.outer(reduce(np.multiply.outer, parts[:-1]),
+                              parts[-1], out=vol)
+            np.subtract(*((vol, below) if side else (below, vol)), out=dev)
             i = int(dev.argmax())
-            if dev.flat[i] > best:
-                cuts = np.insert(np.unravel_index(i, table.shape), s, c)
-                vol = math.prod(Fraction(vj[cj]) for vj, cj in zip(vols, cuts))
-                best = dev.flat[i]
-                exact = sign * (Fraction(int(table.flat[i]), N) - vol)
-    return BoxLower(_float_down(exact), n_boxes)
+            last[side], peak[side] = c, float(dev.flat[i])
+            if peak[side] > best:
+                best, at = peak[side], (side, c, i, int(table.flat[i]))
+        gap = [best - m - slack for m in peak]
+        nxt = [max(c + 1, bisect_left(
+                   ends, ends[last[0]] + math.ceil(gap[0] * N))),
+               max(c + 1, bisect_left(tops, gap[1] + tops[last[1]]))]
+    side, c, i, count = at
+    cuts = np.insert(np.unravel_index(i, shape), s, c)
+    exact = Fraction(count, N) - math.prod(
+        Fraction(vj[cj]) for vj, cj in zip((lo, hi)[side], cuts))
+    return BoxLower(_float_down(-exact if side else exact), n_boxes,
+                    SweepStats(len(ends), scored))
 
 
 @dataclass(frozen=True)
@@ -263,6 +317,7 @@ class DiscrepancyReport:
     et_upper: float
     H: int
     weyl_terms: tuple
+    sweep: SweepStats = SweepStats()
 
     def __post_init__(self) -> None:
         if self.box_lower is not None and self.box_lower > self.et_upper:
@@ -378,12 +433,13 @@ def et_koksma_upper(ps: PointSet, H: int) -> DiscrepancyReport:
 
 
 def discrepancy_report(ps: PointSet, H: int) -> DiscrepancyReport:
-    """Assemble the exact value (dim 1), box lower bound, and upper bound."""
+    """Assemble the exact value (dim 1), box lower bound, and upper bound;
+    sweep is what the box sweep did."""
     upper = et_koksma_upper(ps, H)
     box = discrepancy_box_lower(ps)
     exact = box.value if ps.dim == 1 else None
     return DiscrepancyReport(ps.N, exact, box.value, upper.et_upper, H,
-                             upper.weyl_terms)
+                             upper.weyl_terms, box.stats)
 
 
 # ---------------------------------------------------------------------------

@@ -582,8 +582,9 @@ def test_point_sets_and_weyl_sums_report_the_screen():
             "ms": "1,2", "d": "3", "n": "2000", "h": "4"}
     report = run_config(disc)
     stats = report["meta"]["stats"]
-    assert set(stats) == {"screened", "open"}
+    assert set(stats) == {"screened", "open", "cuts", "cuts_scored"}
     assert stats["screened"] + stats["open"] == 2 * 2000
+    assert 0 < stats["cuts_scored"] < stats["cuts"] == 2001
     assert stats["open"] < 0.01 * 2 * 2000
     assert b"screened" not in payload_bytes(report)
     weyl = {"command": "weyl", "alphas": f"{SQRT2},{SQRT3}", "ms": "1,2",

@@ -27,6 +27,7 @@ from beattysieve.equidist import (
     DiscrepancyReport,
     _distance_rows,
     _exact_floats,
+    _float_down,
     _float_up,
     _half_lattice,
     _phases_for_poly,
@@ -293,6 +294,76 @@ def test_box_lower_is_the_critical_grid_maximum_rounded_down(points):
     exact = _exact_box_max(points)
     assert Fraction(value) <= exact
     assert value >= float(exact) - 1e-15
+
+
+def _unpruned_box_lower(points) -> tuple:
+    """(value, boxes_checked) of a sweep that scores both sides of every
+    cut, one point at a time: the reference the pruned sweep must match
+    bit for bit."""
+    ps = PointSet.synthetic(points, "reference")
+    N, k = ps.N, ps.dim
+    axes = [np.unique(col) for col in ps.points.T]
+    s = max(range(k), key=lambda j: len(axes[j]))
+    lo = [np.concatenate((vj[:1], vj)) for vj in axes]
+    hi = [np.concatenate((vj, [1.0])) for vj in axes]
+    ranks = [np.searchsorted(vj, col) for vj, col in zip(axes, ps.points.T)]
+    order = np.argsort(ranks[s])
+    others = np.column_stack([rj[order] + 1 for j, rj in enumerate(ranks)
+                              if j != s])
+    pieces = np.split(others, np.searchsorted(
+        ranks[s], np.arange(len(axes[s])), sorter=order))
+    table = np.zeros([len(vj) + 1 for j, vj in enumerate(axes) if j != s],
+                     dtype=np.int64)
+    best = -math.inf
+    for c, piece in enumerate(pieces):
+        for r in piece:
+            table[tuple(slice(x, None) for x in r)] += 1
+        below = table / N
+        for vols, sign in ((lo, 1), (hi, -1)):
+            dev = sign * (below - reduce(np.multiply.outer, [
+                vj[c] if j == s else vj for j, vj in enumerate(vols)]))
+            i = int(dev.argmax())
+            if dev.flat[i] > best:
+                cuts = np.insert(np.unravel_index(i, table.shape), s, c)
+                vol = math.prod(Fraction(vj[cj]) for vj, cj in zip(vols, cuts))
+                best = dev.flat[i]
+                exact = sign * (Fraction(int(table.flat[i]), N) - vol)
+    return _float_down(exact), math.prod(2 * len(vj) + 1 for vj in axes)
+
+
+@st.composite
+def _sweep_points(draw):
+    """k = 2 sets of up to 150 points or k = 3 sets of up to 40; per axis
+    uniform values or a dyadic grid, where values tie, so any axis can
+    be the sweep axis; some sets repeat whole points."""
+    dim = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 150 if dim == 2 else 40))
+    cols = []
+    for _ in range(dim):
+        bits = draw(st.integers(0, 6))
+        grid = st.integers(0, 2 ** bits - 1).map(lambda i, b=bits: i / 2 ** b)
+        cols.append(draw(st.sampled_from([
+            st.floats(0, 1, exclude_max=True), grid])))
+    rows = draw(st.lists(st.tuples(*cols), min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), max_size=n))
+    return [list(rows[i]) for i in picks] or [list(r) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_sweep_points())
+def test_box_lower_matches_the_unpruned_sweep_bit_for_bit(points):
+    box = discrepancy_box_lower(PointSet.synthetic(points, "drawn"))
+    assert (box.value, box.boxes_checked) == _unpruned_box_lower(points)
+    assert 0 < box.stats.cuts_scored <= box.stats.cuts
+
+
+def test_box_lower_skips_cuts_on_a_k2_nu_sequence():
+    ps = nu_sequence(ProblemSpec((sqrt2(), sqrt3()), (1, 2)), 3, 2000)
+    box = discrepancy_box_lower(ps)
+    assert box.value == 0.020595532048465367        # the unpruned sweep's
+    assert box.boxes_checked == 4001 ** 2
+    assert box.stats.cuts == 2001
+    assert box.stats.cuts_scored < box.stats.cuts
 
 
 def test_box_lower_in_dimension_one_is_rounded_down():
