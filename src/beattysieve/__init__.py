@@ -15,7 +15,7 @@ from .counting import (CountResult, DensityRun, FloorStats, ProblemSpec,
                        direct_count, inv_zeta, mobius_count, mobius_sieve,
                        theoretical_gamma, theoretical_gamma_star, zeta_int)
 from .dioph import (ApproxWindow, Convergent, TypeEstimate, convergents,
-                    estimate_type, find_window)
+                    estimate_type, find_window, outward_decimal)
 from .equidist import (BoxLower, DiscrepancyReport, LinearSumCheck,
                        PointSet, QuadraticBoundReport, ReciprocalSumReport,
                        ScreenStats, SumStats, SweepStats, WeylBoundReport,

@@ -58,7 +58,6 @@ Exit codes: 0 success, 2 configuration/precondition error,
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import math
 import os
@@ -72,7 +71,8 @@ from fractions import Fraction
 from . import __version__
 from .counting import (ProblemSpec, dec_str, density_experiment,
                        direct_count, mobius_count)
-from .dioph import convergents, estimate_type, find_window
+from .dioph import (convergents, estimate_type, find_window,
+                    outward_decimal)
 from .equidist import (discrepancy_report, linear_bound, linear_sum_exact,
                        monotone_check, nu_sequence, quadratic_bound,
                        reciprocal_sum, weyl_bound_report, weyl_sum)
@@ -301,20 +301,6 @@ def cmd_weyl(cfg: _Config):
     return payload, asdict(res.stats)
 
 
-def _outward_ends(quality) -> dict:
-    """quality_lo and quality_hi: the enclosure's ends to 20 significant
-    digits, the lower rounded down and the upper up, so the printed
-    interval holds the exact one."""
-    ends = {}
-    for key, end, rounding in (
-            ("quality_lo", quality.lo, decimal.ROUND_FLOOR),
-            ("quality_hi", quality.hi, decimal.ROUND_CEILING)):
-        with decimal.localcontext() as ctx:
-            ctx.prec, ctx.rounding = 20, rounding
-            ends[key] = str(decimal.Decimal(end.numerator) / end.denominator)
-    return ends
-
-
 def cmd_dioph(cfg: _Config):
     alpha = cfg.str_("alpha")
     max_q = cfg.int_("max_q", minimum=1)
@@ -339,9 +325,13 @@ def cmd_dioph(cfg: _Config):
         "alpha": spec.text(),
         "max_q": max_q,
         "mode": mode,
+        # each quality's ends to 20 significant digits, the lower rounded
+        # down and the upper up, so the printed interval holds the exact one
         "convergents": [
             dict(index=c.index, a=c.a, q=c.q,
-                 **_outward_ends(c.quality)) for c in convs],
+                 quality_lo=outward_decimal(c.ends[0], c.ends[2], False),
+                 quality_hi=outward_decimal(c.ends[1], c.ends[2], True))
+            for c in convs],
         "type_estimate": estimate,
     }
     if window_q is not None:

@@ -7,7 +7,10 @@ enclosure and keeping the common prefix: the reals whose expansion begins
 with a given prefix form an interval, so a prefix shared by the endpoints
 is correct for everything in between.  The certified-evaluation kernel
 (realnum.LinearForm) escalates the precision until the convergent
-denominators provably exceed the requested cap.
+denominators provably exceed the requested cap.  Each convergent keeps
+its quality, the certified distance from q*alpha to the nearest integer,
+as the verdict's integer ends over a power of two; `outward_decimal`
+renders such an end to 20 digits from integers alone.
 """
 
 from __future__ import annotations
@@ -15,31 +18,95 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import takewhile
 from typing import Iterator, Sequence, Union
 
 from .errors import (InsufficientData, InvalidSpec, NoConvergent,
                      RationalTerminated)
-from .realnum import Interval, LinearForm, RealSpec, dist_nearest_ints
+from .realnum import (Interval, LinearForm, RealSpec, _check_ends,
+                      _distance_ends)
 
 Number = Union[int, float, Fraction]
+_TOP = 10 ** 20       # one past the largest 20-digit coefficient
 
 
 @dataclass(frozen=True)
 class Convergent:
-    """One continued-fraction approximation a/q with a certified quality."""
+    """One continued-fraction approximation a/q with a certified quality.
+
+    ends = (d_lo, d_hi, unit, bits) are the integer ends of the quality:
+    d_lo/unit <= ||q*alpha|| <= d_hi/unit over a power of two unit, to
+    bits of precision, as `realnum.dist_nearest_ints` certifies them.
+    """
 
     index: int
     a: int
     q: int
-    quality: Interval    # encloses the distance from q*alpha to nearest int
+    ends: tuple
 
     def __post_init__(self) -> None:
         if self.q < 1:
             raise InvalidSpec("convergent denominator must be positive")
         if math.gcd(self.a, self.q) != 1:
             raise InvalidSpec("convergent must be in lowest terms")
+        d_lo, d_hi, unit, bits = self.ends
+        if unit < 1 or unit & (unit - 1):
+            raise InvalidSpec("quality denominator must be a power of two")
+        if not 0 <= d_lo <= d_hi <= unit >> 1:
+            raise InvalidSpec("a nearest-integer distance lies in [0, 1/2]")
+        _check_ends(d_lo, d_hi, unit, bits)
+
+    @property
+    def quality(self) -> Interval:
+        """The enclosure of the distance from q*alpha to the nearest int."""
+        d_lo, d_hi, unit, bits = self.ends
+        return Interval(Fraction(d_lo, unit), Fraction(d_hi, unit), bits)
+
+
+def outward_decimal(num: int, unit: int, up: bool) -> str:
+    """num/unit, num >= 0 over a power of two unit, to 20 significant
+    digits, rounded down or (up) up: the string str(Decimal(num) / unit)
+    gives at prec 20 with ROUND_FLOOR or ROUND_CEILING, from integers.
+
+    The 20 digits are floor(num 10^k / unit) with k that puts them in
+    [10^19, 10^20), estimated from the bit lengths and corrected; an
+    exact quotient drops trailing zeros while k > 0, as Decimal brings
+    an exact result's exponent toward 0, and a round-up to 10^20
+    carries into the next exponent."""
+    if num < 0 or unit < 1 or unit & (unit - 1):
+        raise ValueError("outward_decimal needs num >= 0 over a power of "
+                         "two")
+    if not num:
+        return "0"
+    pe = unit.bit_length() - 1
+    # 1292913986 / 2^32 is log10(2) from below
+    k = 19 - ((num.bit_length() - 1 - pe) * 1292913986 >> 32)
+    while True:
+        # num 10^k / 2^pe is num 5^k / 2^(pe - k) when k >= 0
+        if k < 0:
+            digits, rest = divmod(num, 10 ** -k << pe)
+        elif k <= pe:
+            scaled, shift = num * 5 ** k, pe - k
+            digits, rest = scaled >> shift, scaled & ((1 << shift) - 1)
+        else:
+            digits, rest = num * 5 ** k << k - pe, 0
+        if digits >= _TOP:
+            k -= 1
+        elif digits * 10 < _TOP:
+            k += 1
+        else:
+            break
+    if rest:
+        if up:
+            digits += 1
+            if digits == _TOP:
+                digits, k = _TOP // 10, k - 1
+    else:
+        while k > 0 and digits % 10 == 0:
+            digits, k = digits // 10, k - 1
+    return str(Decimal(f"{digits}E{-k}"))
 
 
 @dataclass(frozen=True)
@@ -124,8 +191,7 @@ def convergents(spec: RealSpec, max_q: int) -> list[Convergent]:
     out = []
     for i, (p, q) in enumerate(pairs):
         bits = max(48, 2 * q.bit_length() + 8)
-        quality = next(dist_nearest_ints(spec, (q,), bits=bits))
-        out.append(Convergent(i, p, q, quality))
+        out.append(Convergent(i, p, q, next(_distance_ends(spec, (q,), bits))))
     return out
 
 

@@ -702,13 +702,16 @@ class LinearForm:
             return
         for prec, run in groupby(ts, start):
             pe, rows = self._rows(prec)
+            # hi = lo + sum (b - a) t^e: one big product per row, as b - a
+            # is at most 2|c|
+            steps = [(a, b - a, e) for a, b, e in rows]
             for t in run:
-                lo = hi = 0
-                for a, b, e in rows:
+                lo = width = 0
+                for a, step, e in steps:
                     w = t ** e
                     lo += a * w
-                    hi += b * w
-                answer = verdict(lo, hi, pe)
+                    width += step * w
+                answer = verdict(lo, lo + width, pe)
                 if answer is None:
                     value = None if exact is None else self._rational_value(t)
                     if value is not None:
@@ -874,24 +877,28 @@ def _distance_ends(spec: RealSpec, scales, bits: int):
         return max(form._start(scale), bits + scale.bit_length() + 2)
 
     def verdict(lo, hi, pe):
-        unit = 1 << pe
-        half = unit >> 1
-        tight = hi - lo <= unit >> min(bits + 1, pe - 1)
+        width = hi - lo
+        tight = width <= 1 << max(pe - bits - 1, 1)
         if not tight and (cap is None or pe < cap):
             return None
         # ||x|| is piecewise linear: minima only at integers, maxima
         # only at half-integers, so extremes over [lo, hi]/unit are at
-        # those lattice points when inside, else at the endpoints.
-        d_lo_end = min(lo % unit, unit - lo % unit)
-        d_hi_end = min(hi % unit, unit - hi % unit)
-        int_inside = _ceil_div(lo, unit) * unit <= hi
-        a, b = _ceil_div(lo, half), hi // half
-        half_inside = b >= a and (a % 2 != 0 or b > a)
+        # those lattice points when inside, else at the endpoints.  The
+        # first multiple of unit at or above lo lies (-lo) mod unit past
+        # it, the first odd multiple of half (half - lo) mod unit past it.
+        unit = 1 << pe
+        half = unit >> 1
+        mask = unit - 1
+        r_lo, r_hi = lo & mask, hi & mask
+        d_lo_end = min(r_lo, unit - r_lo)
+        d_hi_end = min(r_hi, unit - r_hi)
+        int_inside = -r_lo & mask <= width
+        half_inside = (half - r_lo) & mask <= width
         d_lo = 0 if int_inside else min(d_lo_end, d_hi_end)
         d_hi = half if half_inside else max(d_lo_end, d_hi_end)
         # d_hi - d_lo <= hi - lo, so this precision is always honest
         pb = min(bits, pe - 1) if tight else \
-            min(bits, pe + 1 - (hi - lo).bit_length())
+            min(bits, pe + 1 - width.bit_length())
         if pb < 1:
             return None
         return d_lo, d_hi, unit, pb

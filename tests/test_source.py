@@ -1,10 +1,12 @@
 """Checks on the package source and on what importing it loads."""
 
 import ast
+import io
 import os
 import pathlib
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -105,3 +107,34 @@ def test_cli_import_loads_no_process_machinery():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+CLI_TOKEN_LIMIT = 4096
+
+
+def parser_tokens(text: str) -> int:
+    """Tokens the parser reads, as Python's `tokenize` counts them:
+    comments, non-logical line breaks and the encoding marker aside."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    return sum(tok.type not in skip for tok in
+               tokenize.tokenize(io.BytesIO(text.encode()).readline))
+
+
+def test_cli_stays_under_its_compile_step():
+    """cli.py has at most 4096 parser tokens.
+
+    With PYTHONDONTWRITEBYTECODE=1 every benchmark process compiles the
+    package from source, cli.py last, on top of the loaded modules.
+    Under Python 3.11, padding
+    cli.py with one-name statements raised that compile's ru_maxrss by
+    1664 KB at 4096 tokens and by 1920 KB at 4098: a 256 KB step that
+    lands in every workload's peak_rss_mb.  A change that needs more
+    tokens in cli.py moves code into the library instead.
+    """
+    assert parser_tokens((SRC / "cli.py").read_text(encoding="utf-8")) \
+        <= CLI_TOKEN_LIMIT
+
+
+def test_parser_tokens_skip_comments_and_blank_lines():
+    assert parser_tokens("x = 1  # one\n\n# two\ny = (1,\n     2)\n") \
+        == parser_tokens("x = 1\ny = (1, 2)\n") == 13
