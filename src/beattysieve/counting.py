@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import DegenerateFit, InsufficientData, InvalidSpec, \
     PrecisionExhausted, ResourceLimit
-from .realnum import Interval, LinearForm, _SHIFT32, _iroot, _mul_hi, \
-    _mul_hi64, as_spec
+from .realnum import Interval, LinearForm, _SHIFT32, _fixed_sum, _iroot, \
+    _mul_hi, _mul_hi64, _words, as_spec
 
 ExactLike = Union[int, Fraction, str]
 
@@ -263,20 +263,17 @@ def coordinate_form(problem: ProblemSpec, j: int, d: int = 1) -> LinearForm:
 # Both routes ask of coordinate j at a pair (d, n), t = dn, for
 # r = floor(f(t)) mod d, f(t) = sum_e c_e t^e: the direct route takes
 # d = t, n = 1 and needs r, the Moebius route only whether r = 0.  With
-# S_e = d^(e-1) n^e, f(t) = d * Phi, Phi = sum_{e>=1} c_e S_e + c_0/d, so
-# r = floor(d * {Phi}).  64-bit brackets (lo_e, hi_e) of c_e*2^64 give
-# {Phi}*2^64 in [L, L + W], L = sum_{e>=1} lo_e*S_e + floor(lo_0/d)
-# mod 2^64 and W = sum_{e>=1} (hi_e - lo_e)*S_e + hi_0 - lo_0 + 1 (the
-# constant's term only when there is one), when L + W does not pass 2^64;
-# floor(lo_0/d) mod 2^64 is a long division in 32-bit digits
-# (`_const_floor`).  floor(d R / 2^64) is monotone in R, so r is decided
-# when both ends give the same one, and r = 0 when L + W <= q or L > q,
-# q = floor((2^64 - 1) / d), which leaves about d times fewer pairs open.
-# Where S_e passes 64 bits, 128-bit brackets of c_e*2^128 give the same
-# [L, L + W] in the same 2^-64 units (`_wide_terms`), so both verdicts
-# read either width.  `_Coords` runs the 64-bit kernel on every pair, the
-# 128-bit one on the pairs it leaves open or past its cap, and exact
-# floors on the rest; each width caps a pair on k t^m, as d S_m = t^m.
+# S_e = d^(e-1) n^e = n t^(e-1), f(t) = d * Phi, Phi = sum_{e>=1} c_e S_e
+# + c_0/d, so r = floor(d * {Phi}).  The `realnum._fixed_sum` at (t, n)
+# of the 64-bit brackets (lo_e, hi_e) of c_e*2^64, e >= 1, as `_words`
+# (lo_e mod 2^64, 0), puts {Phi}*2^64 in [L, L + W] when L + W does not
+# pass 2^64, a constant adding floor(lo_0/d) mod 2^64 (`_const_floor`)
+# to L and hi_0 - lo_0 + 1 to W.  floor(d R / 2^64) is monotone in R, so
+# r is decided when both ends give the same one, and r = 0 when
+# L + W <= q or L > q, q = floor((2^64 - 1) / d), which leaves about d
+# times fewer pairs open.  Where S_e passes 64 bits, 128-bit brackets of
+# c_e*2^128 give the same [L, L + W] in the same 2^-64 units
+# (`_wide_terms`), so both verdicts read either width (`_Coords`).
 
 _FIX_BITS = 64
 _WIDE_BITS = 128
@@ -284,35 +281,31 @@ _BLOCK = 4096                      # pairs per kernel block; keeps RSS flat
 _S_LIMIT = 1 << 61
 _D_LIMIT = (1 << 32) - 1
 _U64_MAX = np.uint64((1 << 64) - 1)
-_WORD = (1 << 64) - 1
 
 
 def _fast_plan(forms: list, bits: int = _FIX_BITS) -> list:
-    """Per coordinate form, (terms, constant, scale k) for `_kernel` at
-    bits = 64 or 128, or None when the kernel may not take it at that
-    width: a literal carries under `bits` bits, or its constant's bracket
-    reaches 2^(bits + 62).  With s = bits - 64 and (lo, hi) the bracket of
-    each coefficient at bits, terms holds (e, lo mod 2^64, hi - lo) at 64
-    bits and (e, F1, F0, hi - lo), lo mod 2^128 = F1 2^64 + F0, at 128,
-    per degree e >= 1, increasing; constant is (lo >> bits, (lo >> s)
-    mod 2^64, ceil((hi - lo) / 2^s) + 1), or None without one.  k is
-    ceil((w + w_0) / 2), w the summed widths hi - lo of the terms and
+    """Per coordinate form, (terms, constant, scale k, wide) for `_kernel`
+    at bits = 64 or 128 (wide), or None when the kernel may not take it
+    at that width: a literal carries under `bits` bits, or its constant's
+    bracket reaches 2^(bits + 62).  With s = bits - 64 and (lo, hi) the
+    bracket of each coefficient at bits, terms holds (e, F1, F0, hi - lo),
+    (F1, F0) = `_words(lo, bits)`, per degree e >= 1, increasing; constant
+    is (lo >> bits, F1, ceil((hi - lo) / 2^s) + 1), or None without one.
+    k is ceil((w + w_0) / 2), w the summed widths hi - lo of the terms and
     w_0 the constant's third entry."""
     s = bits - _FIX_BITS
     plan = []
     for form in forms:
         pe, rows = form._rows(bits)
-        terms = sorted((e, lo % (1 << bits), hi - lo)
+        terms = sorted((e, *_words(lo, bits), hi - lo)
                        for lo, hi, e in rows if e)
-        const = next(((lo >> bits, lo >> s & _WORD, 1 - (lo - hi >> s))
+        const = next(((lo >> bits, _words(lo, bits)[0], 1 - (lo - hi >> s))
                       for lo, hi, e in rows if not e), None)
         if pe < bits or const and abs(const[0]) >= 1 << 62:
             plan.append(None)
             continue
-        width = sum(w for _, _, w in terms) + (const[2] if const else 0)
-        if s:
-            terms = [(e, f >> 64, f & _WORD, w) for e, f, w in terms]
-        plan.append((terms, const, max((width + 1) // 2, 1)))
+        width = sum(w for *_, w in terms) + (const[2] if const else 0)
+        plan.append((terms, const, max((width + 1) // 2, 1), bool(s)))
     return plan
 
 
@@ -334,17 +327,11 @@ def _const_floor(a: int, b: int, d: np.ndarray) -> np.ndarray:
 
 def _bracket(d: np.ndarray, n: np.ndarray, entry: tuple) -> tuple:
     """(L, L + W, whole): {Phi} 2^64 is in [L, L + W] where whole, L + W <
-    2^64, for uint64 d and n within the cap of the plan entry (`_Coords`):
-    S_e in one word from a 64-bit plan, in two from a 128-bit one."""
-    terms, const, _ = entry
-    if len(terms[0]) > 3:
-        low, width = _wide_terms(d * n, n, terms)
-    else:
-        t = d * n if terms[-1][0] > 1 else None
-        low = width = 0
-        for e, lo64, w in terms:          # low wraps: exact mod 2^64
-            s = n if e == 1 else n * (t if e == 2 else t ** (e - 1))  # S_e
-            low, width = low + s * np.uint64(lo64), width + s * np.uint64(w)
+    2^64, for uint64 d and n within the cap of the plan entry (`_Coords`),
+    from `_fixed_sum` at 64 bits and `_wide_terms` at 128, at t = dn."""
+    terms, const, _, wide = entry
+    t = d * n if wide or terms[-1][0] > 1 else None
+    low, width = (_wide_terms if wide else _fixed_sum)(t, n, terms)
     if const:
         low += _const_floor(*const[:2], d)
         width += np.uint64(const[2])
@@ -353,10 +340,10 @@ def _bracket(d: np.ndarray, n: np.ndarray, entry: tuple) -> tuple:
 
 
 def _wide_terms(t: np.ndarray, n: np.ndarray, terms: list) -> tuple:
-    """(L, W) of the degree >= 1 terms of a 128-bit plan at uint64
-    t < 2^32.  S_e = n t^(e-1) < 2^125 is held as two words S1 2^64 + S0,
-    built by multiplying by t.  A term's fractional product
-    (F1 2^64 + F0) S_e mod 2^128 has the top word (F1 S0 + F0 S1 +
+    """(L, W) of the degree >= 1 terms (e, F1, F0, w) of a 128-bit plan at
+    uint64 t < 2^32, as `_fixed_sum` with S_e = n t^(e-1) < 2^125 held in
+    two words S1 2^64 + S0, built by multiplying by t.  A term's fractional
+    product (F1 2^64 + F0) S_e mod 2^128 has the top word (F1 S0 + F0 S1 +
     hi64(F0 S0)) mod 2^64, which L sums, losing under one unit, and its
     width w S_e / 2^64 is below w (S1 + 1), so W sums w S1 + w + 1."""
     s1, s0, e0 = np.zeros_like(n), n, 1
@@ -394,12 +381,12 @@ class _Coords:
     k the plan's scale.  As d S_m = t^m on both routes (the direct route's
     pairs (t, 1) have S_m = t^(m-1)) and d ≥ 1, S_e ≤ S_m ≤ t^m, and
     w + w_0 ≤ 2k for the summed widths of `_fast_plan`.  At 64 bits,
-    S_m < 2^61 is exact in uint64 and W = sum w_e S_e + w_0 ≤
-    (w + w_0) S_m < 2^62.  At 128 bits, S_m < 2^125 fits two words and
-    `_wide_terms` gives W ≤ (w + w_0)(S_m / 2^64 + 1) + m <
-    2^62 + 2^62 + m.  So neither W wraps.  Each cap sits 3 bits below
-    where d W, about (w + w_0) t^m / 2^(bits - 64), reaches 2^64 and no
-    residue can be decided."""
+    S_m < 2^61 is exact in uint64, as `_fixed_sum` needs, and W =
+    sum w_e S_e + w_0 ≤ (w + w_0) S_m < 2^62.  At 128 bits, S_m < 2^125
+    fits two words and `_wide_terms` gives W ≤ (w + w_0)(S_m / 2^64 + 1)
+    + m < 2^62 + 2^62 + m.  So neither W wraps.  Each cap sits 3 bits
+    below where d W, about (w + w_0) t^m / 2^(bits - 64), reaches 2^64 and
+    no residue can be decided."""
 
     def __init__(self, problem: ProblemSpec) -> None:
         self.forms = [coordinate_form(problem, j) for j in range(problem.k)]

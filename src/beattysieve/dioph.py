@@ -25,8 +25,8 @@ from typing import Iterator, Sequence, Union
 
 from .errors import (InsufficientData, InvalidSpec, NoConvergent,
                      RationalTerminated)
-from .realnum import (Interval, LinearForm, RealSpec, _check_ends,
-                      _distance_ends)
+from .realnum import (Interval, RealSpec, _check_ends, _distance_ends,
+                      _unit_form)
 
 Number = Union[int, float, Fraction]
 _TOP = 10 ** 20       # one past the largest 20-digit coefficient
@@ -165,9 +165,8 @@ def _certified_quotients(spec: RealSpec,
         return (common if any(q > max_q for _, q in _ladder(common))
                 else None)
 
-    form = LinearForm([(spec, 1, 0)])
-    return next(form._decide((1,), lambda _: 64, "partial quotients",
-                             verdict)), False
+    return next(_unit_form(spec)._decide(        # spec * t at t = 1
+        (1,), lambda _: 64, "partial quotients", verdict)), False
 
 
 def convergents(spec: RealSpec, max_q: int) -> list[Convergent]:

@@ -25,15 +25,11 @@ ceiling.  Floors and fractional-part verdicts decide a rational value
 
 ``frac_units`` and ``phase_fracs`` return whole batches at once, as
 float64 arrays of values and error bounds, not lazily.  Before
-``_decide``, a 64-bit fixed-point screen (``_screen``) decides them on
-each run of equal start precision 64 + s, s <= 64, at the t with every
-t^e < 2^32: splitting each coefficient's bracket end mod 2^(64+s) as
-F1 2^s + F0 gives the fractional part times 2^64 within [L, L + rows)
-in wrapping uint64 arithmetic (a sum of F1 t^e and of the high words of
-t^e F0 2^(64-s)), and the width of the bracket exactly.  Rounding to a
-double is monotone, so where L and L + rows round to the same double it
-is the correctly rounded fraction that the big-integer verdict returns,
-bit for bit.  Only the t the screen leaves open take ``_decide``.
+``_decide``, a 64-bit fixed-point screen (``_screen``) decides most t
+bit for bit, from the coefficients' bracket ends split into words
+(``_words``) and summed in one uint64 word (``_fixed_sum``), as the
+counting kernel's 64-bit tier does.  Only the t it leaves open take
+``_decide``.
 """
 
 from __future__ import annotations
@@ -508,6 +504,30 @@ def _mul_hi(n: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a >> _SHIFT32) + (((a & _LOW32) + (b >> _SHIFT32)) >> _SHIFT32)
 
 
+def _words(a: int, pe: int) -> tuple:
+    """(F1, F0) with (a mod 2^pe) 2^(128 - pe) = F1 2^64 + F0, 64 <= pe <=
+    128: the bracket end a at pe as a 128-bit fraction; F0 = 0 at 64."""
+    return divmod(a % (1 << pe) << 128 - pe, 1 << 64)
+
+
+def _fixed_sum(t, n: np.ndarray, terms) -> tuple:
+    """(L, W), wrapping uint64 sums over terms (e, F1, F0, w), e >= 0, of
+    F1 S_e + floor(F0 S_e / 2^64) and w S_e, S_e = n t^(e-1) (1 at e = 0)
+    exact in uint64, and below 2^32 where F0 > 0 (`_mul_hi`).  With
+    (F1, F0) the `_words` of a bracket end a at pe, L is the sum of
+    {a S_e / 2^pe} 2^64 mod 2^64, less under 1 per term with F0 > 0.  t is
+    read only for e >= 2; no terms give the scalars (0, 0)."""
+    low = width = 0
+    for e, f1, f0, w in terms:
+        s = (np.ones_like(n) if not e else n if e == 1
+             else n * (t if e == 2 else t ** (e - 1)))
+        low += s * np.uint64(f1)
+        if f0:
+            low += _mul_hi(s, np.uint64(f0))
+        width += s * np.uint64(w)
+    return low, width
+
+
 def _mul_hi64(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """floor(u * v / 2^64) exactly, for any uint64 u and v: the four
     products of their 32-bit halves, with the carry out of the middle."""
@@ -552,16 +572,12 @@ def _phase_frac(lo: int, hi: int, pe: int):
 
 def _screen(t: np.ndarray, rows: tuple, pe: int, floor: bool):
     """(decided mask, fracs, errs) of `_frac_unit` (floor) or `_phase_frac`
-    at uint64 t with every t^e <= _SCREEN_T, over the rows of one
-    precision pe = 64 + s, 0 <= s <= 64, whose widths b - a sum below
-    2^32; where decided, fracs and errs are the verdict's floats bit for
-    bit.
+    at uint64 t with every t^e <= _SCREEN_T, over nonempty rows of one
+    precision pe = 64 + s, 0 <= s <= 64, whose widths b - a sum below 2^32;
+    where decided, fracs and errs are the verdict's floats bit for bit.
 
-    With r = lo mod 2^pe, lo = sum a t^e, each a mod 2^pe splits as
-    F1 2^s + F0, F0 < 2^s, so r / 2^s is sum F1 t^e + sum F0 t^e / 2^s
-    mod 2^64, and floor(F0 t^e / 2^s) is `_mul_hi(t^e, F0 2^(64-s))`.
-    Each floor loses under 1, so with L the wrapping uint64 sum of
-    F1 t^e and those floors, r / 2^s lies in [L, L + rows) when
+    With r = lo mod 2^pe, lo = sum a t^e, the `_fixed_sum` at (t, t) of
+    each row's `_words(a, pe)` puts r / 2^s in [L, L + rows) when
     L + rows does not wrap.  Rounding to a double is monotone, so when
     float(L) == float(L + rows) that double times 2^-64 is r / 2^pe
     correctly rounded, which both verdicts take; it is left open at 2^64,
@@ -571,14 +587,8 @@ def _screen(t: np.ndarray, rows: tuple, pe: int, floor: bool):
     (L + rows + floor(w / 2^s) + 1), so L + rows + floor(w / 2^s) not
     wrapping certifies hi >> pe == lo >> pe."""
     s = pe - 64
-    low = np.zeros(t.size, dtype=np.uint64)
-    w = np.zeros(t.size, dtype=np.uint64)
-    for a, b, e in rows:
-        te = t ** e
-        f = a % (1 << pe)
-        low += np.uint64(f >> s) * te + _mul_hi(
-            te, np.uint64((f & ((1 << s) - 1)) << (64 - s)))
-        w += np.uint64(b - a) * te
+    low, w = _fixed_sum(t, t, [(e, *_words(a, pe), b - a)
+                               for a, b, e in rows])
     high = low + np.uint64(len(rows))
     flo = low.astype(np.float64)
     ok = (high >= low) & (flo == high.astype(np.float64)) & (flo < 2.0 ** 64)
@@ -591,7 +601,7 @@ def _screen(t: np.ndarray, rows: tuple, pe: int, floor: bool):
 class LinearForm:
     """Certified evaluator of sum_i spec_i * c_i * t**e_i at an integer t >= 0.
 
-    Each term is a (spec, integer multiplier c_i, exponent e_i) triple.
+    Each term is a (spec, integer multiplier c_i, exponent e_i >= 0) triple.
     Every certified question the package asks (floors, fractional-part
     tests and values, phases mod 1, nearest-integer distances, partial
     quotients) is a verdict over the form's bracket: integers lo <= hi
@@ -613,6 +623,9 @@ class LinearForm:
 
     def __init__(self, terms: Sequence[tuple]):
         self.terms = [(as_spec(s), int(c), int(e)) for s, c, e in terms]
+        for s, c, e in self.terms:
+            if e < 0:
+                raise InvalidSpec(f"term ({s.text()}, {c}, {e}): exponent < 0")
         capped = [s for s, _, _ in self.terms if s.max_prec() is not None]
         self._limit = min(capped, key=lambda s: s.max_prec(), default=None)
         self._cap = None if self._limit is None else self._limit.max_prec()
@@ -780,7 +793,7 @@ class LinearForm:
                                         "right"))
                 pe, rows = self._rows(prec)
                 width = sum(b - a for a, b, _ in rows)
-                if 64 <= pe <= 128 and width < 1 << 32:
+                if rows and 64 <= pe <= 128 and width < 1 << 32:
                     ok, f, e = _screen(t[i:j].astype(np.uint64), rows, pe,
                                        floor)
                     idx = order[i:j][ok]

@@ -58,6 +58,7 @@ from beattysieve.realnum import (
     Rational,
     _mul_hi,
     _mul_hi64,
+    _unit_form,
     floor_scaled,
     golden_ratio,
     sqrt2,
@@ -460,6 +461,8 @@ _LIT = DecimalLiteral("1.41421356", 8)     # 24 bits; undecided at 5741
 ], ids=["floor_scaled", "form.floor", "form.frac_unit", "form.phase_frac",
         "convergents", "direct_count", "mobius_count", "linear_sum_exact"])
 def test_failures_name_the_limiting_literal(verdict):
+    # an equal literal cached by an earlier test would be named instead
+    _unit_form.cache_clear()
     with pytest.raises(PrecisionExhausted,
                        match=r"dec:1\.41421356:8 carries only 24 bits") \
             as info:

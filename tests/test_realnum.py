@@ -2,12 +2,13 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beattysieve.errors import InvalidSpec, PrecisionExhausted
@@ -22,10 +23,12 @@ from beattysieve.realnum import (
     QuadraticSurd,
     Rational,
     _exact_unit,
+    _fixed_sum,
     _frac_unit,
     _iroot,
     _phase_frac,
     _screen,
+    _words,
     as_spec,
     dist_nearest_ints,
     eval_enclosure,
@@ -366,6 +369,15 @@ def test_linear_form_decides_where_irrational_parts_cancel():
     assert half.frac_units([5])[0][0] == 0.5
 
 
+def test_linear_form_rejects_a_negative_exponent():
+    # refused when built, naming the term, not deep inside _start's iroot
+    name = re.escape(f"term ({sqrt2().text()}, 1, -1)")
+    with pytest.raises(InvalidSpec, match=name):
+        LinearForm([(sqrt2(), 1, -1)])
+    with pytest.raises(InvalidSpec, match=r"term \(rat:1/3, 2, -3\)"):
+        LinearForm([(sqrt3(), 1, 2), ("1/3", 2, -3)])
+
+
 _LIOU = LiouvilleSeries(2, "poly", Fraction(2), c1=2)
 # (form, mpmath value at t): a surd, a Liouville multiplier, a form with
 # lower-order terms, and an exact form, t(t + 2)/3, that lands on an
@@ -437,9 +449,16 @@ def _screened_batches(draw):
     return form, draw(st.permutations(ts))
 
 
+_TWO_CONSTANTS = LinearForm([(sqrt2(), 3, 0), (Rational(-5, 3), 2, 0)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=_screened_batches(), batch=st.sampled_from(["frac_units",
                                                         "phase_fracs"]))
+@example(case=(LinearForm([]), [0, 1, 5]), batch="phase_fracs")
+@example(case=(LinearForm([]), [0, 1, 5]), batch="frac_units")
+@example(case=(_TWO_CONSTANTS, [0, 1, 2**16, 2**40]), batch="phase_fracs")
+@example(case=(_TWO_CONSTANTS, [0, 1, 2**16, 2**40]), batch="frac_units")
 def test_screen_equals_the_per_t_loop_bit_for_bit(case, batch):
     form, ts = case
     tally = [0, 0]
@@ -448,6 +467,60 @@ def test_screen_equals_the_per_t_loop_bit_for_bit(case, batch):
     assert fracs.tobytes() == want_fracs.tobytes()
     assert errs.tobytes() == want_errs.tobytes()
     assert sum(tally) == len(ts)
+
+
+@st.composite
+def _fixed_sum_cases(draw):
+    """(pe, pairs (t, n), terms (e, bracket end, width)) in either regime
+    of `_fixed_sum`: the counting kernel's, pe = 64 (F0 = 0) with
+    S_e = n t^(e-1) up to 2^61, or the screen's, 64 < pe <= 128 with
+    S_e < 2^32.  Degrees repeat and include 0, and bracket ends of any
+    sign and widths up to 2^64 - 1 wrap both sums."""
+    screen = draw(st.booleans())
+    pe = draw(st.integers(65, 128) | st.sampled_from([65, 128])) \
+        if screen else 64
+    top = 2**32 - 1 if screen else 2**61
+    terms = draw(st.lists(st.tuples(
+        st.integers(0, 4),
+        st.integers(-2**130, 2**130) | st.sampled_from(
+            [0, -1, 2**pe - 1, 2**pe, 2**(pe - 1)]),
+        st.integers(0, 2**64 - 1) | st.sampled_from([0, 1])),
+        min_size=1, max_size=6))
+    m = max(e for e, _, _ in terms)
+    pairs = []
+    for _ in range(draw(st.integers(1, 12))):
+        t = draw(st.integers(1, _iroot(top, m - 1) if m > 1 else top))
+        cap = top // t ** max(m - 1, 0)
+        pairs.append((t, draw(st.just(cap) | st.just(t if t <= cap else 1)
+                              | st.integers(1, cap))))
+    return pe, pairs, terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_fixed_sum_cases())
+def test_fixed_sum_is_the_integer_sum_in_both_regimes(case):
+    pe, pairs, terms = case
+    rows = []
+    for e, a, w in terms:
+        f1, f0 = _words(a, pe)
+        assert f1 << 64 | f0 == a % 2**pe << 128 - pe and f1 < 2**64
+        assert f0 == 0 or pe > 64
+        rows.append((e, f1, f0, w))
+    t = np.array([p for p, _ in pairs], dtype=np.uint64)
+    n = np.array([q for _, q in pairs], dtype=np.uint64)
+    low, width = _fixed_sum(t, n, rows)
+    for i, (tv, nv) in enumerate(pairs):
+        s = [nv * tv ** (e - 1) if e else 1 for e, *_ in rows]
+        whole = sum(f1 * se + (f0 * se >> 64)
+                    for (_, f1, f0, _), se in zip(rows, s))
+        assert int(low[i]) == whole % 2**64
+        assert int(width[i]) == sum(w * se for (*_, w), se in
+                                    zip(rows, s)) % 2**64
+        # L is the fractional parts summed, less under 1 per F0 > 0
+        exact = sum(Fraction(a % 2**pe * se << 64, 2**pe)
+                    for (_, a, _), se in zip(terms, s))
+        lossy = sum(f0 > 0 for *_, f0, _ in rows)
+        assert exact == whole if not lossy else 0 <= exact - whole < lossy
 
 
 def test_screen_decides_nearly_every_t():
